@@ -4,8 +4,6 @@ from .amplitude import AMP_ONE, AMP_ZERO, SQRT_HALF, AmplitudeError, ExactAmplit
 from .engine import (
     PLUS_MINUS,
     Basis,
-    Branch,
-    BranchPair,
     ChainState,
     MeasurementError,
     bob_distribution,
@@ -13,11 +11,7 @@ from .engine import (
     measure_next,
 )
 from .plans import (
-    BranchRecord,
-    CascadeConstants,
-    EtaLeaf,
     LeafClass,
-    MeasurementPlan,
     PlanError,
     PlanParams,
     classify,
@@ -30,62 +24,11 @@ from .plans import (
 )
 from .protocol import (
     CounterStream,
-    DiscriminationReport,
-    GroupResult,
     LeafSampler,
     ProtocolConfig,
     Strategy,
-    TrialResult,
     discriminate,
     run_protocol,
-    sample_state,
     w_statistic,
 )
-from .oracle import Check, bob_marginal, checkpoint_report, no_signaling_suite, random_plan
-
-__all__ = [
-    "AMP_ONE",
-    "AMP_ZERO",
-    "SQRT_HALF",
-    "AmplitudeError",
-    "Basis",
-    "Branch",
-    "BranchPair",
-    "BranchRecord",
-    "CascadeConstants",
-    "ChainState",
-    "Check",
-    "CounterStream",
-    "DiscriminationReport",
-    "EtaLeaf",
-    "ExactAmplitude",
-    "GroupResult",
-    "LeafClass",
-    "LeafSampler",
-    "MeasurementError",
-    "MeasurementPlan",
-    "PLUS_MINUS",
-    "PlanError",
-    "PlanParams",
-    "ProtocolConfig",
-    "Strategy",
-    "TrialResult",
-    "bob_distribution",
-    "bob_marginal",
-    "checkpoint_report",
-    "classify",
-    "constants",
-    "cpm_plan",
-    "discriminate",
-    "enumerate_branches",
-    "eta_state",
-    "ghz_state",
-    "measure_next",
-    "no_signaling_suite",
-    "random_plan",
-    "run_protocol",
-    "sample_state",
-    "spm_basis",
-    "spm_plan",
-    "w_statistic",
-]
+from .oracle import bob_marginal, checkpoint_report, no_signaling_suite, random_plan

@@ -39,10 +39,6 @@ class ExactAmplitude:
             raise AmplitudeError("sign must be 0 exactly when the magnitude is 0")
 
     @classmethod
-    def from_sq(cls, sign: int, mag_sq) -> "ExactAmplitude":
-        return cls(sign, Fraction(mag_sq))
-
-    @classmethod
     def sqrt(cls, value) -> "ExactAmplitude":
         """Nonnegative square root of a nonnegative rational."""
         value = Fraction(value)
@@ -59,14 +55,6 @@ class ExactAmplitude:
 
     def __neg__(self) -> "ExactAmplitude":
         return ExactAmplitude(-self.sign, self.mag_sq)
-
-    def cmp_abs(self, other: "ExactAmplitude") -> int:
-        """-1, 0 or +1 comparing |self| with |other| exactly."""
-        if self.mag_sq < other.mag_sq:
-            return -1
-        if self.mag_sq > other.mag_sq:
-            return 1
-        return 0
 
     def __float__(self) -> float:
         # Reporting convenience only.  Scale into double range before the

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .amplitude import fraction_float, fraction_json
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite
-from .plans import PlanParams, PlanError, cpm_plan, enumerate_branches, spm_plan
+from .plans import PlanParams, PlanError, cpm_plan, enumerate_branches, level_census, spm_plan
 from .protocol import ProtocolConfig, Strategy, discriminate, run_protocol, w_statistic
 
 OUT_DIR_ENV = "GHZDISC_OUT_DIR"
@@ -55,26 +57,35 @@ def _plan_for(strategy: str, params: PlanParams):
     return cpm_plan(params) if strategy == "cpm" else spm_plan(params)
 
 
-def _branch_rows(records) -> list[dict]:
+def _branch_row(r) -> dict:
+    return {
+        "outcomes": r.outcomes,
+        "probability": fraction_json(r.probability),
+        "class": r.leaf_class.value,
+        "level": r.level,
+        "bob_amp0": r.bob_state.amp0.to_json(),
+        "bob_amp1": r.bob_state.amp1.to_json(),
+    }
+
+
+_CSV_HEADER = [
+    "outcomes", "prob_num", "prob_den", "prob_float", "class", "level",
+    "amp0_sign", "amp0_num", "amp0_den", "amp1_sign", "amp1_num", "amp1_den",
+]
+
+
+def _csv_row(row: dict) -> list:
+    """Flat form of a `_branch_row`, without the amplitude floats."""
+    p, a0, a1 = row["probability"], row["bob_amp0"], row["bob_amp1"]
     return [
-        {
-            "outcomes": r.outcomes,
-            "probability": fraction_json(r.probability),
-            "class": r.leaf_class.value,
-            "level": r.level,
-            "bob_amp0": r.bob_state.amp0.to_json(),
-            "bob_amp1": r.bob_state.amp1.to_json(),
-        }
-        for r in records
+        row["outcomes"], p["num"], p["den"], repr(p["float"]), row["class"], row["level"],
+        a0["sign"], a0["num"], a0["den"], a1["sign"], a1["num"], a1["den"],
     ]
 
 
-def _census_lines(records, params: PlanParams) -> str:
-    levels: dict[int, int] = {}
-    classes: dict[str, int] = {}
-    for r in records:
-        levels[r.level] = levels.get(r.level, 0) + 1
-        classes[r.leaf_class.value] = classes.get(r.leaf_class.value, 0) + 1
+def _census_lines(records) -> str:
+    levels = level_census(records)
+    classes = Counter(r.leaf_class.value for r in records)
     level_text = " ".join(f"{k}:{levels[k]}" for k in sorted(levels))
     class_text = " ".join(f"{k}:{classes[k]}" for k in sorted(classes))
     total = sum(r.probability for r in records)
@@ -89,40 +100,17 @@ def _census_lines(records, params: PlanParams) -> str:
 def cmd_enumerate(args) -> int:
     params = PlanParams(args.qubits, args.x_sq)
     records = enumerate_branches(_plan_for(args.strategy, params), params)
-    sys.stdout.write(_census_lines(records, params))
-    out = _resolve_out(args.out)
+    sys.stdout.write(_census_lines(records))
+    rows = map(_branch_row, records)
     if args.format == "json":
-        _write_text(out, _json_text(_branch_rows(records)))
+        text = _json_text(list(rows))
     else:
-        rows = []
-        for r in records:
-            rows.append(
-                [
-                    r.outcomes,
-                    str(r.probability.numerator),
-                    str(r.probability.denominator),
-                    repr(fraction_float(r.probability)),
-                    r.leaf_class.value,
-                    r.level,
-                    r.bob_state.amp0.sign,
-                    str(r.bob_state.amp0.sq().numerator),
-                    str(r.bob_state.amp0.sq().denominator),
-                    r.bob_state.amp1.sign,
-                    str(r.bob_state.amp1.sq().numerator),
-                    str(r.bob_state.amp1.sq().denominator),
-                ]
-            )
-        header = [
-            "outcomes", "prob_num", "prob_den", "prob_float", "class", "level",
-            "amp0_sign", "amp0_num", "amp0_den", "amp1_sign", "amp1_num", "amp1_den",
-        ]
-        import io
-
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _write_text(out, buffer.getvalue())
+        writer.writerow(_CSV_HEADER)
+        writer.writerows(map(_csv_row, rows))
+        text = buffer.getvalue()
+    _write_text(_resolve_out(args.out), text)
     return 0
 
 

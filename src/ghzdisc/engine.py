@@ -55,21 +55,6 @@ class ChainState:
         return self.amp0.sq() + self.amp1.sq()
 
 
-@dataclass(frozen=True)
-class Branch:
-    state: ChainState
-    probability: Fraction
-
-
-@dataclass(frozen=True)
-class BranchPair:
-    """Both post-measurement branches; probabilities are conditional on
-    the history and sum to exactly 1."""
-
-    first: Branch
-    second: Branch
-
-
 def ghz_state(n: int) -> ChainState:
     """(|0...0> + |1...1>)/sqrt(2) over n qubits."""
     if n < 2:
@@ -77,18 +62,16 @@ def ghz_state(n: int) -> ChainState:
     return ChainState(n, SQRT_HALF, SQRT_HALF)
 
 
-def measure_next(state: ChainState, basis: Basis) -> BranchPair:
+def measure_next(state: ChainState, basis: Basis) -> tuple[ChainState, ChainState]:
     """Measure the first remaining qubit; the last qubit is never measured
-    here (it belongs to the receiver)."""
+    here (it belongs to the receiver).  Returns the unnormalized branches
+    for the first and second basis vector; their squared norms sum to the
+    parent's."""
     if state.remaining < 2:
         raise MeasurementError("only the receiver's qubit remains")
-    parent = state.norm_sq()
     first = ChainState(state.remaining - 1, state.amp0 * basis.c0, state.amp1 * basis.c1)
     second = ChainState(state.remaining - 1, state.amp0 * basis.c1, -(state.amp1 * basis.c0))
-    return BranchPair(
-        Branch(first, first.norm_sq() / parent),
-        Branch(second, second.norm_sq() / parent),
-    )
+    return first, second
 
 
 def bob_distribution(state: ChainState) -> tuple[Fraction, Fraction]:

@@ -23,6 +23,7 @@ from .plans import (
     cpm_plan,
     enumerate_branches,
     eta_state,
+    level_census,
     spm_plan,
 )
 from .protocol import w_statistic
@@ -130,13 +131,11 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
             _exact(f"t{m}_sq_telescoping", cascade.T[-1].sq(), telescoping_t_sq(params))
         )
 
-    census: dict[int, int] = {}
-    for record in records:
-        census[record.level] = census.get(record.level, 0) + 1
+    census = level_census(records)
     checks.append(
         _exact(
             "leaf_census",
-            "/".join(str(census.get(level, 0)) for level in range(1, m + 2)),
+            "/".join(str(census[level]) for level in range(1, m + 2)),
             "/".join(str(2 ** (m - level)) for level in range(1, m + 1)) + "/1",
         )
     )

@@ -14,6 +14,7 @@ leaf exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -187,10 +188,8 @@ def classify(state: ChainState, params: PlanParams) -> LeafClass:
         return LeafClass.MU_PLUS
     if proportional(x, -y):
         return LeafClass.MU_MINUS
-    big = 2**params.m - 1
-    # the relative sign of the all-perp leaf alternates with the stage count
-    eta1 = ExactAmplitude(-1 if params.m % 2 else 1, params.x_sq**big)
-    if proportional(ExactAmplitude.sqrt(params.y_sq**big), eta1):
+    eta = eta_state(params).normalized
+    if proportional(eta.amp0, eta.amp1):
         return LeafClass.ETA
     return LeafClass.OTHER
 
@@ -208,9 +207,9 @@ def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[Branch
                 BranchRecord(history, state.norm_sq(), state, classify(state, params), level)
             )
             return
-        pair = measure_next(state, plan.basis_for(history))
-        walk(pair.first.state, history + "0")
-        walk(pair.second.state, history + "1")
+        first, second = measure_next(state, plan.basis_for(history))
+        walk(first, history + "0")
+        walk(second, history + "1")
 
     walk(ghz_state(params.n), "")
     return records
@@ -226,10 +225,14 @@ class EtaLeaf:
     prefactor: ExactAmplitude
 
 
+@lru_cache(maxsize=None)
 def eta_state(params: PlanParams) -> EtaLeaf:
+    """All-perp leaf of the cascade, derived once per params;
+    `classify` and `w_statistic` both read it from here."""
     m = params.m
     big = 2**m - 1
     e = 2 ** (m - 1)
+    # the relative sign of the all-perp leaf alternates with the stage count
     sign1 = -1 if m % 2 else 1
     x_sq, y_sq = params.x_sq, params.y_sq
     denom = x_sq**big + y_sq**big
@@ -246,3 +249,8 @@ def eta_state(params: PlanParams) -> EtaLeaf:
     )
     prefactor = ExactAmplitude.sqrt(denom / (2 * t_sq * (x_sq * y_sq) ** (e - 1)))
     return EtaLeaf(normalized, leaf, prefactor)
+
+
+def level_census(records: list[BranchRecord]) -> Counter[int]:
+    """Number of leaves at each level."""
+    return Counter(r.level for r in records)

@@ -14,7 +14,6 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from .engine import bob_distribution
 from .plans import (
@@ -22,9 +21,9 @@ from .plans import (
     LeafClass,
     MeasurementPlan,
     PlanParams,
-    constants,
     cpm_plan,
     enumerate_branches,
+    eta_state,
     spm_plan,
 )
 
@@ -101,19 +100,6 @@ class LeafSampler:
         return self.records[lo], bob_bit
 
 
-@lru_cache(maxsize=64)
-def _sampler(plan: MeasurementPlan, params: PlanParams) -> LeafSampler:
-    return LeafSampler(plan, params)
-
-
-def sample_state(
-    plan: MeasurementPlan, params: PlanParams, stream: CounterStream
-) -> tuple[str, int]:
-    """One shared state: the sender's outcome string and receiver's bit."""
-    record, bob_bit = _sampler(plan, params).sample(stream)
-    return record.outcomes, bob_bit
-
-
 def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
     """Ratio statistic for l exceptional leaves among per_group states:
     l times the all-perp leaf weight over (per_group - l) times the
@@ -122,13 +108,8 @@ def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
         raise ValueError(f"count must be in 0..{per_group}, got {l}")
     if l == per_group:
         raise ZeroDivisionError("every state hit the exceptional leaf; the ratio is infinite")
-    m = params.m
-    big = 2**m - 1
-    e = 2 ** (m - 1) - 1
-    t_sq = constants(params).T[-1].sq()
-    numerator = l * params.x_sq**big / (2 * t_sq * (params.x_sq * params.y_sq) ** e)
-    denominator = (per_group - l) * params.x_sq / 2**m
-    return numerator / denominator
+    eta_weight = eta_state(params).leaf.amp1.sq()
+    return l * eta_weight / ((per_group - l) * params.x_sq / 2**params.m)
 
 
 @dataclass(frozen=True)
@@ -168,8 +149,8 @@ class TrialResult:
 
 def _samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
     return {
-        Strategy.CPM: _sampler(cpm_plan(params), params),
-        Strategy.SPM: _sampler(spm_plan(params), params),
+        Strategy.CPM: LeafSampler(cpm_plan(params), params),
+        Strategy.SPM: LeafSampler(spm_plan(params), params),
     }
 
 

@@ -101,8 +101,7 @@ def test_criterion_2_cascade_checkpoints(capsys):
     for history, (s0, a0, s1, a1) in expected.items():
         state = ghz_state(8)
         for depth, bit in enumerate(history):
-            pair = measure_next(state, plan.basis_for(history[:depth]))
-            state = (pair.first if bit == "0" else pair.second).state
+            state = measure_next(state, plan.basis_for(history[:depth]))[int(bit)]
         ok = ok and state.amp0 == ExactAmplitude(s0, a0) and state.amp1 == ExactAmplitude(s1, a1)
     with capsys.disabled():
         report(2, ok, f"{len(expected)} intermediate states match exactly, signs included")

@@ -2,11 +2,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzdisc import (
     PLUS_MINUS,
+    ChainState,
     ExactAmplitude,
     LeafClass,
     PlanError,
@@ -18,6 +19,7 @@ from ghzdisc import (
     eta_state,
     ghz_state,
     measure_next,
+    random_plan,
     spm_basis,
     spm_plan,
 )
@@ -225,8 +227,7 @@ def test_cascade_checkpoints(history, sign0, a0_sq, sign1, a1_sq):
     plan = spm_plan(P8)
     state = ghz_state(8)
     for depth, bit in enumerate(history):
-        pair = measure_next(state, plan.basis_for(history[:depth]))
-        state = (pair.first if bit == "0" else pair.second).state
+        state = measure_next(state, plan.basis_for(history[:depth]))[int(bit)]
     assert state.amp0 == ExactAmplitude(sign0, a0_sq)
     assert state.amp1 == ExactAmplitude(sign1, a1_sq)
 
@@ -264,8 +265,6 @@ class TestClassify:
         assert classify(records[-1].bob_state, P8) is LeafClass.ETA
 
     def test_global_sign_ignored(self):
-        from ghzdisc import ChainState
-
         flipped = ChainState(
             1, ExactAmplitude(-1, X_SQ / 4), ExactAmplitude(-1, Y_SQ / 4)
         )
@@ -274,3 +273,48 @@ class TestClassify:
     def test_hadamard_leaf_is_other(self):
         records = enumerate_branches(cpm_plan(P8), P8)
         assert all(r.leaf_class is LeafClass.OTHER for r in records)
+
+
+def _classify_reference(state, params):
+    """Leaf classification with the all-perp direction rebuilt from its
+    exponents on every call; the oracle for `classify`."""
+    x = ExactAmplitude.sqrt(params.x_sq)
+    y = ExactAmplitude.sqrt(params.y_sq)
+
+    def proportional(b0, b1):
+        return state.amp0 * b1 == state.amp1 * b0
+
+    if proportional(x, y):
+        return LeafClass.MU_PLUS
+    if proportional(x, -y):
+        return LeafClass.MU_MINUS
+    big = 2**params.m - 1
+    eta1 = ExactAmplitude(-1 if params.m % 2 else 1, params.x_sq**big)
+    if proportional(ExactAmplitude.sqrt(params.y_sq**big), eta1):
+        return LeafClass.ETA
+    return LeafClass.OTHER
+
+
+def assert_classify_matches_reference(params, seed):
+    for plan in (cpm_plan(params), spm_plan(params), random_plan(params, seed)):
+        for record in enumerate_branches(plan, params):
+            flipped = ChainState(1, -record.bob_state.amp0, -record.bob_state.amp1)
+            assert record.leaf_class is _classify_reference(record.bob_state, params)
+            assert classify(flipped, params) is record.leaf_class
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_classify_matches_reference(n):
+    assert_classify_matches_reference(PlanParams(n), seed=n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40).filter(
+        lambda x: x != Fraction(1, 2)
+    ),
+    st.integers(min_value=3, max_value=7),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_classify_matches_reference_any_x(x_sq, n, seed):
+    assert_classify_matches_reference(PlanParams(n, x_sq), seed)

@@ -8,10 +8,10 @@ from ghzdisc import (
     PlanParams,
     ProtocolConfig,
     Strategy,
+    constants,
     cpm_plan,
     discriminate,
     run_protocol,
-    sample_state,
     spm_plan,
     w_statistic,
 )
@@ -71,6 +71,28 @@ class TestWStatistic:
             w_statistic(31, P8, 30)
 
 
+def _w_reference(l, params, per_group):
+    """The closed form of the W statistic with its exponents written out;
+    the oracle for `w_statistic`."""
+    m = params.m
+    big = 2**m - 1
+    e = 2 ** (m - 1) - 1
+    t_sq = constants(params).T[-1].sq()
+    numerator = l * params.x_sq**big / (2 * t_sq * (params.x_sq * params.y_sq) ** e)
+    denominator = (per_group - l) * params.x_sq / 2**m
+    return numerator / denominator
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize(
+    "x_sq", [Fraction(2, 3), Fraction(1, 2), Fraction(3, 7), Fraction(9, 10)]
+)
+def test_w_statistic_matches_closed_form(n, x_sq):
+    params = PlanParams(n, x_sq)
+    for l in (0, 1, 2, 29):
+        assert w_statistic(l, params, 30) == _w_reference(l, params, 30)
+
+
 class TestLeafSampler:
     def test_cdf_covers_unit_interval(self):
         sampler = LeafSampler(spm_plan(P8), P8)
@@ -89,12 +111,11 @@ class TestLeafSampler:
         assert abs(hits / n - 0.5) < 0.04
 
     def test_uniform_plan_bit_balance(self):
-        params = P8
-        plan = cpm_plan(params)
+        sampler = LeafSampler(cpm_plan(P8), P8)
         ones = 0
         n = 4000
         for i in range(n):
-            _, bit = sample_state(plan, params, CounterStream(43, i))
+            _, bit = sampler.sample(CounterStream(43, i))
             ones += bit
         assert abs(ones / n - 0.5) < 0.04
 
