@@ -137,6 +137,24 @@ class TestBobDistribution:
             bob_distribution(ghz_state(2))
 
 
+@given(states(), bases())
+def test_branch_probabilities_complete(state, basis):
+    first, second = measure_next(state, basis)
+    assert first.norm_sq() / state.norm_sq() + second.norm_sq() / state.norm_sq() == 1
+
+
+@given(states(), bases())
+def test_norm_bookkeeping(state, basis):
+    # each branch's squared norm is the parent's times the Born probability
+    # of its basis vector: |amp0 c0|^2 + |amp1 c1|^2 for the first branch,
+    # |amp0 c1|^2 + |amp1 c0|^2 for the second
+    first, second = measure_next(state, basis)
+    a0, a1 = state.amp0.sq(), state.amp1.sq()
+    c0, c1 = basis.c0.sq(), basis.c1.sq()
+    for branch, weight in ((first, a0 * c0 + a1 * c1), (second, a0 * c1 + a1 * c0)):
+        assert branch.norm_sq() == weight
+
+
 @given(states(), st.one_of(st.just(PLUS_MINUS), bases()))
 def test_hadamard_split_preserves_norm(state, basis):
     # the Hadamard basis and arbitrary exact bases alike: the branches'
