@@ -27,6 +27,7 @@ from .protocol import (
     LeafSampler,
     ProtocolConfig,
     Strategy,
+    build_samplers,
     discriminate,
     run_protocol,
     w_statistic,

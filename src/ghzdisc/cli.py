@@ -18,9 +18,9 @@ from collections import Counter
 from fractions import Fraction
 
 from .amplitude import fraction_float, fraction_json
-from .oracle import bob_marginal, checkpoint_report, no_signaling_suite
+from .oracle import bob_marginal, checkpoint_report, no_signaling_suite, receiver_marginal
 from .plans import PlanParams, PlanError, cpm_plan, enumerate_branches, level_census, spm_plan
-from .protocol import ProtocolConfig, Strategy, discriminate, run_protocol, w_statistic
+from .protocol import ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_statistic
 
 OUT_DIR_ENV = "GHZDISC_OUT_DIR"
 
@@ -44,9 +44,20 @@ def _resolve_out(path: str | None) -> str | None:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as handle:
             handle.write(text)
+    except OSError as exc:  # an output path that cannot be written is a usage error
+        raise ValueError(str(exc)) from exc
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _json_text(payload) -> str:
@@ -102,14 +113,7 @@ def cmd_enumerate(args) -> int:
     records = enumerate_branches(_plan_for(args.strategy, params), params)
     sys.stdout.write(_census_lines(records))
     rows = map(_branch_row, records)
-    if args.format == "json":
-        text = _json_text(list(rows))
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(map(_csv_row, rows))
-        text = buffer.getvalue()
+    text = _json_text(list(rows)) if args.format == "json" else _csv_text(_CSV_HEADER, map(_csv_row, rows))
     _write_text(_resolve_out(args.out), text)
     return 0
 
@@ -151,32 +155,25 @@ def _trial_json(trial) -> dict:
     }
 
 
-def _write_group_csv(path: str, trials) -> None:
-    with open(path, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["trial", "group", "zeros", "ones", "ratio", "decision"])
-        for t, trial in enumerate(trials):
-            for g, group in enumerate(trial.groups):
-                writer.writerow(
-                    [t, g, group.zeros, group.ones,
-                     "" if group.ratio is None else repr(group.ratio),
-                     group.decision.value]
-                )
+def _group_csv(trials) -> str:
+    rows = (
+        [t, g, c.zeros, c.ones, "" if c.ratio is None else repr(c.ratio), c.decision.value]
+        for t, trial in enumerate(trials)
+        for g, c in enumerate(trial.groups)
+    )
+    return _csv_text(["trial", "group", "zeros", "ones", "ratio", "decision"], rows)
 
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    trials = run_protocol(config)
     params = config.params
+    samplers = build_samplers(params)
+    trials = run_protocol(config, samplers)
     ones = sum(g.ones for t in trials for g in t.groups)
     total = config.trials * config.groups * config.per_group
-    cpm_p1 = bob_marginal(cpm_plan(params), params)[1]
-    spm_p1 = bob_marginal(spm_plan(params), params)[1]
-    oracle_p1 = {
-        Strategy.CPM: cpm_p1,
-        Strategy.SPM: spm_p1,
-        Strategy.RANDOM_PER_STATE: (cpm_p1 + spm_p1) / 2,
-    }[config.strategy]
+    p1 = {s: receiver_marginal(sampler.records)[1] for s, sampler in samplers.items()}
+    p1[Strategy.RANDOM_PER_STATE] = (p1[Strategy.CPM] + p1[Strategy.SPM]) / 2
+    oracle_p1 = p1[config.strategy]
     w_values = {}
     for l in (1, 2, 3):
         if l < config.per_group:
@@ -192,7 +189,7 @@ def cmd_simulate(args) -> int:
     }
     _write_text(_resolve_out(args.out), _json_text(payload))
     if args.csv:
-        _write_group_csv(_resolve_out(args.csv), trials)
+        _write_text(_resolve_out(args.csv), _group_csv(trials))
     return 0
 
 

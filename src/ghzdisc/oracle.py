@@ -1,7 +1,8 @@
 """Brute-force exact verification.
 
-`bob_marginal` sums the receiver's outcome weights over every branch of
-an arbitrary adaptive plan, giving the marginal as an exact rational.
+`bob_marginal` sums the receiver's outcome weights (`receiver_marginal`)
+over every branch of an arbitrary adaptive plan, giving the marginal as
+an exact rational.
 `checkpoint_report` regenerates the reference quantities of the default
 instance (n=8, x^2=2/3) from first principles and compares each against
 its expected value at a stated tolerance.
@@ -29,15 +30,19 @@ from .plans import (
 from .protocol import w_statistic
 
 
-def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
-    """Receiver's exact computational-basis marginal, summed over all of
-    the sender's outcome branches."""
-    p0 = Fraction(0)
-    p1 = Fraction(0)
-    for record in enumerate_branches(plan, params):
+def receiver_marginal(records) -> tuple[Fraction, Fraction]:
+    """Receiver's exact computational-basis marginal, summed over the
+    given outcome branches."""
+    p0 = p1 = Fraction(0)
+    for record in records:
         p0 += record.bob_state.amp0.sq()
         p1 += record.bob_state.amp1.sq()
     return p0, p1
+
+
+def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
+    """Receiver's exact marginal over all of the sender's outcome branches."""
+    return receiver_marginal(enumerate_branches(plan, params))
 
 
 def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:

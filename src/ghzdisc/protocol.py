@@ -2,15 +2,19 @@
 
 Sampling is driven by a counter-based SHA-256 stream split per
 (trial, group, state), so parallel or re-ordered execution would
-reproduce serial results bit for bit.  Outcome draws compare a 256-bit
-uniform integer against exact rational thresholds: the rarest branch
-probabilities are far below 64-bit resolution, so inverse-CDF decisions
-must be taken in exact arithmetic.
+reproduce serial results bit for bit.  Each group packs its stream
+prefix once; a state's stream extends it by the state index.  A draw
+is a uniform 256-bit integer k: the rarest branch probabilities are far
+below 64-bit resolution, so all 256 bits are kept.  For integer k and
+rational p, k < p * 2**256 exactly when k < ceil(p * 2**256), so every
+threshold is stored as that exact integer cut point and each inverse-CDF
+decision is one comparison of ints of at most 257 bits.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -42,6 +46,11 @@ class Strategy(Enum):
     RANDOM_PER_STATE = "random"
 
 
+def _cut(p: Fraction) -> int:
+    """ceil(p * 2**RESOLUTION_BITS): a draw k is below p exactly when k < _cut(p)."""
+    return -((-p.numerator << RESOLUTION_BITS) // p.denominator)
+
+
 class CounterStream:
     """Deterministic uniform stream: SHA-256 over (seed, path, counter)."""
 
@@ -57,17 +66,25 @@ class CounterStream:
         self._counter += 1
         return int.from_bytes(digest, "big")
 
+    def child(self, index: int) -> CounterStream:
+        """The stream at path + (index,), without re-packing the path."""
+        stream = CounterStream.__new__(CounterStream)
+        stream._prefix = self._prefix + index.to_bytes(8, "big")
+        stream._counter = 0
+        return stream
+
     def below(self, p: Fraction) -> bool:
         """True with probability p (up to 2**-RESOLUTION_BITS), exactly
         compared as rationals."""
-        return self.next_int() * p.denominator < p.numerator << RESOLUTION_BITS
+        return self.next_int() < _cut(p)
 
 
 class LeafSampler:
     """Inverse-CDF sampler over the enumerated leaves of a plan.
 
-    Thresholds are pre-scaled integers so the hot loop does single
-    big-int multiplications instead of Fraction construction.
+    Per leaf it keeps the integer cut points of the cumulative
+    probability and of the receiver's p0, so the hot loop bisects and
+    compares ints of at most 257 bits.
     """
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
@@ -75,29 +92,19 @@ class LeafSampler:
         self.params = params
         self.records = enumerate_branches(plan, params)
         cumulative = Fraction(0)
-        self._cum: list[tuple[int, int]] = []
-        self._p0: list[tuple[int, int]] = []
+        self._cuts: list[int] = []
+        self._p0_cuts: list[int] = []
         for record in self.records:
             cumulative += record.probability
-            self._cum.append((cumulative.numerator << RESOLUTION_BITS, cumulative.denominator))
-            p0, _ = bob_distribution(record.bob_state)
-            self._p0.append((p0.numerator << RESOLUTION_BITS, p0.denominator))
+            self._cuts.append(_cut(cumulative))
+            self._p0_cuts.append(_cut(bob_distribution(record.bob_state)[0]))
         assert cumulative == 1
 
     def sample(self, stream: CounterStream) -> tuple[BranchRecord, int]:
         """Draw one leaf and the receiver's computational-basis bit."""
-        k = stream.next_int()
-        lo, hi = 0, len(self._cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            num, den = self._cum[mid]
-            if k * den < num:
-                hi = mid
-            else:
-                lo = mid + 1
-        num, den = self._p0[lo]
-        bob_bit = 0 if stream.next_int() * den < num else 1
-        return self.records[lo], bob_bit
+        i = bisect_right(self._cuts, stream.next_int())
+        bob_bit = 0 if stream.next_int() < self._p0_cuts[i] else 1
+        return self.records[i], bob_bit
 
 
 def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
@@ -147,7 +154,8 @@ class TrialResult:
     decision: Strategy
 
 
-def _samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
+def build_samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
+    """The leaf samplers of both strategies, built once per run."""
     return {
         Strategy.CPM: LeafSampler(cpm_plan(params), params),
         Strategy.SPM: LeafSampler(spm_plan(params), params),
@@ -160,21 +168,22 @@ def _run_trial(
     trial: int,
     strategy: Strategy,
 ) -> TrialResult:
+    cpm, spm = samplers[Strategy.CPM], samplers[Strategy.SPM]
+    fixed = None if strategy is Strategy.RANDOM_PER_STATE else samplers[strategy]
+    half, eta = _cut(_HALF), LeafClass.ETA
     eta_hits = 0
     groups: list[GroupResult] = []
     for g in range(config.groups):
-        zeros = ones = 0
+        group_stream = CounterStream(config.seed, _DOMAIN_SAMPLE, trial, g)
+        ones = 0
         for s in range(config.per_group):
-            stream = CounterStream(config.seed, _DOMAIN_SAMPLE, trial, g, s)
-            if strategy is Strategy.RANDOM_PER_STATE:
-                sampler = samplers[Strategy.SPM if stream.below(_HALF) else Strategy.CPM]
-            else:
-                sampler = samplers[strategy]
+            stream = group_stream.child(s)
+            sampler = fixed or (spm if stream.next_int() < half else cpm)
             record, bob_bit = sampler.sample(stream)
-            if record.leaf_class is LeafClass.ETA:
+            if record.leaf_class is eta:
                 eta_hits += 1
             ones += bob_bit
-            zeros += 1 - bob_bit
+        zeros = config.per_group - ones
         if zeros == 0 or Fraction(ones, zeros) >= config.threshold:
             decision = Strategy.SPM
         else:
@@ -185,9 +194,9 @@ def _run_trial(
     return TrialResult(tuple(groups), eta_hits, overall)
 
 
-def run_protocol(config: ProtocolConfig) -> list[TrialResult]:
-    """Deterministic given the config (seed included)."""
-    samplers = _samplers(config.params)
+def run_protocol(config: ProtocolConfig, samplers: dict[Strategy, LeafSampler]) -> list[TrialResult]:
+    """Deterministic given the config (seed included); `samplers` come
+    from `build_samplers(config.params)`."""
     return [_run_trial(config, samplers, t, config.strategy) for t in range(config.trials)]
 
 
@@ -207,7 +216,7 @@ class DiscriminationReport:
 def discriminate(config: ProtocolConfig) -> DiscriminationReport:
     """Per trial, a fair coin picks the sender's true strategy; the
     receiver's decision rule is scored against it."""
-    samplers = _samplers(config.params)
+    samplers = build_samplers(config.params)
     trials: list[DiscriminationTrial] = []
     confusion = {
         truth.value: {guess.value: 0 for guess in (Strategy.CPM, Strategy.SPM)}

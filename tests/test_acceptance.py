@@ -15,6 +15,7 @@ from ghzdisc import (
     PlanParams,
     ProtocolConfig,
     Strategy,
+    build_samplers,
     bob_distribution,
     bob_marginal,
     cpm_plan,
@@ -189,7 +190,7 @@ def test_criterion_8_claimed_skew_not_reproduced(capsys):
     # performs at chance.
     start = time.perf_counter()
     sim = ProtocolConfig(seed=20260824, per_group=50000, groups=20, strategy=Strategy.SPM)
-    (trial,) = run_protocol(sim)
+    (trial,) = run_protocol(sim, build_samplers(sim.params))
     ones = sum(g.ones for g in trial.groups)
     p1 = ones / 10**6
     disc = ProtocolConfig(seed=31337, trials=200, per_group=30, groups=20)

@@ -145,3 +145,32 @@ class TestDeterminism:
             capsys.readouterr()
             pairs.append((enum_out.read_bytes(), sim_out.read_bytes()))
         assert pairs[0] == pairs[1]
+
+
+class TestOutputErrors:
+    """An output path that cannot be written is a usage error (exit 2,
+    one message line), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--strategy", "cpm", "--qubits", "4", "--out", "{missing}"],
+            ["simulate", "--seed", "7", "--groups", "2", "--per-group", "3",
+             "--out", "{ok}", "--csv", "{missing}"],
+            ["verify", "--random-plans", "1", "--json", "{missing}"],
+        ],
+        ids=["out", "csv", "json"],
+    )
+    def test_missing_directory(self, argv, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir" / "x.out"
+        ok = tmp_path / "ok.json"
+        argv = [a.format(missing=missing, ok=ok) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if line.startswith("ghzdisc: error:")]
+        assert len(error_lines) == 1
+        assert "No such file or directory" in error_lines[0] and str(missing) in error_lines[0]
+        assert "Traceback" not in err
+        assert not missing.exists()

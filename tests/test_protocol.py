@@ -8,13 +8,17 @@ from ghzdisc import (
     PlanParams,
     ProtocolConfig,
     Strategy,
+    bob_distribution,
+    build_samplers,
     constants,
     cpm_plan,
     discriminate,
+    random_plan,
     run_protocol,
     spm_plan,
     w_statistic,
 )
+from ghzdisc.protocol import RESOLUTION_BITS
 
 P8 = PlanParams(8)
 
@@ -39,6 +43,21 @@ class TestCounterStream:
             CounterStream(-1)
         with pytest.raises(ValueError):
             CounterStream(2**64)
+
+    def test_child_matches_full_path(self):
+        group = CounterStream(2**64 - 1, 0, 3, 7)
+        for index in (0, 1, 29, 2**32, 2**64 - 1):
+            child = group.child(index)
+            full = CounterStream(2**64 - 1, 0, 3, 7, index)
+            assert [child.next_int() for _ in range(3)] == [full.next_int() for _ in range(3)]
+            group.next_int()  # the group's own draws do not move its children
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_child_index_range(self, index):
+        with pytest.raises(OverflowError):
+            CounterStream(5, 1, index)
+        with pytest.raises(OverflowError):
+            CounterStream(5, 1).child(index)
 
 
 class TestWStatistic:
@@ -96,8 +115,8 @@ def test_w_statistic_matches_closed_form(n, x_sq):
 class TestLeafSampler:
     def test_cdf_covers_unit_interval(self):
         sampler = LeafSampler(spm_plan(P8), P8)
-        num, den = sampler._cum[-1]
-        assert Fraction(num, den << 256) == 1
+        assert sampler._cuts[-1] == 1 << RESOLUTION_BITS
+        assert all(a <= b for a, b in zip(sampler._cuts, sampler._cuts[1:]))
 
     def test_outcome_distribution_smoke(self):
         sampler = LeafSampler(spm_plan(P8), P8)
@@ -120,14 +139,90 @@ class TestLeafSampler:
         assert abs(ones / n - 0.5) < 0.04
 
 
+class _Draws:
+    """Stands in for a CounterStream: returns the given draws in order."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def next_int(self):
+        return next(self._draws)
+
+
+def _reference_tables(records):
+    """Scaled (numerator, denominator) thresholds of the cumulative
+    probability and of the receiver's p0, per leaf."""
+    cumulative, cum, p0s = Fraction(0), [], []
+    for record in records:
+        cumulative += record.probability
+        cum.append((cumulative.numerator << RESOLUTION_BITS, cumulative.denominator))
+        p0 = bob_distribution(record.bob_state)[0]
+        p0s.append((p0.numerator << RESOLUTION_BITS, p0.denominator))
+    return cum, p0s
+
+
+def _sample_reference(records, tables, stream):
+    """Inverse-CDF draw by bisection over exact rational thresholds: a
+    draw k is below num / (den * 2**256) when k * den < num."""
+    cum, p0s = tables
+    k = stream.next_int()
+    lo, hi = 0, len(cum) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        num, den = cum[mid]
+        if k * den < num:
+            hi = mid
+        else:
+            lo = mid + 1
+    num, den = p0s[lo]
+    bob_bit = 0 if stream.next_int() * den < num else 1
+    return records[lo], bob_bit
+
+
+def _around(num, den):
+    """Draws next to the scaled threshold num / den, kept in range."""
+    x = num // den
+    return [k for k in (x - 1, x, x + 1) if 0 <= k < 1 << RESOLUTION_BITS]
+
+
+_EDGE_DRAWS = (0, (1 << RESOLUTION_BITS) - 1)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("x_sq", [Fraction(2, 3), Fraction(3, 7)])
+@pytest.mark.parametrize("plan_for", [cpm_plan, spm_plan, lambda p: random_plan(p, 11)],
+                         ids=["cpm", "spm", "random"])
+def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
+    params = PlanParams(n, x_sq)
+    sampler = LeafSampler(plan_for(params), params)
+    records = sampler.records
+    tables = _reference_tables(records)
+    cum, p0s = tables
+    pairs = [(k, j) for k in _EDGE_DRAWS for j in _EDGE_DRAWS]
+    for num, den in cum:
+        pairs += [(k, j) for k in _around(num, den) for j in _EDGE_DRAWS]
+    # pair each p0 cut with the smallest draw landing on its leaf, when
+    # some draw does (leaves far below 2**-256 are never drawn)
+    lowest = 0
+    for (num, den), (cum_num, cum_den) in zip(p0s, cum):
+        above = -(-cum_num // cum_den)
+        if lowest < above:
+            pairs += [(lowest, j) for j in _around(num, den) + list(_EDGE_DRAWS)]
+        lowest = above
+    for k, j in pairs:
+        got, bit = sampler.sample(_Draws(k, j))
+        want, want_bit = _sample_reference(records, tables, _Draws(k, j))
+        assert got is want and bit == want_bit, (k, j)
+
+
 class TestRunProtocol:
     def test_deterministic(self):
         config = ProtocolConfig(seed=11, trials=2, per_group=10, groups=4)
-        assert run_protocol(config) == run_protocol(config)
+        assert run_protocol(config, build_samplers(config.params)) == run_protocol(config, build_samplers(config.params))
 
     def test_counts_complete(self):
         config = ProtocolConfig(seed=5, trials=1, per_group=30, groups=20, strategy=Strategy.CPM)
-        (trial,) = run_protocol(config)
+        (trial,) = run_protocol(config, build_samplers(config.params))
         assert len(trial.groups) == 20
         for group in trial.groups:
             assert group.zeros + group.ones == 30
@@ -135,7 +230,7 @@ class TestRunProtocol:
 
     def test_cascade_hits_exceptional_leaf(self):
         config = ProtocolConfig(seed=5, trials=1, per_group=100, groups=4, strategy=Strategy.SPM)
-        (trial,) = run_protocol(config)
+        (trial,) = run_protocol(config, build_samplers(config.params))
         # 400 states at ~1/4 each; grossly improbable to miss entirely
         assert trial.eta_hits > 50
 
@@ -143,7 +238,7 @@ class TestRunProtocol:
         config = ProtocolConfig(
             seed=9, trials=1, per_group=20, groups=3, strategy=Strategy.RANDOM_PER_STATE
         )
-        assert run_protocol(config) == run_protocol(config)
+        assert run_protocol(config, build_samplers(config.params)) == run_protocol(config, build_samplers(config.params))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
