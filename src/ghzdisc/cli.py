@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .amplitude import fraction_float, fraction_json
@@ -32,36 +32,26 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
-def _resolve_out(path: str | None) -> str | None:
+@contextmanager
+def _output(path: str | None):
+    """Text handle for an output: stdout when `path` is None, else a
+    temporary file beside the target that replaces it only on success."""
     if path is None:
-        return None
+        yield sys.stdout
+        return
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+        path = os.path.join(base, path)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w") as handle:
-            handle.write(text)
+        with open(tmp, "w") as handle:
+            yield handle
+        os.replace(tmp, path)
     except OSError as exc:  # an output path that cannot be written is a usage error
-        raise ValueError(str(exc)) from exc
-
-
-def _csv_text(header: list[str], rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+        raise ValueError(f"[Errno {exc.errno}] {exc.strerror}: {path!r}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _plan_for(strategy: str, params: PlanParams):
@@ -113,8 +103,18 @@ def cmd_enumerate(args) -> int:
     records = enumerate_branches(_plan_for(args.strategy, params), params)
     sys.stdout.write(_census_lines(records))
     rows = map(_branch_row, records)
-    text = _json_text(list(rows)) if args.format == "json" else _csv_text(_CSV_HEADER, map(_csv_row, rows))
-    _write_text(_resolve_out(args.out), text)
+    # one row is serialised at a time; the JSON bytes equal json.dumps(rows, indent=2) + "\n"
+    with _output(args.out) as handle:
+        if args.format == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(_CSV_HEADER)
+            writer.writerows(map(_csv_row, rows))
+        else:
+            separator = "[\n  "
+            for row in rows:
+                handle.write(separator + json.dumps(row, indent=2).replace("\n", "\n  "))
+                separator = ",\n  "
+            handle.write("\n]\n")
     return 0
 
 
@@ -127,7 +127,7 @@ def _config_from_args(args) -> ProtocolConfig:
         groups=args.groups,
         strategy=Strategy(args.strategy),
         trials=args.trials,
-        threshold=Fraction(str(args.threshold)),
+        threshold=args.threshold,
     )
 
 
@@ -155,13 +155,20 @@ def _trial_json(trial) -> dict:
     }
 
 
-def _group_csv(trials) -> str:
-    rows = (
-        [t, g, c.zeros, c.ones, "" if c.ratio is None else repr(c.ratio), c.decision.value]
-        for t, trial in enumerate(trials)
-        for g, c in enumerate(trial.groups)
-    )
-    return _csv_text(["trial", "group", "zeros", "ones", "ratio", "decision"], rows)
+def _write_json(path: str | None, payload) -> None:
+    with _output(path) as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _write_group_csv(path: str, trials) -> None:
+    with _output(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["trial", "group", "zeros", "ones", "ratio", "decision"])
+        writer.writerows(
+            [t, g, c.zeros, c.ones, "" if c.ratio is None else repr(c.ratio), c.decision.value]
+            for t, trial in enumerate(trials)
+            for g, c in enumerate(trial.groups)
+        )
 
 
 def cmd_simulate(args) -> int:
@@ -187,9 +194,9 @@ def cmd_simulate(args) -> int:
             "w_values": w_values,
         },
     }
-    _write_text(_resolve_out(args.out), _json_text(payload))
+    _write_json(args.out, payload)
     if args.csv:
-        _write_text(_resolve_out(args.csv), _group_csv(trials))
+        _write_group_csv(args.csv, trials)
     return 0
 
 
@@ -209,7 +216,7 @@ def cmd_discriminate(args) -> int:
         "confusion": report.confusion,
         "accuracy": report.accuracy,
     }
-    _write_text(_resolve_out(args.out), _json_text(payload))
+    _write_json(args.out, payload)
     sys.stderr.write(f"accuracy: {report.accuracy}\n")
     return 0
 
@@ -235,7 +242,7 @@ def cmd_verify(args) -> int:
     failed = [c for c in checks if not c.passed]
     sys.stdout.write(f"{len(checks) - len(failed)}/{len(checks)} checks passed\n")
     if args.json:
-        _write_text(_resolve_out(args.json), _json_text([c.to_json() for c in checks]))
+        _write_json(args.json, [c.to_json() for c in checks])
     return 1 if failed else 0
 
 
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--per-group", dest="per_group", type=int, default=30)
         p.add_argument("--groups", type=int, default=20)
-        p.add_argument("--threshold", type=float, default=1.33,
+        p.add_argument("--threshold", type=_parse_fraction, default=Fraction(133, 100),
                        help="ones/zeros ratio above which a group votes for the cascade")
         add_params(p)
         p.add_argument("--out", help="JSON output path (default: stdout)")
@@ -301,10 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact rationals of deep trees (spm n=16) have more digits than Python's default
+    # int-to-str limit of 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (PlanError, ValueError) as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): drop what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -129,11 +129,11 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
 
     if params.n == 8 and params.x_sq == Fraction(2, 3):
         for k, expected in _F_SQ_EXPECTED.items():
-            checks.append(_exact(f"f{k}_sq", cascade.F[k - 1].sq(), expected))
+            checks.append(_exact(f"f{k}_sq", cascade.F_sq[k - 1], expected))
 
     if params.ratio != 1:
         checks.append(
-            _exact(f"t{m}_sq_telescoping", cascade.T[-1].sq(), telescoping_t_sq(params))
+            _exact(f"t{m}_sq_telescoping", cascade.T_sq[-1], telescoping_t_sq(params))
         )
 
     census = level_census(records)
@@ -147,7 +147,7 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
     checks.append(_exact("probability_total", sum(r.probability for r in records), Fraction(1)))
 
     prefactors_ok = all(
-        record.probability == Fraction(1, 2 ** (m - record.level + 1)) * 1 / cascade.T[record.level - 1].sq()
+        record.probability == Fraction(1, 2 ** (m - record.level + 1)) * 1 / cascade.T_sq[record.level - 1]
         for record in records
         if record.leaf_class in (LeafClass.MU_PLUS, LeafClass.MU_MINUS)
     )
@@ -177,7 +177,7 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
 
     half = (Fraction(1, 2), Fraction(1, 2))
     checks.append(_exact("marginal_uniform_plan", bob_marginal(cpm_plan(params), params), half))
-    checks.append(_exact("marginal_cascade_plan", bob_marginal(spm_plan(params), params), half))
+    checks.append(_exact("marginal_cascade_plan", receiver_marginal(records), half))
 
     checks.append(
         Check(

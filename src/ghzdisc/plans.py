@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Callable
 
 from .amplitude import ExactAmplitude
@@ -97,10 +99,10 @@ class MeasurementPlan:
 
 @dataclass(frozen=True)
 class CascadeConstants:
-    """Per-stage normalizers F_1..F_m and their running products T_1..T_m."""
+    """Squared stage normalizers F_1^2..F_m^2 and running products T_1^2..T_m^2."""
 
-    F: tuple[ExactAmplitude, ...]
-    T: tuple[ExactAmplitude, ...]
+    F_sq: tuple[Fraction, ...]
+    T_sq: tuple[Fraction, ...]
 
 
 @lru_cache(maxsize=None)
@@ -110,15 +112,7 @@ def constants(params: PlanParams) -> CascadeConstants:
     for k in range(2, params.m + 1):
         e = 2 ** (k - 2)
         f_sqs.append(r**e + r**-e)
-    running = Fraction(1)
-    t_sqs = []
-    for f in f_sqs:
-        running *= f
-        t_sqs.append(running)
-    return CascadeConstants(
-        tuple(ExactAmplitude.sqrt(f) for f in f_sqs),
-        tuple(ExactAmplitude.sqrt(t) for t in t_sqs),
-    )
+    return CascadeConstants(tuple(f_sqs), tuple(accumulate(f_sqs, mul)))
 
 
 def cpm_plan(params: PlanParams) -> MeasurementPlan:
@@ -131,12 +125,9 @@ def spm_basis(k: int, params: PlanParams) -> Basis:
     e = 2^(k-1), orthonormal by construction."""
     if not 1 <= k <= params.m - 1:
         raise PlanError(f"stage index must be in 1..{params.m - 1}, got {k}")
-    e = 2 ** (k - 1)
-    big = params.ratio ** (2 * e)
-    return Basis(
-        ExactAmplitude.sqrt(big / (big + 1)),
-        ExactAmplitude.sqrt(Fraction(1) / (big + 1)),
-    )
+    r_e = params.ratio ** (2 ** (k - 1))
+    f_sq = constants(params).F_sq[k]
+    return Basis(ExactAmplitude.sqrt(r_e / f_sq), ExactAmplitude.sqrt(1 / (r_e * f_sq)))
 
 
 def spm_plan(params: PlanParams) -> MeasurementPlan:
@@ -171,26 +162,34 @@ class BranchRecord:
     level: int
 
 
+def _slope(state: ChainState) -> Fraction | None:
+    """Signed a1/a0 of a single-qubit state, squared: equal slopes mean
+    equal directions up to global sign; None when a0 = 0."""
+    a0, a1 = state.amp0, state.amp1
+    if a0.sign == 0:
+        return None
+    return a0.sign * a1.sign * (a1.sq() / a0.sq())
+
+
+@lru_cache(maxsize=None)
+def _class_slopes(params: PlanParams) -> tuple[tuple[Fraction, LeafClass], ...]:
+    # mu+ and mu- come first: at x^2 = 1/2 the eta direction equals one of them
+    mu = params.y_sq / params.x_sq
+    return (
+        (mu, LeafClass.MU_PLUS),
+        (-mu, LeafClass.MU_MINUS),
+        (_slope(eta_state(params).normalized), LeafClass.ETA),
+    )
+
+
 def classify(state: ChainState, params: PlanParams) -> LeafClass:
-    """Exact direction test for a single-qubit leaf, global sign ignored.
-
-    Cross products of exact amplitudes distinguish directions that float
-    comparison never could (the exceptional leaf differs from mu- only
-    by exponent-scale weights).
-    """
-    x = ExactAmplitude.sqrt(params.x_sq)
-    y = ExactAmplitude.sqrt(params.y_sq)
-
-    def proportional(b0: ExactAmplitude, b1: ExactAmplitude) -> bool:
-        return state.amp0 * b1 == state.amp1 * b0
-
-    if proportional(x, y):
-        return LeafClass.MU_PLUS
-    if proportional(x, -y):
-        return LeafClass.MU_MINUS
-    eta = eta_state(params).normalized
-    if proportional(eta.amp0, eta.amp1):
-        return LeafClass.ETA
+    """Exact direction test for a single-qubit leaf, global sign ignored:
+    one exact slope, compared with those of mu+, mu- and the exceptional
+    leaf (which float comparison could not tell from mu-)."""
+    slope = _slope(state)
+    for class_slope, leaf_class in _class_slopes(params):
+        if slope == class_slope:
+            return leaf_class
     return LeafClass.OTHER
 
 
@@ -241,7 +240,7 @@ def eta_state(params: PlanParams) -> EtaLeaf:
         ExactAmplitude.sqrt(y_sq**big / denom),
         ExactAmplitude(sign1, x_sq**big / denom),
     )
-    t_sq = constants(params).T[-1].sq()
+    t_sq = constants(params).T_sq[-1]
     leaf = ChainState(
         1,
         ExactAmplitude(1, y_sq**e / (x_sq ** (e - 1) * 2 * t_sq)),

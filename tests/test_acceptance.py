@@ -162,7 +162,7 @@ def test_criterion_6_constants(capsys):
     ]
     r = X_SQ / Y_SQ
     telescoped = (r**64 - r**-64) / (r - 1 / r)
-    ok = [f.sq() for f in cascade.F[1:]] == expected and cascade.T[-1].sq() == telescoped
+    ok = list(cascade.F_sq[1:]) == expected and cascade.T_sq[-1] == telescoped
     with capsys.disabled():
         report(6, ok, "F_2^2..F_7^2 exact, telescoping identity for T_7^2 exact")
 

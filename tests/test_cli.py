@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ghzdisc
+from ghzdisc import cli
 from ghzdisc.cli import main
 
 
@@ -59,6 +65,35 @@ class TestEnumerate:
         assert code == 0
         assert (tmp_path / "table.json").exists()
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_digit_limit_lifted_and_restored(self, tmp_path, capsys):
+        # spm n=13 amplitudes have more than 640 decimal digits
+        argv = ["enumerate", "--strategy", "spm", "--qubits", "13", "--out"]
+        limited, lifted = tmp_path / "limited.json", tmp_path / "lifted.json"
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            assert main(argv + [str(limited)]) == 0
+            assert sys.get_int_max_str_digits() == 640
+            sys.set_int_max_str_digits(0)
+            assert main(argv + [str(lifted)]) == 0
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert limited.read_bytes() == lifted.read_bytes()
+
+    def test_closed_stdout_pipe(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(ghzdisc.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ghzdisc.cli", "enumerate", "--strategy", "spm", "--qubits", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"branches: 2048\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert "Traceback" not in err and "Exception ignored" not in err
+
 
 class TestSimulate:
     def test_seed_required(self, capsys):
@@ -96,6 +131,16 @@ class TestSimulate:
         with open(csv_out) as handle:
             rows = list(csv.reader(handle))
         assert len(rows) == 4
+
+    def test_exact_threshold(self, tmp_path, capsys):
+        out = tmp_path / "run.json"
+        code, _, _ = run(
+            ["simulate", "--seed", "7", "--groups", "2", "--per-group", "5",
+             "--threshold", "4/3", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert '"threshold": 1.3333333333333333' in out.read_text()
 
 
 class TestDiscriminate:
@@ -174,3 +219,22 @@ class TestOutputErrors:
         assert "No such file or directory" in error_lines[0] and str(missing) in error_lines[0]
         assert "Traceback" not in err
         assert not missing.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_write_keeps_previous_file(self, fmt, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "table.out"
+        out.write_text("previous\n")
+        real_row = cli._branch_row
+        rows = []
+
+        def failing_row(record):
+            rows.append(record)
+            if len(rows) == 3:
+                raise RuntimeError("row failed")
+            return real_row(record)
+
+        monkeypatch.setattr(cli, "_branch_row", failing_row)
+        with pytest.raises(RuntimeError):
+            main(["enumerate", "--strategy", "spm", "--qubits", "5", "--format", fmt, "--out", str(out)])
+        assert out.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["table.out"]

@@ -96,7 +96,7 @@ def _w_reference(l, params, per_group):
     m = params.m
     big = 2**m - 1
     e = 2 ** (m - 1) - 1
-    t_sq = constants(params).T[-1].sq()
+    t_sq = constants(params).T_sq[-1]
     numerator = l * params.x_sq**big / (2 * t_sq * (params.x_sq * params.y_sq) ** e)
     denominator = (per_group - l) * params.x_sq / 2**m
     return numerator / denominator
