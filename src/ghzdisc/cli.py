@@ -34,23 +34,30 @@ def _parse_fraction(text: str) -> Fraction:
 
 @contextmanager
 def _output(path: str | None):
-    """Text handle for an output: stdout when `path` is None, else a
-    temporary file beside the target that replaces it only on success."""
+    """Text handle for an output: stdout when `path` is None; a device,
+    FIFO or /dev/fd/N is written through; a regular file (a symlink's
+    target, not the link) is written to a temporary file beside it that
+    replaces it only on success."""
     if path is None:
         yield sys.stdout
         return
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    if os.path.exists(path) and not os.path.isfile(path):
+        target, tmp = path, None
+    else:
+        target = os.path.realpath(path)
+        tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as handle:
+        with open(tmp or target, "w") as handle:
             yield handle
-        os.replace(tmp, path)
+        if tmp:
+            os.replace(tmp, target)
     except OSError as exc:  # an output path that cannot be written is a usage error
         raise ValueError(f"[Errno {exc.errno}] {exc.strerror}: {path!r}") from exc
     finally:
-        if os.path.exists(tmp):
+        if tmp and os.path.exists(tmp):
             os.remove(tmp)
 
 
@@ -160,17 +167,6 @@ def _write_json(path: str | None, payload) -> None:
         handle.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _write_group_csv(path: str, trials) -> None:
-    with _output(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["trial", "group", "zeros", "ones", "ratio", "decision"])
-        writer.writerows(
-            [t, g, c.zeros, c.ones, "" if c.ratio is None else repr(c.ratio), c.decision.value]
-            for t, trial in enumerate(trials)
-            for g, c in enumerate(trial.groups)
-        )
-
-
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     params = config.params
@@ -196,7 +192,14 @@ def cmd_simulate(args) -> int:
     }
     _write_json(args.out, payload)
     if args.csv:
-        _write_group_csv(args.csv, trials)
+        with _output(args.csv) as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["trial", "group", "zeros", "ones", "ratio", "decision"])
+            writer.writerows(
+                [t, g, c.zeros, c.ones, "" if c.ratio is None else repr(c.ratio), c.decision.value]
+                for t, trial in enumerate(trials)
+                for g, c in enumerate(trial.groups)
+            )
     return 0
 
 
@@ -314,7 +317,9 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
     except (PlanError, ValueError) as exc:
         parser.error(str(exc))
     except BrokenPipeError:

@@ -165,6 +165,24 @@ class TestMarginal:
         assert code == 0
         assert stdout == "p0 = 1/2\np1 = 1/2\n"
 
+    def test_closed_stdout_pipe_short_output(self):
+        # the whole output fits the stdout buffer, so the pipe error only
+        # shows when that buffer is flushed
+        env = dict(os.environ, PYTHONPATH=str(Path(ghzdisc.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ghzdisc.cli", "marginal", "--strategy", "cpm", "--qubits", "4"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        err = proc.stderr.decode()
+        assert "Traceback" not in err and "Exception ignored" not in err
+
 
 class TestVerify:
     def test_passes(self, tmp_path, capsys):
@@ -238,3 +256,25 @@ class TestOutputErrors:
             main(["enumerate", "--strategy", "spm", "--qubits", "5", "--format", fmt, "--out", str(out)])
         assert out.read_bytes() == b"previous\n"
         assert os.listdir(tmp_path) == ["table.out"]
+
+
+class TestOutputTargets:
+    ENUMERATE = ["enumerate", "--strategy", "spm", "--qubits", "5", "--out"]
+
+    def test_device_written_through(self, capsys):
+        assert main(self.ENUMERATE + [os.devnull]) == 0
+        assert not os.path.isfile(os.devnull)
+
+    def test_symlink_target_replaced(self, tmp_path, capsys):
+        expected = tmp_path / "expected.json"
+        assert main(self.ENUMERATE + [str(expected)]) == 0
+        data = tmp_path / "data"
+        data.mkdir()
+        target = data / "table.json"
+        target.write_text("previous\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(self.ENUMERATE + [str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected.read_bytes()
+        assert os.listdir(data) == ["table.json"]
