@@ -18,8 +18,6 @@ from .plans import (
     constants,
     cpm_plan,
     enumerate_branches,
-    eta_state,
-    spm_basis,
     spm_plan,
 )
 from .protocol import (

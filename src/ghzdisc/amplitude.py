@@ -57,19 +57,8 @@ class ExactAmplitude:
         return ExactAmplitude(-self.sign, self.mag_sq)
 
     def __float__(self) -> float:
-        # Reporting convenience only.  Scale into double range before the
-        # square root; magnitudes like (1/3)**200 would otherwise lose
-        # their exponent in the rational-to-float conversion.
-        if self.sign == 0:
-            return 0.0
-        n, d = self.mag_sq.numerator, self.mag_sq.denominator
-        e = n.bit_length() - d.bit_length()
-        e -= e % 2
-        if e >= 0:
-            scaled = Fraction(n, d << e)
-        else:
-            scaled = Fraction(n << -e, d)
-        return self.sign * math.ldexp(math.sqrt(float(scaled)), e // 2)
+        # Reporting convenience only.
+        return self.sign * fraction_float(self.mag_sq, root=True)
 
     def to_json(self) -> dict:
         """Exact fields are authoritative; the float is a convenience."""
@@ -86,14 +75,20 @@ AMP_ONE = ExactAmplitude(1, Fraction(1))
 SQRT_HALF = ExactAmplitude(1, Fraction(1, 2))
 
 
-def fraction_float(value: Fraction) -> float:
-    """Nearest double of an arbitrary rational, exponent-safe."""
+def fraction_float(value: Fraction, root: bool = False) -> float:
+    """Nearest double of a rational, or with `root` of the square root of
+    its magnitude; exponent-safe.  The rational is scaled by 2**-e into
+    [1/4, 2) before the conversion, with e even for the root, so the
+    root of a magnitude below the double range (2**-2100, say) is kept."""
     if value == 0:
         return 0.0
     n, d = abs(value.numerator), value.denominator
     e = n.bit_length() - d.bit_length()
-    scaled = Fraction(n, d << e) if e >= 0 else Fraction(n << -e, d)
-    result = math.ldexp(float(scaled), e)
+    if root:
+        e -= e % 2
+    # int / int is correctly rounded, so no Fraction (and gcd) is needed
+    scaled = n / (d << e) if e >= 0 else (n << -e) / d
+    result = math.ldexp(math.sqrt(scaled), e // 2) if root else math.ldexp(scaled, e)
     return -result if value < 0 else result
 
 

@@ -32,18 +32,26 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+def _is_stdout(path: str) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such path yet, or stdout has no file descriptor
+        return False
+
+
 @contextmanager
 def _output(path: str | None):
-    """Text handle for an output: stdout when `path` is None; a device,
-    FIFO or /dev/fd/N is written through; a regular file (a symlink's
-    target, not the link) is written to a temporary file beside it that
-    replaces it only on success."""
-    if path is None:
+    """Text handle for an output: stdout when `path` is None or names
+    the file stdout is open on (so `--out /dev/stdout > f` keeps the
+    census lines); a device, FIFO or /dev/fd/N is written through; a
+    regular file (a symlink's target, not the link) is written to a
+    temporary file beside it that replaces it only on success."""
+    base = os.environ.get(OUT_DIR_ENV)
+    if base and path is not None and not os.path.isabs(path):
+        path = os.path.join(base, path)
+    if path is None or _is_stdout(path):
         yield sys.stdout
         return
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
     if os.path.exists(path) and not os.path.isfile(path):
         target, tmp = path, None
     else:

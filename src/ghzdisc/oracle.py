@@ -23,7 +23,6 @@ from .plans import (
     constants,
     cpm_plan,
     enumerate_branches,
-    eta_state,
     level_census,
     spm_plan,
 )
@@ -48,6 +47,8 @@ def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, F
 def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:
     """Adaptive plan whose basis at every history is a hash-derived exact
     orthonormal pair; deterministic in (seed, history)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"random plan seed must be an unsigned 64-bit integer, got {seed}")
 
     def chooser(history: str) -> Basis:
         digest = hashlib.sha256(
@@ -161,11 +162,10 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
         checks.append(_approx("mu_probability", mu_total, "0.75", "1e-37"))
         checks.append(_approx("eta_probability", eta_total, "0.25", "1e-37"))
 
-        eta = eta_state(params)
         checks.append(
-            _exact("eta_leaf_matches_enumeration", records[-1].bob_state, eta.leaf)
+            _exact("eta_leaf_matches_enumeration", records[-1].bob_state, cascade.eta_leaf)
         )
-        p0, p1 = bob_distribution(eta.normalized)
+        p0, p1 = bob_distribution(cascade.eta_leaf)
         checks.append(_approx("eta_bias_u", p1 / p0, "1.7e38", "1.7e36"))
 
         w1 = w_statistic(1, params, 30)

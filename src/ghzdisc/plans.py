@@ -8,8 +8,10 @@ Two built-in strategies:
   every stage while "perp" outcomes persist, switching to {|+>, |->}
   after the first "plus" outcome.
 
-`enumerate_branches` walks the full outcome tree and classifies every
-leaf exactly.
+`constants(params)` is the one home of the cascade's closed forms: eager
+F_k^2 and T_k^2, and lazily the stage bases, the all-perp (eta) leaf and
+the class slopes.  `enumerate_branches` walks the full outcome tree and
+classifies every leaf exactly against those slopes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Callable
@@ -99,10 +101,47 @@ class MeasurementPlan:
 
 @dataclass(frozen=True)
 class CascadeConstants:
-    """Squared stage normalizers F_1^2..F_m^2 and running products T_1^2..T_m^2."""
+    """Squared stage normalizers F_1^2..F_m^2 and running products
+    T_1^2..T_m^2 of `params`; the other closed forms are derived on first use."""
 
+    params: PlanParams
     F_sq: tuple[Fraction, ...]
     T_sq: tuple[Fraction, ...]
+
+    @cached_property
+    def bases(self) -> tuple[Basis, ...]:
+        """Basis of stage k = 0..m-1 on the all-perp spine: c0^2 = s/(1+s)
+        with s = r^(2^k).  Stage 0 is {x|0>+y|1>, y|0>-x|1>}; the ladder's
+        coefficients equal (r^e, r^-e)/F_{k+1} with e = 2^(k-1)."""
+        r = self.params.ratio
+        return tuple(
+            Basis(ExactAmplitude.sqrt(s / (1 + s)), ExactAmplitude.sqrt(1 / (1 + s)))
+            for s in (r ** 2**k for k in range(self.params.m))
+        )
+
+    @cached_property
+    def eta_leaf(self) -> ChainState:
+        """Unnormalized all-perp leaf of the cascade."""
+        m, x_sq, y_sq = self.params.m, self.params.x_sq, self.params.y_sq
+        e = 2 ** (m - 1)
+        two_t_sq = 2 * self.T_sq[-1]
+        # the relative sign of the all-perp leaf alternates with the stage count
+        return ChainState(
+            1,
+            ExactAmplitude(1, y_sq**e / (x_sq ** (e - 1) * two_t_sq)),
+            ExactAmplitude(-1 if m % 2 else 1, x_sq**e / (y_sq ** (e - 1) * two_t_sq)),
+        )
+
+    @cached_property
+    def slopes(self) -> tuple[tuple[Fraction, LeafClass], ...]:
+        """Exact slopes of mu+, mu- and eta, in that order: at x^2 = 1/2 the
+        eta direction equals one of mu+ and mu-, and the mu class wins."""
+        mu = self.params.y_sq / self.params.x_sq
+        return (
+            (mu, LeafClass.MU_PLUS),
+            (-mu, LeafClass.MU_MINUS),
+            (_slope(self.eta_leaf), LeafClass.ETA),
+        )
 
 
 @lru_cache(maxsize=None)
@@ -112,7 +151,7 @@ def constants(params: PlanParams) -> CascadeConstants:
     for k in range(2, params.m + 1):
         e = 2 ** (k - 2)
         f_sqs.append(r**e + r**-e)
-    return CascadeConstants(tuple(f_sqs), tuple(accumulate(f_sqs, mul)))
+    return CascadeConstants(params, tuple(f_sqs), tuple(accumulate(f_sqs, mul)))
 
 
 def cpm_plan(params: PlanParams) -> MeasurementPlan:
@@ -120,30 +159,16 @@ def cpm_plan(params: PlanParams) -> MeasurementPlan:
     return MeasurementPlan(params.m, lambda history: PLUS_MINUS, name="cpm")
 
 
-def spm_basis(k: int, params: PlanParams) -> Basis:
-    """Stage-k ladder basis; coefficients are (r^e, r^-e)/F_{k+1} with
-    e = 2^(k-1), orthonormal by construction."""
-    if not 1 <= k <= params.m - 1:
-        raise PlanError(f"stage index must be in 1..{params.m - 1}, got {k}")
-    r_e = params.ratio ** (2 ** (k - 1))
-    f_sq = constants(params).F_sq[k]
-    return Basis(ExactAmplitude.sqrt(r_e / f_sq), ExactAmplitude.sqrt(1 / (r_e * f_sq)))
-
-
 def spm_plan(params: PlanParams) -> MeasurementPlan:
     """The adaptive cascade: first qubit in {x|0>+y|1>, y|0>-x|1>}; while
     outcomes stay "perp" (bit 1), the ladder bases follow; after the
     first "plus" outcome everything is {|+>, |->}."""
-    nu = Basis(ExactAmplitude.sqrt(params.x_sq), ExactAmplitude.sqrt(params.y_sq))
-
-    def chooser(history: str) -> Basis:
-        if not history:
-            return nu
-        if "0" in history:
-            return PLUS_MINUS
-        return spm_basis(len(history), params)
-
-    return MeasurementPlan(params.m, chooser, name="spm")
+    bases = constants(params).bases
+    return MeasurementPlan(
+        params.m,
+        lambda history: PLUS_MINUS if "0" in history else bases[len(history)],
+        name="spm",
+    )
 
 
 @dataclass(frozen=True)
@@ -171,23 +196,12 @@ def _slope(state: ChainState) -> Fraction | None:
     return a0.sign * a1.sign * (a1.sq() / a0.sq())
 
 
-@lru_cache(maxsize=None)
-def _class_slopes(params: PlanParams) -> tuple[tuple[Fraction, LeafClass], ...]:
-    # mu+ and mu- come first: at x^2 = 1/2 the eta direction equals one of them
-    mu = params.y_sq / params.x_sq
-    return (
-        (mu, LeafClass.MU_PLUS),
-        (-mu, LeafClass.MU_MINUS),
-        (_slope(eta_state(params).normalized), LeafClass.ETA),
-    )
-
-
-def classify(state: ChainState, params: PlanParams) -> LeafClass:
+def classify(state: ChainState, cascade: CascadeConstants) -> LeafClass:
     """Exact direction test for a single-qubit leaf, global sign ignored:
     one exact slope, compared with those of mu+, mu- and the exceptional
     leaf (which float comparison could not tell from mu-)."""
     slope = _slope(state)
-    for class_slope, leaf_class in _class_slopes(params):
+    for class_slope, leaf_class in cascade.slopes:
         if slope == class_slope:
             return leaf_class
     return LeafClass.OTHER
@@ -197,13 +211,14 @@ def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[Branch
     """All 2^m leaves of the outcome tree, in lexicographic outcome order."""
     if plan.stages != params.m:
         raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
+    cascade = constants(params)
     records: list[BranchRecord] = []
 
     def walk(state: ChainState, history: str) -> None:
         if state.remaining == 1:
             level = history.index("0") + 1 if "0" in history else params.m + 1
             records.append(
-                BranchRecord(history, state.norm_sq(), state, classify(state, params), level)
+                BranchRecord(history, state.norm_sq(), state, classify(state, cascade), level)
             )
             return
         first, second = measure_next(state, plan.basis_for(history))
@@ -212,42 +227,6 @@ def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[Branch
 
     walk(ghz_state(params.n), "")
     return records
-
-
-@dataclass(frozen=True)
-class EtaLeaf:
-    """The all-perp leaf: normalized direction, unnormalized leaf state,
-    and the prefactor relating the two."""
-
-    normalized: ChainState
-    leaf: ChainState
-    prefactor: ExactAmplitude
-
-
-@lru_cache(maxsize=None)
-def eta_state(params: PlanParams) -> EtaLeaf:
-    """All-perp leaf of the cascade, derived once per params;
-    `classify` and `w_statistic` both read it from here."""
-    m = params.m
-    big = 2**m - 1
-    e = 2 ** (m - 1)
-    # the relative sign of the all-perp leaf alternates with the stage count
-    sign1 = -1 if m % 2 else 1
-    x_sq, y_sq = params.x_sq, params.y_sq
-    denom = x_sq**big + y_sq**big
-    normalized = ChainState(
-        1,
-        ExactAmplitude.sqrt(y_sq**big / denom),
-        ExactAmplitude(sign1, x_sq**big / denom),
-    )
-    t_sq = constants(params).T_sq[-1]
-    leaf = ChainState(
-        1,
-        ExactAmplitude(1, y_sq**e / (x_sq ** (e - 1) * 2 * t_sq)),
-        ExactAmplitude(sign1, x_sq**e / (y_sq ** (e - 1) * 2 * t_sq)),
-    )
-    prefactor = ExactAmplitude.sqrt(denom / (2 * t_sq * (x_sq * y_sq) ** (e - 1)))
-    return EtaLeaf(normalized, leaf, prefactor)
 
 
 def level_census(records: list[BranchRecord]) -> Counter[int]:

@@ -25,9 +25,9 @@ from .plans import (
     LeafClass,
     MeasurementPlan,
     PlanParams,
+    constants,
     cpm_plan,
     enumerate_branches,
-    eta_state,
     spm_plan,
 )
 
@@ -88,8 +88,6 @@ class LeafSampler:
     """
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
-        self.plan = plan
-        self.params = params
         self.records = enumerate_branches(plan, params)
         cumulative = Fraction(0)
         self._cuts: list[int] = []
@@ -115,7 +113,7 @@ def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
         raise ValueError(f"count must be in 0..{per_group}, got {l}")
     if l == per_group:
         raise ZeroDivisionError("every state hit the exceptional leaf; the ratio is infinite")
-    eta_weight = eta_state(params).leaf.amp1.sq()
+    eta_weight = constants(params).eta_leaf.amp1.sq()
     return l * eta_weight / ((per_group - l) * params.x_sq / 2**params.m)
 
 

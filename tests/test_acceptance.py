@@ -18,10 +18,10 @@ from ghzdisc import (
     build_samplers,
     bob_distribution,
     bob_marginal,
+    constants,
     cpm_plan,
     discriminate,
     enumerate_branches,
-    eta_state,
     ghz_state,
     measure_next,
     random_plan,
@@ -126,7 +126,7 @@ def test_criterion_3_probability_split(capsys):
 
 
 def test_criterion_4_eta_bias(capsys):
-    p0, p1 = bob_distribution(eta_state(P8).normalized)
+    p0, p1 = bob_distribution(constants(P8).eta_leaf)
     u = p1 / p0
     ok = u == 2**127 and abs(float(u) / 1.7e38 - 1) < 0.01
     with capsys.disabled():
@@ -149,8 +149,6 @@ def test_criterion_5_w_values(capsys):
 
 
 def test_criterion_6_constants(capsys):
-    from ghzdisc import constants
-
     cascade = constants(P8)
     expected = [
         Fraction(5, 2),

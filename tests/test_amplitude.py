@@ -1,10 +1,13 @@
 from fractions import Fraction
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ghzdisc import AMP_ONE, AMP_ZERO, SQRT_HALF, AmplitudeError, ExactAmplitude
+from ghzdisc.amplitude import fraction_float
 
 X = ExactAmplitude(1, Fraction(2, 3))
 Y = ExactAmplitude(1, Fraction(1, 3))
@@ -94,6 +97,39 @@ def test_float_accessor():
     assert abs(float(tiny) / 3.0**-100 - 1) < 1e-12
     tinier = ExactAmplitude(1, Fraction(1, 2**2000))
     assert float(tinier) > 0
+
+
+def _fraction_float_reference(value):
+    n, d = abs(value.numerator), value.denominator
+    e = n.bit_length() - d.bit_length()
+    scaled = Fraction(n, d << e) if e >= 0 else Fraction(n << -e, d)
+    result = math.ldexp(float(scaled), e)
+    return -result if value < 0 else result
+
+
+def _amplitude_float_reference(sign, mag_sq):
+    n, d = mag_sq.numerator, mag_sq.denominator
+    e = n.bit_length() - d.bit_length()
+    e -= e % 2
+    scaled = Fraction(n, d << e) if e >= 0 else Fraction(n << -e, d)
+    return sign * math.ldexp(math.sqrt(float(scaled)), e // 2)
+
+
+# 2**-2200 .. 2**1000 covers [2**-2148, 2**-1074), where the root is a
+# normal double but the magnitude itself underflows
+@example(1, 1, -2100, -1)
+@example(3**40, 2**63 + 1, -1074, 1)
+@given(
+    st.integers(min_value=1, max_value=2**80),
+    st.integers(min_value=1, max_value=2**80),
+    st.integers(min_value=-2200, max_value=1000),
+    st.sampled_from([-1, 1]),
+)
+def test_float_matches_reference(num, den, shift, sign):
+    mag = Fraction(num, den) * Fraction(2) ** shift
+    assert fraction_float(sign * mag) == _fraction_float_reference(sign * mag)
+    assert float(ExactAmplitude(sign, mag)) == _amplitude_float_reference(sign, mag)
+    assert fraction_float(mag, root=True) == _amplitude_float_reference(1, mag)
 
 
 @given(amps(), amps())

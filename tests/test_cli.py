@@ -195,6 +195,16 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert all(entry["status"] in ("PASS", "INFO") for entry in report)
 
+    # the plan seeds seed*1000 + n*100 + i leave [0, 2**64): below it, and above it at n=7
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551"])
+    def test_seed_out_of_range(self, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "ghzdisc: error: random plan seed must be an unsigned 64-bit integer" in err
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path, capsys):
@@ -264,6 +274,19 @@ class TestOutputTargets:
     def test_device_written_through(self, capsys):
         assert main(self.ENUMERATE + [os.devnull]) == 0
         assert not os.path.isfile(os.devnull)
+
+    def test_stdout_target_redirected_to_file(self, tmp_path, capsys):
+        expected = tmp_path / "expected.json"
+        assert main(self.ENUMERATE + [str(expected)]) == 0
+        census = capsys.readouterr().out
+        redirected = tmp_path / "redirected.txt"
+        env = dict(os.environ, PYTHONPATH=str(Path(ghzdisc.__file__).parents[1]))
+        with open(redirected, "w") as handle:
+            subprocess.run(
+                [sys.executable, "-m", "ghzdisc.cli", *self.ENUMERATE, "/dev/stdout"],
+                stdout=handle, env=env, check=True, timeout=120,
+            )
+        assert redirected.read_text() == census + expected.read_text()
 
     def test_symlink_target_replaced(self, tmp_path, capsys):
         expected = tmp_path / "expected.json"

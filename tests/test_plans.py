@@ -12,15 +12,14 @@ from ghzdisc import (
     LeafClass,
     PlanError,
     PlanParams,
+    bob_distribution,
     classify,
     constants,
     cpm_plan,
     enumerate_branches,
-    eta_state,
     ghz_state,
     measure_next,
     random_plan,
-    spm_basis,
     spm_plan,
 )
 
@@ -92,28 +91,23 @@ def test_telescoping_identity_general(x_sq, n):
 
 class TestSpmBasis:
     def test_stage_one(self):
-        basis = spm_basis(1, P8)
+        basis = constants(P8).bases[1]
         assert basis.c0.sq() == Fraction(4, 5)
         assert basis.c1.sq() == Fraction(1, 5)
 
     def test_stage_two(self):
-        assert spm_basis(2, P8).c0.sq() == Fraction(16, 17)
+        assert constants(P8).bases[2].c0.sq() == Fraction(16, 17)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_orthonormal(self, k):
-        basis = spm_basis(k, P8)
+        basis = constants(P8).bases[k]
         assert basis.c0.sq() + basis.c1.sq() == 1
 
     def test_matches_normalizer_definition(self):
         # c0^2 = r^(2^(k-1)) / F_{k+1}^2
         for k in range(1, 7):
             e = 2 ** (k - 1)
-            assert spm_basis(k, P8).c0.sq() == P8.ratio**e / f_sq(k + 1)
-
-    @pytest.mark.parametrize("k", [0, 7])
-    def test_range(self, k):
-        with pytest.raises(PlanError):
-            spm_basis(k, P8)
+            assert constants(P8).bases[k].c0.sq() == P8.ratio**e / f_sq(k + 1)
 
 
 class TestCpmPlan:
@@ -139,8 +133,9 @@ class TestSpmPlan:
         assert basis.c1.sq() == Y_SQ
 
     def test_perp_history_uses_ladder(self):
-        assert spm_plan(P8).basis_for("1") == spm_basis(1, P8)
-        assert spm_plan(P8).basis_for("11111") == spm_basis(5, P8)
+        bases = constants(P8).bases
+        assert spm_plan(P8).basis_for("1") == bases[1]
+        assert spm_plan(P8).basis_for("11111") == bases[5]
 
     def test_plus_switches_to_hadamard(self):
         plan = spm_plan(P8)
@@ -233,42 +228,39 @@ def test_cascade_checkpoints(history, sign0, a0_sq, sign1, a1_sq):
 
 
 class TestEtaState:
-    def test_prefactor(self):
-        assert eta_state(P8).prefactor.sq() == Fraction(2**127 + 1, 2**129 - 2)
-
     def test_bias(self):
-        from ghzdisc import bob_distribution
-
-        p0, p1 = bob_distribution(eta_state(P8).normalized)
+        p0, p1 = bob_distribution(constants(P8).eta_leaf)
         assert p1 / p0 == 2**127
 
     def test_leaf_matches_enumeration(self):
-        records = enumerate_branches(spm_plan(P8), P8)
-        assert records[-1].outcomes == "1111111"
-        assert records[-1].bob_state == eta_state(P8).leaf
-
-    def test_leaf_is_prefactor_times_normalized(self):
-        eta = eta_state(P8)
-        assert eta.leaf.amp0 == eta.prefactor * eta.normalized.amp0
-        assert eta.leaf.amp1 == eta.prefactor * eta.normalized.amp1
+        # odd and even stage counts: the leaf's relative sign alternates with m
+        for n in range(3, 13):
+            for x_sq in (Fraction(2, 3), Fraction(1, 2), Fraction(3, 7), Fraction(9, 10)):
+                params = PlanParams(n, x_sq)
+                cascade = constants(params)
+                plan = spm_plan(params)
+                records = enumerate_branches(plan, params)
+                assert records[-1].outcomes == "1" * params.m
+                assert records[-1].bob_state == cascade.eta_leaf
+                assert cascade.bases == tuple(plan.basis_for("1" * k) for k in range(params.m))
 
     def test_symmetric_case(self):
-        eta = eta_state(PlanParams(8, Fraction(1, 2)))
-        assert eta.normalized.amp0.sq() == Fraction(1, 2)
-        assert eta.normalized.amp1 == ExactAmplitude(-1, Fraction(1, 2))
+        eta = constants(PlanParams(8, Fraction(1, 2))).eta_leaf
+        assert bob_distribution(eta) == (Fraction(1, 2), Fraction(1, 2))
+        assert eta.amp1.sign == -1
 
 
 class TestClassify:
     def test_eta_distinct_from_mu_minus(self):
         records = enumerate_branches(spm_plan(P8), P8)
         assert records[-1].leaf_class is LeafClass.ETA
-        assert classify(records[-1].bob_state, P8) is LeafClass.ETA
+        assert classify(records[-1].bob_state, constants(P8)) is LeafClass.ETA
 
     def test_global_sign_ignored(self):
         flipped = ChainState(
             1, ExactAmplitude(-1, X_SQ / 4), ExactAmplitude(-1, Y_SQ / 4)
         )
-        assert classify(flipped, P8) is LeafClass.MU_PLUS
+        assert classify(flipped, constants(P8)) is LeafClass.MU_PLUS
 
     def test_hadamard_leaf_is_other(self):
         records = enumerate_branches(cpm_plan(P8), P8)
@@ -300,7 +292,7 @@ def assert_classify_matches_reference(params, seed):
         for record in enumerate_branches(plan, params):
             flipped = ChainState(1, -record.bob_state.amp0, -record.bob_state.amp1)
             assert record.leaf_class is _classify_reference(record.bob_state, params)
-            assert classify(flipped, params) is record.leaf_class
+            assert classify(flipped, constants(params)) is record.leaf_class
 
 
 @pytest.mark.parametrize("n", range(3, 11))
