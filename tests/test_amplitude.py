@@ -115,10 +115,20 @@ def _amplitude_float_reference(sign, mag_sq):
     return sign * math.ldexp(math.sqrt(float(scaled)), e // 2)
 
 
-# 2**-2200 .. 2**1000 covers [2**-2148, 2**-1074), where the root is a
-# normal double but the magnitude itself underflows
+def _outcome(f, *args):
+    """The value of f(*args), or the exception type it raises."""
+    try:
+        return f(*args)
+    except OverflowError as exc:
+        return type(exc)
+
+
+# 2**-2200 .. 2**1080 covers [2**-2148, 2**-1074), where the root is a
+# normal double but the magnitude itself underflows, and magnitudes of
+# 2**1024 and above, which have no double and must overflow as before
 @example(1, 1, -2100, -1)
 @example(3**40, 2**63 + 1, -1074, 1)
+@example(151_115_718_444_629_920_579_180, 9_007_198_717_869_790, 1000, -1)
 @given(
     st.integers(min_value=1, max_value=2**80),
     st.integers(min_value=1, max_value=2**80),
@@ -127,7 +137,9 @@ def _amplitude_float_reference(sign, mag_sq):
 )
 def test_float_matches_reference(num, den, shift, sign):
     mag = Fraction(num, den) * Fraction(2) ** shift
-    assert fraction_float(sign * mag) == _fraction_float_reference(sign * mag)
+    assert _outcome(fraction_float, sign * mag) == _outcome(
+        _fraction_float_reference, sign * mag
+    )
     assert float(ExactAmplitude(sign, mag)) == _amplitude_float_reference(sign, mag)
     assert fraction_float(mag, root=True) == _amplitude_float_reference(1, mag)
 
