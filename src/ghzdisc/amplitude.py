@@ -76,10 +76,14 @@ SQRT_HALF = ExactAmplitude(1, Fraction(1, 2))
 
 
 def fraction_float(value: Fraction, root: bool = False) -> float:
-    """Nearest double of a rational, or with `root` of the square root of
-    its magnitude; exponent-safe.  The rational is scaled by 2**-e into
+    """Double of a rational, or with `root` of the square root of its
+    magnitude; exponent-safe.  The rational is scaled by 2**-e into
     [1/4, 2) before the conversion, with e even for the root, so the
-    root of a magnitude below the double range (2**-2100, say) is kept."""
+    root of a magnitude below the double range (2**-2100, say) is kept.
+    A normal result is the nearest double.  A subnormal one (below
+    2**-1022) is rounded twice, to a 53-bit quotient and again by
+    `ldexp`, so it can be one unit in the last place from the nearest;
+    the pinned tables hold such floats, so this is kept as it is."""
     if value == 0:
         return 0.0
     n, d = abs(value.numerator), value.denominator

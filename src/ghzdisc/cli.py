@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -19,7 +20,16 @@ from fractions import Fraction
 
 from .amplitude import fraction_float, fraction_json
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite, receiver_marginal
-from .plans import PlanParams, PlanError, cpm_plan, enumerate_branches, level_census, spm_plan
+from .plans import (
+    PlanParams,
+    PlanError,
+    cpm_plan,
+    enumerate_branches,
+    level_census,
+    once_per_state,
+    run_sum,
+    spm_plan,
+)
 from .protocol import ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_statistic
 
 OUT_DIR_ENV = "GHZDISC_OUT_DIR"
@@ -99,12 +109,27 @@ def _csv_row(row: dict) -> list:
     ]
 
 
+def _json_tail(record) -> str:
+    """A record's JSON array element after its "outcomes" member: the
+    element is '{\n    "outcomes": "<bits>",' + this text."""
+    row = _branch_row(record)
+    del row["outcomes"]
+    return json.dumps(row, indent=2).replace("\n", "\n  ")[1:]
+
+
+def _csv_tail(record) -> str:
+    """A record's CSV line after its outcomes cell and comma."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(_csv_row(_branch_row(record))[1:])
+    return buffer.getvalue()
+
+
 def _census_lines(records) -> str:
     levels = level_census(records)
     classes = Counter(r.leaf_class.value for r in records)
     level_text = " ".join(f"{k}:{levels[k]}" for k in sorted(levels))
     class_text = " ".join(f"{k}:{classes[k]}" for k in sorted(classes))
-    total = sum(r.probability for r in records)
+    total = run_sum(r.probability for r in records)
     return (
         f"branches: {len(records)}\n"
         f"level census: {level_text}\n"
@@ -117,17 +142,17 @@ def cmd_enumerate(args) -> int:
     params = PlanParams(args.qubits, args.x_sq)
     records = enumerate_branches(_plan_for(args.strategy, params), params)
     sys.stdout.write(_census_lines(records))
-    rows = map(_branch_row, records)
-    # one row is serialised at a time; the JSON bytes equal json.dumps(rows, indent=2) + "\n"
+    # outcomes are bit strings, so neither format quotes or escapes them; the JSON
+    # bytes equal json.dumps([_branch_row(r) for r in records], indent=2) + "\n"
     with _output(args.out) as handle:
         if args.format == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_CSV_HEADER)
-            writer.writerows(map(_csv_row, rows))
+            csv.writer(handle, lineterminator="\n").writerow(_CSV_HEADER)
+            for record, tail in zip(records, once_per_state(records, _csv_tail)):
+                handle.write(f"{record.outcomes},{tail}")
         else:
             separator = "[\n  "
-            for row in rows:
-                handle.write(separator + json.dumps(row, indent=2).replace("\n", "\n  "))
+            for record, tail in zip(records, once_per_state(records, _json_tail)):
+                handle.write(f'{separator}{{\n    "outcomes": "{record.outcomes}",{tail}')
                 separator = ",\n  "
             handle.write("\n]\n")
     return 0
@@ -241,9 +266,9 @@ def cmd_marginal(args) -> int:
 
 def cmd_verify(args) -> int:
     params = PlanParams(args.qubits, args.x_sq)
-    checks = checkpoint_report(params) + no_signaling_suite(
-        plans_per_n=args.random_plans, seed=args.seed
-    )
+    # first, so that a bad --random-plans or --seed fails before any other work
+    suite = no_signaling_suite(plans_per_n=args.random_plans, seed=args.seed)
+    checks = checkpoint_report(params) + suite
     width = max(len(c.name) for c in checks)
     for check in checks:
         sys.stdout.write(

@@ -24,6 +24,7 @@ from .plans import (
     cpm_plan,
     enumerate_branches,
     level_census,
+    run_sum,
     spm_plan,
 )
 from .protocol import w_statistic
@@ -32,11 +33,10 @@ from .protocol import w_statistic
 def receiver_marginal(records) -> tuple[Fraction, Fraction]:
     """Receiver's exact computational-basis marginal, summed over the
     given outcome branches."""
-    p0 = p1 = Fraction(0)
-    for record in records:
-        p0 += record.bob_state.amp0.sq()
-        p1 += record.bob_state.amp1.sq()
-    return p0, p1
+    return (
+        run_sum(r.bob_state.amp0.sq() for r in records),
+        run_sum(r.bob_state.amp1.sq() for r in records),
+    )
 
 
 def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
@@ -195,7 +195,16 @@ def no_signaling_suite(
     plans_per_n: int = 5, seed: int = 0, ns: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
 ) -> list[Check]:
     """Exact (1/2, 1/2) marginal for the built-in plans and random
-    adaptive plans across chain lengths."""
+    adaptive plans across chain lengths.  Random plan i at length n has
+    seed seed*1000 + n*100 + i, and every such seed must fit in 64 bits."""
+    if plans_per_n < 0:
+        raise ValueError(f"random plans per chain length must be nonnegative, got {plans_per_n}")
+    top = seed * 1000 + max(ns) * 100 + plans_per_n - 1
+    if plans_per_n and not (seed >= 0 and top < 2**64):
+        raise ValueError(
+            f"random plan seed must be an unsigned 64-bit integer, got seed {seed}, "
+            f"whose plan seeds seed*1000 + n*100 + i leave [0, 2**64)"
+        )
     half = (Fraction(1, 2), Fraction(1, 2))
     checks = []
     for n in ns:

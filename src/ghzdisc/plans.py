@@ -10,8 +10,11 @@ Two built-in strategies:
 
 `constants(params)` is the one home of the cascade's closed forms: eager
 F_k^2 and T_k^2, and lazily the stage bases, the all-perp (eta) leaf and
-the class slopes.  `enumerate_branches` walks the full outcome tree and
-classifies every leaf exactly against those slopes.
+the class slopes.  Both strategies are spine plans: one basis per
+all-"1" history, {|+>, |->} after the first "0".  `enumerate_branches`
+walks only the spine of such a plan, where each "0" child's subtree has
+just two distinct leaf states, and every node of any other plan; each
+distinct leaf state is classified exactly against those slopes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterator
 
 from .amplitude import ExactAmplitude
 from .engine import (
@@ -80,20 +83,35 @@ class MeasurementPlan:
     """Adaptive rule: outcome history (bit string) -> next basis.
 
     Bit 0 means the first basis vector fired, bit 1 the second.  Defined
-    for every history of length 0 .. stages-1.
+    for every history of length 0 .. stages-1.  A plan is given either
+    by a `chooser` over whole histories, or by a `spine`: the basis of
+    each all-"1" history, with {|+>, |->} after the first "0".
     """
 
-    def __init__(self, stages: int, chooser: Callable[[str], Basis], name: str = "plan"):
+    def __init__(
+        self,
+        stages: int,
+        chooser: Callable[[str], Basis] | None = None,
+        name: str = "plan",
+        spine: tuple[Basis, ...] | None = None,
+    ):
+        if (chooser is None) == (spine is None):
+            raise PlanError("a plan needs exactly one of a chooser and a spine")
+        if spine is not None and len(spine) != stages:
+            raise PlanError(f"spine has {len(spine)} bases for {stages} stages")
         self.stages = stages
         self.name = name
         self._chooser = chooser
+        self.spine = spine
 
     def basis_for(self, history: str) -> Basis:
         if len(history) >= self.stages:
             raise PlanError(f"history {history!r} already covers all {self.stages} stages")
         if any(c not in "01" for c in history):
             raise PlanError(f"history must be a bit string, got {history!r}")
-        return self._chooser(history)
+        if self.spine is None:
+            return self._chooser(history)
+        return PLUS_MINUS if "0" in history else self.spine[len(history)]
 
     def __repr__(self) -> str:
         return f"MeasurementPlan({self.name}, stages={self.stages})"
@@ -156,19 +174,14 @@ def constants(params: PlanParams) -> CascadeConstants:
 
 def cpm_plan(params: PlanParams) -> MeasurementPlan:
     """Every sender qubit measured in {|+>, |->}."""
-    return MeasurementPlan(params.m, lambda history: PLUS_MINUS, name="cpm")
+    return MeasurementPlan(params.m, name="cpm", spine=(PLUS_MINUS,) * params.m)
 
 
 def spm_plan(params: PlanParams) -> MeasurementPlan:
     """The adaptive cascade: first qubit in {x|0>+y|1>, y|0>-x|1>}; while
     outcomes stay "perp" (bit 1), the ladder bases follow; after the
     first "plus" outcome everything is {|+>, |->}."""
-    bases = constants(params).bases
-    return MeasurementPlan(
-        params.m,
-        lambda history: PLUS_MINUS if "0" in history else bases[len(history)],
-        name="spm",
-    )
+    return MeasurementPlan(params.m, name="spm", spine=constants(params).bases)
 
 
 @dataclass(frozen=True)
@@ -208,9 +221,19 @@ def classify(state: ChainState, cascade: CascadeConstants) -> LeafClass:
 
 
 def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[BranchRecord]:
-    """All 2^m leaves of the outcome tree, in lexicographic outcome order."""
+    """All 2^m leaves of the outcome tree, in lexicographic outcome order:
+    along the spine for a spine plan, node by node otherwise."""
     if plan.stages != params.m:
         raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
+    if plan.spine is None:
+        return _walk_leaves(plan, params)
+    return _walk_spine(plan.spine, params)
+
+
+def _walk_leaves(plan: MeasurementPlan, params: PlanParams) -> list[BranchRecord]:
+    """Every node of the tree: one measurement per node and one
+    classification per leaf.  The only walk for chooser plans, and the
+    reference for `_walk_spine`."""
     cascade = constants(params)
     records: list[BranchRecord] = []
 
@@ -227,6 +250,64 @@ def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[Branch
 
     walk(ghz_state(params.n), "")
     return records
+
+
+def _walk_spine(spine: tuple[Basis, ...], params: PlanParams) -> list[BranchRecord]:
+    """The m all-"1" nodes only.  Below the "0" child of spine node k
+    every basis is {|+>, |->}, which scales both amplitudes by sqrt(1/2)
+    and negates amp1 on a "1": a tail of depth d has just two leaf
+    states, picked by the parity of the 1s in the suffix.  The even one
+    is measured along "0"*d and the odd one is it with amp1 negated;
+    each is validated and classified once, and all 2^d leaves share
+    those states, their amp0 and one probability object."""
+    cascade = constants(params)
+    records: list[BranchRecord] = []
+    state = ghz_state(params.n)
+    for k, basis in enumerate(spine):
+        even, state = measure_next(state, basis)
+        depth = params.m - k - 1
+        for _ in range(depth):
+            even = measure_next(even, PLUS_MINUS)[0]
+        leaves = (even, ChainState(1, even.amp0, -even.amp1))
+        probability = even.norm_sq()
+        rows = [(leaf, classify(leaf, cascade)) for leaf in leaves]
+        head = "1" * k + "0"
+        for i in range(2**depth):
+            leaf, leaf_class = rows[i.bit_count() & 1]
+            suffix = format(i, f"0{depth}b") if depth else ""
+            records.append(BranchRecord(head + suffix, probability, leaf, leaf_class, k + 1))
+    records.append(
+        BranchRecord("1" * params.m, state.norm_sq(), state, classify(state, cascade), params.m + 1)
+    )
+    return records
+
+
+def once_per_state(records: list[BranchRecord], fn) -> Iterator:
+    """fn(record) for every record, evaluated once per (receiver state
+    object, level), so `fn` may read only those two; every field but
+    `outcomes` follows from them.  The spine walk shares one state object
+    per outcome class, and keying on the object (kept alive by `records`)
+    spares hashing its big rationals."""
+    cache: dict = {}
+    for record in records:
+        key = (id(record.bob_state), record.level)
+        if key not in cache:
+            cache[key] = fn(record)
+        yield cache[key]
+
+
+def run_sum(values) -> Fraction:
+    """Exact sum that adds each run of adjacent identical objects as one
+    product.  The spine walk's records share their probability and amp0
+    objects per outcome class, so over them a 2^m-leaf sum takes O(m)
+    big-rational additions; elsewhere it is a plain sum."""
+    runs: list[list] = []  # [value, count]
+    for value in values:
+        if runs and value is runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([value, 1])
+    return sum((value * count if count > 1 else value for value, count in runs), Fraction(0))
 
 
 def level_census(records: list[BranchRecord]) -> Counter[int]:

@@ -28,6 +28,7 @@ from .plans import (
     constants,
     cpm_plan,
     enumerate_branches,
+    once_per_state,
     spm_plan,
 )
 
@@ -91,12 +92,13 @@ class LeafSampler:
         self.records = enumerate_branches(plan, params)
         cumulative = Fraction(0)
         self._cuts: list[int] = []
-        self._p0_cuts: list[int] = []
         for record in self.records:
             cumulative += record.probability
             self._cuts.append(_cut(cumulative))
-            self._p0_cuts.append(_cut(bob_distribution(record.bob_state)[0]))
         assert cumulative == 1
+        self._p0_cuts = list(
+            once_per_state(self.records, lambda r: _cut(bob_distribution(r.bob_state)[0]))
+        )
 
     def sample(self, stream: CounterStream) -> tuple[BranchRecord, int]:
         """Draw one leaf and the receiver's computational-basis bit."""

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 import ghzdisc
 from ghzdisc import cli
-from ghzdisc.cli import main
+from ghzdisc.cli import _CSV_HEADER, _branch_row, _csv_row, main
+from ghzdisc.plans import PlanParams, cpm_plan, enumerate_branches, spm_plan
 
 
 def run(argv, capsys):
@@ -93,6 +95,25 @@ class TestEnumerate:
         err = proc.stderr.read().decode()
         proc.stderr.close()
         assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# rows are rendered once per outcome class; every row must still equal its
+# own rendering from `_branch_row` and `_csv_row`
+@pytest.mark.parametrize("n", range(3, 11))
+def test_rows_rendered_per_class(n, tmp_path):
+    for x_sq in ("2/3", "1/2", "3/7", "9/10"):
+        params = PlanParams(n, Fraction(x_sq))
+        for strategy, plan_maker in (("cpm", cpm_plan), ("spm", spm_plan)):
+            rows = [_branch_row(r) for r in enumerate_branches(plan_maker(params), params)]
+            argv = ["enumerate", "--strategy", strategy, "--qubits", str(n), "--x-sq", x_sq]
+            assert main([*argv, "--out", str(tmp_path / "t.json")]) == 0
+            assert (tmp_path / "t.json").read_text() == json.dumps(rows, indent=2) + "\n"
+            assert main([*argv, "--format", "csv", "--out", str(tmp_path / "t.csv")]) == 0
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(_CSV_HEADER)
+            writer.writerows(map(_csv_row, rows))
+            assert (tmp_path / "t.csv").read_text() == expected.getvalue()
 
 
 class TestSimulate:
@@ -203,7 +224,17 @@ class TestVerify:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "ghzdisc: error: random plan seed must be an unsigned 64-bit integer" in err
+        assert f"got seed {seed}," in err  # the flag's value, not a derived plan seed
         assert "Traceback" not in err
+
+    def test_negative_random_plans(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--qubits", "4", "--random-plans", "-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "random plans per chain length must be nonnegative, got -3" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""  # rejected before any check runs
 
 
 class TestDeterminism:

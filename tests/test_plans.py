@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzdisc import (
@@ -22,6 +22,7 @@ from ghzdisc import (
     random_plan,
     spm_plan,
 )
+from ghzdisc.plans import MeasurementPlan, run_sum
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)
@@ -312,3 +313,56 @@ def test_classify_matches_reference(n):
 )
 def test_classify_matches_reference_any_x(x_sq, n, seed):
     assert_classify_matches_reference(PlanParams(n, x_sq), seed)
+
+
+X_GRID = (Fraction(2, 3), Fraction(1, 2), Fraction(3, 7), Fraction(9, 10))
+
+
+def assert_spine_walk_matches_leaf_walk(params):
+    for plan in (cpm_plan(params), spm_plan(params)):
+        # the same rule as a chooser has no spine, so it is walked node by node
+        chooser_only = MeasurementPlan(params.m, plan.basis_for)
+        assert plan.spine is not None and chooser_only.spine is None
+        assert enumerate_branches(plan, params) == enumerate_branches(chooser_only, params)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_spine_walk_matches_leaf_walk(n):
+    for x_sq in X_GRID:
+        assert_spine_walk_matches_leaf_walk(PlanParams(n, x_sq))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40),
+    st.integers(min_value=3, max_value=9),
+)
+@example(Fraction(1, 2), 8)
+def test_spine_walk_matches_leaf_walk_any_x(x_sq, n):
+    assert_spine_walk_matches_leaf_walk(PlanParams(n, x_sq))
+
+
+def test_spine_walk_shares_class_objects():
+    records = enumerate_branches(spm_plan(P8), P8)
+    # two per spine node but the last (whose "0" child is a leaf), and the all-perp leaf
+    assert len({id(r.bob_state) for r in records}) == 2 * P8.m
+    assert len({id(r.probability) for r in records}) == P8.m + 1
+
+
+class TestPlanForm:
+    def test_needs_one_rule(self):
+        with pytest.raises(PlanError):
+            MeasurementPlan(3)
+        with pytest.raises(PlanError):
+            MeasurementPlan(3, lambda history: PLUS_MINUS, spine=(PLUS_MINUS,) * 3)
+
+    def test_spine_length(self):
+        with pytest.raises(PlanError):
+            MeasurementPlan(3, spine=(PLUS_MINUS,) * 2)
+
+
+@given(st.lists(st.sampled_from([Fraction(1, 3), Fraction(-2, 7), Fraction(5)]), max_size=12))
+def test_run_sum(values):
+    shared = {value: value for value in values}  # adjacent equal values become one object
+    assert run_sum(shared[value] for value in values) == sum(values)
+    assert run_sum(Fraction(v.numerator, v.denominator) for v in values) == sum(values)
