@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import Iterator
 
 from .amplitude import fraction_float, fraction_json
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite, receiver_marginal
@@ -24,10 +25,8 @@ from .plans import (
     PlanParams,
     PlanError,
     cpm_plan,
-    enumerate_branches,
     level_census,
-    once_per_state,
-    run_sum,
+    outcome_classes,
     spm_plan,
 )
 from .protocol import ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_statistic
@@ -124,14 +123,26 @@ def _csv_tail(record) -> str:
     return buffer.getvalue()
 
 
-def _census_lines(records) -> str:
-    levels = level_census(records)
-    classes = Counter(r.leaf_class.value for r in records)
+def _rendered(classes, tail) -> Iterator[tuple[str, str]]:
+    """Each leaf's outcomes and `tail` of its record, with `tail`
+    evaluated once per receiver state of a class."""
+    for c in classes:
+        tails = [tail(c.record(c.head, parity)) for parity in range(len(c.states))]
+        for outcomes, parity in c.outcomes():
+            yield outcomes, tails[parity]
+
+
+def _census_lines(classes) -> str:
+    levels = level_census(classes)
+    counts: Counter[str] = Counter()
+    for c in classes:
+        for leaf_class in c.leaf_classes:
+            counts[leaf_class.value] += 2**c.depth // len(c.leaf_classes)
     level_text = " ".join(f"{k}:{levels[k]}" for k in sorted(levels))
-    class_text = " ".join(f"{k}:{classes[k]}" for k in sorted(classes))
-    total = run_sum(r.probability for r in records)
+    class_text = " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
+    total = sum((c.summed(c.probability) for c in classes), Fraction(0))
     return (
-        f"branches: {len(records)}\n"
+        f"branches: {sum(levels.values())}\n"
         f"level census: {level_text}\n"
         f"class census: {class_text}\n"
         f"total probability: {total} (exact)\n"
@@ -140,19 +151,19 @@ def _census_lines(records) -> str:
 
 def cmd_enumerate(args) -> int:
     params = PlanParams(args.qubits, args.x_sq)
-    records = enumerate_branches(_plan_for(args.strategy, params), params)
-    sys.stdout.write(_census_lines(records))
+    classes = outcome_classes(_plan_for(args.strategy, params), params)
+    sys.stdout.write(_census_lines(classes))
     # outcomes are bit strings, so neither format quotes or escapes them; the JSON
-    # bytes equal json.dumps([_branch_row(r) for r in records], indent=2) + "\n"
+    # bytes equal json.dumps([_branch_row(r) for r in expand(classes)], indent=2) + "\n"
     with _output(args.out) as handle:
         if args.format == "csv":
             csv.writer(handle, lineterminator="\n").writerow(_CSV_HEADER)
-            for record, tail in zip(records, once_per_state(records, _csv_tail)):
-                handle.write(f"{record.outcomes},{tail}")
+            for outcomes, tail in _rendered(classes, _csv_tail):
+                handle.write(f"{outcomes},{tail}")
         else:
             separator = "[\n  "
-            for record, tail in zip(records, once_per_state(records, _json_tail)):
-                handle.write(f'{separator}{{\n    "outcomes": "{record.outcomes}",{tail}')
+            for outcomes, tail in _rendered(classes, _json_tail):
+                handle.write(f'{separator}{{\n    "outcomes": "{outcomes}",{tail}')
                 separator = ",\n  "
             handle.write("\n]\n")
     return 0
@@ -207,7 +218,7 @@ def cmd_simulate(args) -> int:
     trials = run_protocol(config, samplers)
     ones = sum(g.ones for t in trials for g in t.groups)
     total = config.trials * config.groups * config.per_group
-    p1 = {s: receiver_marginal(sampler.records)[1] for s, sampler in samplers.items()}
+    p1 = {s: receiver_marginal(sampler.classes)[1] for s, sampler in samplers.items()}
     p1[Strategy.RANDOM_PER_STATE] = (p1[Strategy.CPM] + p1[Strategy.SPM]) / 2
     oracle_p1 = p1[config.strategy]
     w_values = {}

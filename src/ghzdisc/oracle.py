@@ -22,26 +22,26 @@ from .plans import (
     PlanParams,
     constants,
     cpm_plan,
-    enumerate_branches,
+    expand,
     level_census,
-    run_sum,
+    outcome_classes,
     spm_plan,
 )
 from .protocol import w_statistic
 
 
-def receiver_marginal(records) -> tuple[Fraction, Fraction]:
-    """Receiver's exact computational-basis marginal, summed over the
-    given outcome branches."""
+def receiver_marginal(classes) -> tuple[Fraction, Fraction]:
+    """Receiver's exact computational-basis marginal over the leaves of
+    `classes`; the states of a class share both squared amplitudes."""
     return (
-        run_sum(r.bob_state.amp0.sq() for r in records),
-        run_sum(r.bob_state.amp1.sq() for r in records),
+        sum((c.summed(c.states[0].amp0.sq()) for c in classes), Fraction(0)),
+        sum((c.summed(c.states[0].amp1.sq()) for c in classes), Fraction(0)),
     )
 
 
 def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
     """Receiver's exact marginal over all of the sender's outcome branches."""
-    return receiver_marginal(enumerate_branches(plan, params))
+    return receiver_marginal(outcome_classes(plan, params))
 
 
 def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:
@@ -125,7 +125,8 @@ def telescoping_t_sq(params: PlanParams) -> Fraction:
 def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
     checks: list[Check] = []
     cascade = constants(params)
-    records = enumerate_branches(spm_plan(params), params)
+    classes = outcome_classes(spm_plan(params), params)
+    records = expand(classes)
     m = params.m
 
     if params.n == 8 and params.x_sq == Fraction(2, 3):
@@ -137,7 +138,7 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
             _exact(f"t{m}_sq_telescoping", cascade.T_sq[-1], telescoping_t_sq(params))
         )
 
-    census = level_census(records)
+    census = level_census(classes)
     checks.append(
         _exact(
             "leaf_census",
@@ -177,7 +178,7 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
 
     half = (Fraction(1, 2), Fraction(1, 2))
     checks.append(_exact("marginal_uniform_plan", bob_marginal(cpm_plan(params), params), half))
-    checks.append(_exact("marginal_cascade_plan", receiver_marginal(records), half))
+    checks.append(_exact("marginal_cascade_plan", receiver_marginal(classes), half))
 
     checks.append(
         Check(
@@ -195,15 +196,13 @@ def no_signaling_suite(
     plans_per_n: int = 5, seed: int = 0, ns: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
 ) -> list[Check]:
     """Exact (1/2, 1/2) marginal for the built-in plans and random
-    adaptive plans across chain lengths.  Random plan i at length n has
-    seed seed*1000 + n*100 + i, and every such seed must fit in 64 bits."""
+    adaptive plans across chain lengths.  Random plan i at length n
+    takes its seed from a SHA-256 of (seed, n, i)."""
     if plans_per_n < 0:
         raise ValueError(f"random plans per chain length must be nonnegative, got {plans_per_n}")
-    top = seed * 1000 + max(ns) * 100 + plans_per_n - 1
-    if plans_per_n and not (seed >= 0 and top < 2**64):
+    if plans_per_n and not 0 <= seed < 2**64:
         raise ValueError(
-            f"random plan seed must be an unsigned 64-bit integer, got seed {seed}, "
-            f"whose plan seeds seed*1000 + n*100 + i leave [0, 2**64)"
+            f"random plan seed must be an unsigned 64-bit integer, got seed {seed}, not in [0, 2**64)"
         )
     half = (Fraction(1, 2), Fraction(1, 2))
     checks = []
@@ -212,6 +211,7 @@ def no_signaling_suite(
         checks.append(_exact(f"marginal_uniform_n{n}", bob_marginal(cpm_plan(params), params), half))
         checks.append(_exact(f"marginal_cascade_n{n}", bob_marginal(spm_plan(params), params), half))
         for i in range(plans_per_n):
-            plan = random_plan(params, seed * 1000 + n * 100 + i)
+            packed = b"".join(v.to_bytes(8, "big") for v in (seed, n, i))
+            plan = random_plan(params, int.from_bytes(hashlib.sha256(packed).digest()[:8], "big"))
             checks.append(_exact(f"marginal_random_n{n}_{i}", bob_marginal(plan, params), half))
     return checks

@@ -11,10 +11,10 @@ Two built-in strategies:
 `constants(params)` is the one home of the cascade's closed forms: eager
 F_k^2 and T_k^2, and lazily the stage bases, the all-perp (eta) leaf and
 the class slopes.  Both strategies are spine plans: one basis per
-all-"1" history, {|+>, |->} after the first "0".  `enumerate_branches`
-walks only the spine of such a plan, where each "0" child's subtree has
-just two distinct leaf states, and every node of any other plan; each
-distinct leaf state is classified exactly against those slopes.
+all-"1" history, {|+>, |->} after the first "0".  `outcome_classes`
+walks the tree into classes (a leaf, or the two-state subtree below a
+spine plan's "0" child), each distinct state classified exactly against
+those slopes; `enumerate_branches` expands them into one record per leaf.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .amplitude import ExactAmplitude
 from .engine import (
@@ -200,6 +200,36 @@ class BranchRecord:
     level: int
 
 
+class OutcomeClass(NamedTuple):
+    """The 2^depth leaves below the history `head`, at one `level` and
+    with one `probability` each.  `states` and `leaf_classes` hold the
+    receiver state and its class for each parity of the 1s in the
+    suffix after `head` (one entry when depth = 0); the two states
+    differ only in amp1's sign.  A chooser plan's walk builds one per
+    leaf, and a named tuple is the cheapest immutable record to build."""
+
+    head: str
+    depth: int
+    level: int
+    probability: Fraction
+    states: tuple[ChainState, ...]
+    leaf_classes: tuple[LeafClass, ...]
+
+    def outcomes(self) -> Iterator[tuple[str, int]]:
+        """Each leaf's outcome string and parity, in lexicographic order."""
+        for i in range(2**self.depth):
+            # bin(2^depth + i) is "0b1" and then the suffix, padded to `depth` bits
+            yield self.head + bin(i | 1 << self.depth)[3:], i.bit_count() & 1
+
+    def record(self, outcomes: str, parity: int) -> BranchRecord:
+        state, leaf_class = self.states[parity], self.leaf_classes[parity]
+        return BranchRecord(outcomes, self.probability, state, leaf_class, self.level)
+
+    def summed(self, value: Fraction) -> Fraction:
+        """`value` added over the class's 2^depth leaves."""
+        return value * 2**self.depth if self.depth else value
+
+
 def _slope(state: ChainState) -> Fraction | None:
     """Signed a1/a0 of a single-qubit state, squared: equal slopes mean
     equal directions up to global sign; None when a0 = 0."""
@@ -220,96 +250,50 @@ def classify(state: ChainState, cascade: CascadeConstants) -> LeafClass:
     return LeafClass.OTHER
 
 
-def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[BranchRecord]:
-    """All 2^m leaves of the outcome tree, in lexicographic outcome order:
-    along the spine for a spine plan, node by node otherwise."""
+def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeClass]:
+    """The outcome tree as classes in lexicographic order: one per leaf,
+    but a spine plan's walk stops at each "0" child.  Below it every basis
+    is {|+>, |->}, which scales both amplitudes by sqrt(1/2) and negates
+    amp1 on a "1", so the tail's even leaf is measured along "0"*d and
+    the odd one is it with amp1 negated: m + 1 classes in all.  The same
+    rule as a chooser is walked node by node: the reference."""
     if plan.stages != params.m:
         raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
-    if plan.spine is None:
-        return _walk_leaves(plan, params)
-    return _walk_spine(plan.spine, params)
-
-
-def _walk_leaves(plan: MeasurementPlan, params: PlanParams) -> list[BranchRecord]:
-    """Every node of the tree: one measurement per node and one
-    classification per leaf.  The only walk for chooser plans, and the
-    reference for `_walk_spine`."""
     cascade = constants(params)
-    records: list[BranchRecord] = []
+    spine = plan.spine is not None
+    classes: list[OutcomeClass] = []
 
     def walk(state: ChainState, history: str) -> None:
-        if state.remaining == 1:
-            level = history.index("0") + 1 if "0" in history else params.m + 1
-            records.append(
-                BranchRecord(history, state.norm_sq(), state, classify(state, cascade), level)
-            )
+        depth = state.remaining - 1
+        if depth and not (spine and history.endswith("0")):
+            first, second = measure_next(state, plan.basis_for(history))
+            walk(first, history + "0")
+            walk(second, history + "1")
             return
-        first, second = measure_next(state, plan.basis_for(history))
-        walk(first, history + "0")
-        walk(second, history + "1")
+        for _ in range(depth):
+            state = measure_next(state, PLUS_MINUS)[0]
+        states = (state, ChainState(1, state.amp0, -state.amp1)) if depth else (state,)
+        level = history.find("0") + 1 or params.m + 1
+        leaf_classes = tuple([classify(leaf, cascade) for leaf in states])
+        classes.append(OutcomeClass(history, depth, level, state.norm_sq(), states, leaf_classes))
 
     walk(ghz_state(params.n), "")
-    return records
+    return classes
 
 
-def _walk_spine(spine: tuple[Basis, ...], params: PlanParams) -> list[BranchRecord]:
-    """The m all-"1" nodes only.  Below the "0" child of spine node k
-    every basis is {|+>, |->}, which scales both amplitudes by sqrt(1/2)
-    and negates amp1 on a "1": a tail of depth d has just two leaf
-    states, picked by the parity of the 1s in the suffix.  The even one
-    is measured along "0"*d and the odd one is it with amp1 negated;
-    each is validated and classified once, and all 2^d leaves share
-    those states, their amp0 and one probability object."""
-    cascade = constants(params)
-    records: list[BranchRecord] = []
-    state = ghz_state(params.n)
-    for k, basis in enumerate(spine):
-        even, state = measure_next(state, basis)
-        depth = params.m - k - 1
-        for _ in range(depth):
-            even = measure_next(even, PLUS_MINUS)[0]
-        leaves = (even, ChainState(1, even.amp0, -even.amp1))
-        probability = even.norm_sq()
-        rows = [(leaf, classify(leaf, cascade)) for leaf in leaves]
-        head = "1" * k + "0"
-        for i in range(2**depth):
-            leaf, leaf_class = rows[i.bit_count() & 1]
-            suffix = format(i, f"0{depth}b") if depth else ""
-            records.append(BranchRecord(head + suffix, probability, leaf, leaf_class, k + 1))
-    records.append(
-        BranchRecord("1" * params.m, state.norm_sq(), state, classify(state, cascade), params.m + 1)
-    )
-    return records
+def expand(classes: list[OutcomeClass]) -> list[BranchRecord]:
+    """One record per leaf of `classes`, in order."""
+    return [c.record(outcomes, parity) for c in classes for outcomes, parity in c.outcomes()]
 
 
-def once_per_state(records: list[BranchRecord], fn) -> Iterator:
-    """fn(record) for every record, evaluated once per (receiver state
-    object, level), so `fn` may read only those two; every field but
-    `outcomes` follows from them.  The spine walk shares one state object
-    per outcome class, and keying on the object (kept alive by `records`)
-    spares hashing its big rationals."""
-    cache: dict = {}
-    for record in records:
-        key = (id(record.bob_state), record.level)
-        if key not in cache:
-            cache[key] = fn(record)
-        yield cache[key]
+def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[BranchRecord]:
+    """All 2^m leaves of the outcome tree, in lexicographic outcome order."""
+    return expand(outcome_classes(plan, params))
 
 
-def run_sum(values) -> Fraction:
-    """Exact sum that adds each run of adjacent identical objects as one
-    product.  The spine walk's records share their probability and amp0
-    objects per outcome class, so over them a 2^m-leaf sum takes O(m)
-    big-rational additions; elsewhere it is a plain sum."""
-    runs: list[list] = []  # [value, count]
-    for value in values:
-        if runs and value is runs[-1][0]:
-            runs[-1][1] += 1
-        else:
-            runs.append([value, 1])
-    return sum((value * count if count > 1 else value for value, count in runs), Fraction(0))
-
-
-def level_census(records: list[BranchRecord]) -> Counter[int]:
+def level_census(classes: list[OutcomeClass]) -> Counter[int]:
     """Number of leaves at each level."""
-    return Counter(r.level for r in records)
+    census: Counter[int] = Counter()
+    for c in classes:
+        census[c.level] += 2**c.depth
+    return census

@@ -27,8 +27,8 @@ from .plans import (
     PlanParams,
     constants,
     cpm_plan,
-    enumerate_branches,
-    once_per_state,
+    expand,
+    outcome_classes,
     spm_plan,
 )
 
@@ -89,16 +89,18 @@ class LeafSampler:
     """
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
-        self.records = enumerate_branches(plan, params)
+        self.classes = outcome_classes(plan, params)
+        self.records = expand(self.classes)
         cumulative = Fraction(0)
         self._cuts: list[int] = []
         for record in self.records:
             cumulative += record.probability
             self._cuts.append(_cut(cumulative))
         assert cumulative == 1
-        self._p0_cuts = list(
-            once_per_state(self.records, lambda r: _cut(bob_distribution(r.bob_state)[0]))
-        )
+        self._p0_cuts: list[int] = []
+        # a class's states differ only in amp1's sign, so they share p0
+        for c in self.classes:
+            self._p0_cuts += [_cut(bob_distribution(c.states[0])[0])] * 2**c.depth
 
     def sample(self, stream: CounterStream) -> tuple[BranchRecord, int]:
         """Draw one leaf and the receiver's computational-basis bit."""

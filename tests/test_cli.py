@@ -216,8 +216,8 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert all(entry["status"] in ("PASS", "INFO") for entry in report)
 
-    # the plan seeds seed*1000 + n*100 + i leave [0, 2**64): below it, and above it at n=7
-    @pytest.mark.parametrize("seed", ["-1", "18446744073709551"])
+    # --seed itself must lie in [0, 2**64): just below it, and at 2**64
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_out_of_range(self, seed, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--seed", seed])

@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from ghzdisc import oracle
 from ghzdisc import (
     PlanParams,
     bob_marginal,
@@ -32,6 +34,17 @@ class TestBobMarginal:
     def test_nondegenerate_coefficient(self):
         params = PlanParams(6, Fraction(9, 10))
         assert bob_marginal(spm_plan(params), params) == HALF
+
+    def test_spine_marginal_builds_no_records(self):
+        # 2^17 leaves; one record each would take tens of MiB
+        params = PlanParams(18)
+        tracemalloc.start()
+        try:
+            assert bob_marginal(spm_plan(params), params) == HALF
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestRandomPlan:
@@ -68,6 +81,20 @@ class TestCheckpointReport:
         assert "t5_sq_telescoping" in names
         assert "w_1" not in names  # printed targets only apply to the default instance
         assert all(c.passed for c in checks)
+
+
+def test_random_plan_seeds_distinct(monkeypatch):
+    plans = []  # in suite order: 101 plans at n=3, then 101 at n=4
+
+    def recording(params, seed):
+        plans.append(random_plan(params, seed))
+        return plans[-1]
+
+    monkeypatch.setattr(oracle, "random_plan", recording)
+    assert all(c.passed for c in no_signaling_suite(plans_per_n=101, seed=0, ns=(3, 4)))
+    assert len({plan.name for plan in plans}) == len(plans) == 202
+    # plan 100 at n=3 and plan 0 at n=4 once shared a seed, and so every basis
+    assert plans[100].basis_for("") != plans[101].basis_for("")
 
 
 def test_no_signaling_suite_passes():

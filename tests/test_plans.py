@@ -22,7 +22,9 @@ from ghzdisc import (
     random_plan,
     spm_plan,
 )
-from ghzdisc.plans import MeasurementPlan, run_sum
+from ghzdisc.cli import _census_lines
+from ghzdisc.oracle import receiver_marginal
+from ghzdisc.plans import MeasurementPlan, expand, level_census, outcome_classes
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)
@@ -319,11 +321,27 @@ X_GRID = (Fraction(2, 3), Fraction(1, 2), Fraction(3, 7), Fraction(9, 10))
 
 
 def assert_spine_walk_matches_leaf_walk(params):
-    for plan in (cpm_plan(params), spm_plan(params)):
-        # the same rule as a chooser has no spine, so it is walked node by node
-        chooser_only = MeasurementPlan(params.m, plan.basis_for)
-        assert plan.spine is not None and chooser_only.spine is None
-        assert enumerate_branches(plan, params) == enumerate_branches(chooser_only, params)
+    for plan in (cpm_plan(params), spm_plan(params), random_plan(params, params.n)):
+        classes = outcome_classes(plan, params)
+        assert len(classes) == (params.m + 1 if plan.spine is not None else 2**params.m)
+        # the same rule as a chooser has no spine, so it is walked node by node; its
+        # records give plain per-leaf sums and counts
+        records = enumerate_branches(MeasurementPlan(params.m, plan.basis_for), params)
+        assert expand(classes) == records
+        marginal = (
+            sum(r.bob_state.amp0.sq() for r in records),
+            sum(r.bob_state.amp1.sq() for r in records),
+        )
+        assert receiver_marginal(classes) == marginal
+        levels = Counter(r.level for r in records)
+        assert level_census(classes) == levels
+        counts = Counter(r.leaf_class.value for r in records)
+        assert _census_lines(classes) == (
+            f"branches: {len(records)}\n"
+            f"level census: {' '.join(f'{k}:{levels[k]}' for k in sorted(levels))}\n"
+            f"class census: {' '.join(f'{k}:{counts[k]}' for k in sorted(counts))}\n"
+            f"total probability: {sum(r.probability for r in records)} (exact)\n"
+        )
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -342,13 +360,6 @@ def test_spine_walk_matches_leaf_walk_any_x(x_sq, n):
     assert_spine_walk_matches_leaf_walk(PlanParams(n, x_sq))
 
 
-def test_spine_walk_shares_class_objects():
-    records = enumerate_branches(spm_plan(P8), P8)
-    # two per spine node but the last (whose "0" child is a leaf), and the all-perp leaf
-    assert len({id(r.bob_state) for r in records}) == 2 * P8.m
-    assert len({id(r.probability) for r in records}) == P8.m + 1
-
-
 class TestPlanForm:
     def test_needs_one_rule(self):
         with pytest.raises(PlanError):
@@ -359,10 +370,3 @@ class TestPlanForm:
     def test_spine_length(self):
         with pytest.raises(PlanError):
             MeasurementPlan(3, spine=(PLUS_MINUS,) * 2)
-
-
-@given(st.lists(st.sampled_from([Fraction(1, 3), Fraction(-2, 7), Fraction(5)]), max_size=12))
-def test_run_sum(values):
-    shared = {value: value for value in values}  # adjacent equal values become one object
-    assert run_sum(shared[value] for value in values) == sum(values)
-    assert run_sum(Fraction(v.numerator, v.denominator) for v in values) == sum(values)
