@@ -82,14 +82,15 @@ def _plan_for(strategy: str, params: PlanParams):
     return cpm_plan(params) if strategy == "cpm" else spm_plan(params)
 
 
-def _branch_row(r) -> dict:
+def _branch_row(outcomes, probability, bob_state, leaf_class, level) -> dict:
+    """The table row of one leaf, from the fields of its `BranchRecord`."""
     return {
-        "outcomes": r.outcomes,
-        "probability": fraction_json(r.probability),
-        "class": r.leaf_class.value,
-        "level": r.level,
-        "bob_amp0": r.bob_state.amp0.to_json(),
-        "bob_amp1": r.bob_state.amp1.to_json(),
+        "outcomes": outcomes,
+        "probability": fraction_json(probability),
+        "class": leaf_class.value,
+        "level": level,
+        "bob_amp0": bob_state.amp0.to_json(),
+        "bob_amp1": bob_state.amp1.to_json(),
     }
 
 
@@ -108,26 +109,26 @@ def _csv_row(row: dict) -> list:
     ]
 
 
-def _json_tail(record) -> str:
-    """A record's JSON array element after its "outcomes" member: the
+def _json_tail(row: dict) -> str:
+    """A row's JSON array element after its "outcomes" member: the
     element is '{\n    "outcomes": "<bits>",' + this text."""
-    row = _branch_row(record)
     del row["outcomes"]
     return json.dumps(row, indent=2).replace("\n", "\n  ")[1:]
 
 
-def _csv_tail(record) -> str:
-    """A record's CSV line after its outcomes cell and comma."""
+def _csv_tail(row: dict) -> str:
+    """A row's CSV line after its outcomes cell and comma."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(_csv_row(_branch_row(record))[1:])
+    csv.writer(buffer, lineterminator="\n").writerow(_csv_row(row)[1:])
     return buffer.getvalue()
 
 
 def _rendered(classes, tail) -> Iterator[tuple[str, str]]:
-    """Each leaf's outcomes and `tail` of its record, with `tail`
+    """Each leaf's outcomes and `tail` of its row, with `tail`
     evaluated once per receiver state of a class."""
     for c in classes:
-        tails = [tail(c.record(c.head, parity)) for parity in range(len(c.states))]
+        rows = zip(c.states, c.leaf_classes)
+        tails = [tail(_branch_row(c.head, c.probability, s, lc, c.level)) for s, lc in rows]
         for outcomes, parity in c.outcomes():
             yield outcomes, tails[parity]
 
@@ -137,7 +138,7 @@ def _census_lines(classes) -> str:
     counts: Counter[str] = Counter()
     for c in classes:
         for leaf_class in c.leaf_classes:
-            counts[leaf_class.value] += 2**c.depth // len(c.leaf_classes)
+            counts[leaf_class.value] += c.per_state
     level_text = " ".join(f"{k}:{levels[k]}" for k in sorted(levels))
     class_text = " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
     total = sum((c.summed(c.probability) for c in classes), Fraction(0))
@@ -154,7 +155,7 @@ def cmd_enumerate(args) -> int:
     classes = outcome_classes(_plan_for(args.strategy, params), params)
     sys.stdout.write(_census_lines(classes))
     # outcomes are bit strings, so neither format quotes or escapes them; the JSON
-    # bytes equal json.dumps([_branch_row(r) for r in expand(classes)], indent=2) + "\n"
+    # bytes equal json.dumps of the `_branch_row`s of `enumerate_branches`, indent=2, + "\n"
     with _output(args.out) as handle:
         if args.format == "csv":
             csv.writer(handle, lineterminator="\n").writerow(_CSV_HEADER)

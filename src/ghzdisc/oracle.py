@@ -22,7 +22,6 @@ from .plans import (
     PlanParams,
     constants,
     cpm_plan,
-    expand,
     level_census,
     outcome_classes,
     spm_plan,
@@ -126,7 +125,6 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
     checks: list[Check] = []
     cascade = constants(params)
     classes = outcome_classes(spm_plan(params), params)
-    records = expand(classes)
     m = params.m
 
     if params.n == 8 and params.x_sq == Fraction(2, 3):
@@ -146,26 +144,26 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
             "/".join(str(2 ** (m - level)) for level in range(1, m + 1)) + "/1",
         )
     )
-    checks.append(_exact("probability_total", sum(r.probability for r in records), Fraction(1)))
+    checks.append(_exact("probability_total", sum(c.summed(c.probability) for c in classes), 1))
 
+    mu = (LeafClass.MU_PLUS, LeafClass.MU_MINUS)
+    # the all-perp leaf (level m + 1) has no stage prefactor, though at x^2 = 1/2 it is mu
     prefactors_ok = all(
-        record.probability == Fraction(1, 2 ** (m - record.level + 1)) * 1 / cascade.T_sq[record.level - 1]
-        for record in records
-        if record.leaf_class in (LeafClass.MU_PLUS, LeafClass.MU_MINUS)
+        c.probability == Fraction(1, 2 ** (m - c.level + 1)) * 1 / cascade.T_sq[c.level - 1]
+        for c in classes
+        if c.level <= m and any(leaf_class in mu for leaf_class in c.leaf_classes)
     )
     checks.append(_exact("mu_leaf_prefactors", prefactors_ok, True))
 
-    mu_total = sum(
-        r.probability for r in records if r.leaf_class in (LeafClass.MU_PLUS, LeafClass.MU_MINUS)
-    )
-    eta_total = sum(r.probability for r in records if r.leaf_class is LeafClass.ETA)
+    weights = [(lc, c.probability * c.per_state) for c in classes for lc in c.leaf_classes]
+    mu_total = sum(w for lc, w in weights if lc in mu)
+    eta_total = sum(w for lc, w in weights if lc is LeafClass.ETA)
     if params.n == 8 and params.x_sq == Fraction(2, 3):
         checks.append(_approx("mu_probability", mu_total, "0.75", "1e-37"))
         checks.append(_approx("eta_probability", eta_total, "0.25", "1e-37"))
 
-        checks.append(
-            _exact("eta_leaf_matches_enumeration", records[-1].bob_state, cascade.eta_leaf)
-        )
+        # the spine walk ends at the all-perp leaf, a class of depth 0
+        checks.append(_exact("eta_leaf_matches_enumeration", classes[-1].states[0], cascade.eta_leaf))
         p0, p1 = bob_distribution(cascade.eta_leaf)
         checks.append(_approx("eta_bias_u", p1 / p0, "1.7e38", "1.7e36"))
 

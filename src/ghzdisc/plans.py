@@ -14,7 +14,7 @@ the class slopes.  Both strategies are spine plans: one basis per
 all-"1" history, {|+>, |->} after the first "0".  `outcome_classes`
 walks the tree into classes (a leaf, or the two-state subtree below a
 spine plan's "0" child), each distinct state classified exactly against
-those slopes; `enumerate_branches` expands them into one record per leaf.
+those slopes; `enumerate_branches` expands them into per-leaf records.
 """
 
 from __future__ import annotations
@@ -221,9 +221,10 @@ class OutcomeClass(NamedTuple):
             # bin(2^depth + i) is "0b1" and then the suffix, padded to `depth` bits
             yield self.head + bin(i | 1 << self.depth)[3:], i.bit_count() & 1
 
-    def record(self, outcomes: str, parity: int) -> BranchRecord:
-        state, leaf_class = self.states[parity], self.leaf_classes[parity]
-        return BranchRecord(outcomes, self.probability, state, leaf_class, self.level)
+    @property
+    def per_state(self) -> int:
+        """Leaves per entry of `states` (the parities split 2^depth evenly)."""
+        return 2**self.depth // len(self.states)
 
     def summed(self, value: Fraction) -> Fraction:
         """`value` added over the class's 2^depth leaves."""
@@ -281,14 +282,13 @@ def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeCl
     return classes
 
 
-def expand(classes: list[OutcomeClass]) -> list[BranchRecord]:
-    """One record per leaf of `classes`, in order."""
-    return [c.record(outcomes, parity) for c in classes for outcomes, parity in c.outcomes()]
-
-
 def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[BranchRecord]:
-    """All 2^m leaves of the outcome tree, in lexicographic outcome order."""
-    return expand(outcome_classes(plan, params))
+    """All 2^m leaves as records, in lexicographic order: the per-leaf test oracle."""
+    return [
+        BranchRecord(outcomes, c.probability, c.states[parity], c.leaf_classes[parity], c.level)
+        for c in outcome_classes(plan, params)
+        for outcomes, parity in c.outcomes()
+    ]
 
 
 def level_census(classes: list[OutcomeClass]) -> Counter[int]:

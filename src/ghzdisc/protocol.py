@@ -8,7 +8,8 @@ is a uniform 256-bit integer k: the rarest branch probabilities are far
 below 64-bit resolution, so all 256 bits are kept.  For integer k and
 rational p, k < p * 2**256 exactly when k < ceil(p * 2**256), so every
 threshold is stored as that exact integer cut point and each inverse-CDF
-decision is one comparison of ints of at most 257 bits.
+decision is one comparison of ints of at most 257 bits.  A state's first
+draw picks one of a plan's outcome classes, not one of its 2^m leaves.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from fractions import Fraction
 
 from .engine import bob_distribution
 from .plans import (
-    BranchRecord,
     LeafClass,
     MeasurementPlan,
+    OutcomeClass,
+    PlanError,
     PlanParams,
     constants,
     cpm_plan,
-    expand,
     outcome_classes,
     spm_plan,
 )
@@ -81,32 +82,31 @@ class CounterStream:
 
 
 class LeafSampler:
-    """Inverse-CDF sampler over the enumerated leaves of a plan.
-
-    Per leaf it keeps the integer cut points of the cumulative
-    probability and of the receiver's p0, so the hot loop bisects and
-    compares ints of at most 257 bits.
-    """
+    """Inverse-CDF sampler over the outcome classes of a plan: per class,
+    the cut points of the cumulative probability at its last leaf (a
+    subset of the per-leaf cuts, so bisection picks the class holding the
+    leaf per-leaf bisection would) and of the receiver's p0.  A draw feeds
+    an output only through p0 and eta-ness, which a class's leaves share."""
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
         self.classes = outcome_classes(plan, params)
-        self.records = expand(self.classes)
         cumulative = Fraction(0)
         self._cuts: list[int] = []
-        for record in self.records:
-            cumulative += record.probability
-            self._cuts.append(_cut(cumulative))
-        assert cumulative == 1
         self._p0_cuts: list[int] = []
-        # a class's states differ only in amp1's sign, so they share p0
         for c in self.classes:
-            self._p0_cuts += [_cut(bob_distribution(c.states[0])[0])] * 2**c.depth
+            if len({leaf_class is LeafClass.ETA for leaf_class in c.leaf_classes}) > 1:
+                raise PlanError(f"cannot sample class {c.head!r}: it mixes eta and non-eta leaves")
+            cumulative += c.summed(c.probability)
+            self._cuts.append(_cut(cumulative))
+            # a class's states differ only in amp1's sign, so they share p0
+            self._p0_cuts.append(_cut(bob_distribution(c.states[0])[0]))
+        assert cumulative == 1
 
-    def sample(self, stream: CounterStream) -> tuple[BranchRecord, int]:
-        """Draw one leaf and the receiver's computational-basis bit."""
+    def sample(self, stream: CounterStream) -> tuple[OutcomeClass, int]:
+        """Draw one outcome class and the receiver's computational-basis bit."""
         i = bisect_right(self._cuts, stream.next_int())
         bob_bit = 0 if stream.next_int() < self._p0_cuts[i] else 1
-        return self.records[i], bob_bit
+        return self.classes[i], bob_bit
 
 
 def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
@@ -181,8 +181,8 @@ def _run_trial(
         for s in range(config.per_group):
             stream = group_stream.child(s)
             sampler = fixed or (spm if stream.next_int() < half else cpm)
-            record, bob_bit = sampler.sample(stream)
-            if record.leaf_class is eta:
+            drawn, bob_bit = sampler.sample(stream)
+            if drawn.leaf_classes[0] is eta:
                 eta_hits += 1
             ones += bob_bit
         zeros = config.per_group - ones

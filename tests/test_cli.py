@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,17 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_traced(argv, capsys):
+    """`run`, and the peak of memory traced by `tracemalloc` meanwhile."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().out, peak
 
 
 class TestEnumerate:
@@ -104,7 +116,10 @@ def test_rows_rendered_per_class(n, tmp_path):
     for x_sq in ("2/3", "1/2", "3/7", "9/10"):
         params = PlanParams(n, Fraction(x_sq))
         for strategy, plan_maker in (("cpm", cpm_plan), ("spm", spm_plan)):
-            rows = [_branch_row(r) for r in enumerate_branches(plan_maker(params), params)]
+            rows = [
+                _branch_row(r.outcomes, r.probability, r.bob_state, r.leaf_class, r.level)
+                for r in enumerate_branches(plan_maker(params), params)
+            ]
             argv = ["enumerate", "--strategy", strategy, "--qubits", str(n), "--x-sq", x_sq]
             assert main([*argv, "--out", str(tmp_path / "t.json")]) == 0
             assert (tmp_path / "t.json").read_text() == json.dumps(rows, indent=2) + "\n"
@@ -205,6 +220,25 @@ class TestMarginal:
         assert "Traceback" not in err and "Exception ignored" not in err
 
 
+# 2^17 leaves at n = 18; the samplers and the checkpoint read its 18 outcome
+# classes, where one record per leaf would take tens of MiB
+class TestLargeChain:
+    def test_simulate_builds_no_records(self, capsys):
+        argv = ["simulate", "--qubits", "18", "--seed", "1", "--trials", "1", "--groups", "2",
+                "--per-group", "10"]
+        code, stdout, peak = run_traced(argv, capsys)
+        assert code == 0
+        p1 = json.loads(stdout)["summary"]["oracle_p1"]
+        assert Fraction(int(p1["num"]), int(p1["den"])) == Fraction(1, 2)
+        assert peak < 4 * 2**20
+
+    def test_verify_builds_no_records(self, capsys):
+        code, stdout, peak = run_traced(["verify", "--qubits", "18", "--random-plans", "0"], capsys)
+        assert code == 0
+        assert "FAIL" not in stdout
+        assert peak < 4 * 2**20
+
+
 class TestVerify:
     def test_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -286,11 +320,11 @@ class TestOutputErrors:
         real_row = cli._branch_row
         rows = []
 
-        def failing_row(record):
-            rows.append(record)
+        def failing_row(*fields):
+            rows.append(fields)
             if len(rows) == 3:
                 raise RuntimeError("row failed")
-            return real_row(record)
+            return real_row(*fields)
 
         monkeypatch.setattr(cli, "_branch_row", failing_row)
         with pytest.raises(RuntimeError):

@@ -47,6 +47,13 @@ class TestBobMarginal:
         assert peak < 4 * 2**20
 
 
+# at x^2 = 1/2 the all-perp leaf, at level m + 1, is classified mu+ or mu-
+@pytest.mark.parametrize("n", range(3, 10))
+def test_checkpoint_passes_at_symmetric_coefficient(n):
+    checks = checkpoint_report(PlanParams(n, Fraction(1, 2)))
+    assert [c.name for c in checks if not c.passed] == []
+
+
 class TestRandomPlan:
     def test_bases_orthonormal_and_deterministic(self):
         plan = random_plan(P8, 17)

@@ -24,7 +24,7 @@ from ghzdisc import (
 )
 from ghzdisc.cli import _census_lines
 from ghzdisc.oracle import receiver_marginal
-from ghzdisc.plans import MeasurementPlan, expand, level_census, outcome_classes
+from ghzdisc.plans import MeasurementPlan, level_census, outcome_classes
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)
@@ -327,7 +327,7 @@ def assert_spine_walk_matches_leaf_walk(params):
         # the same rule as a chooser has no spine, so it is walked node by node; its
         # records give plain per-leaf sums and counts
         records = enumerate_branches(MeasurementPlan(params.m, plan.basis_for), params)
-        assert expand(classes) == records
+        assert enumerate_branches(plan, params) == records
         marginal = (
             sum(r.bob_state.amp0.sq() for r in records),
             sum(r.bob_state.amp1.sq() for r in records),
@@ -358,6 +358,30 @@ def test_spine_walk_matches_leaf_walk(n):
 @example(Fraction(1, 2), 8)
 def test_spine_walk_matches_leaf_walk_any_x(x_sq, n):
     assert_spine_walk_matches_leaf_walk(PlanParams(n, x_sq))
+
+
+def assert_builtin_classes_agree_on_eta(params):
+    for plan in (cpm_plan(params), spm_plan(params)):
+        for c in outcome_classes(plan, params):
+            assert len({lc is LeafClass.ETA for lc in c.leaf_classes}) == 1, (plan, c.head)
+
+
+# the sampler draws a class, so a class's leaves must all be eta or all not be
+@pytest.mark.parametrize("n", range(3, 17))
+def test_builtin_classes_agree_on_eta(n):
+    for x_sq in X_GRID:
+        assert_builtin_classes_agree_on_eta(PlanParams(n, x_sq))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40),
+    st.integers(min_value=3, max_value=16),
+)
+@example(Fraction(1, 2), 8)
+@example(Fraction(1, 2), 9)
+def test_builtin_classes_agree_on_eta_any_x(x_sq, n):
+    assert_builtin_classes_agree_on_eta(PlanParams(n, x_sq))
 
 
 class TestPlanForm:

@@ -3,8 +3,13 @@ from fractions import Fraction
 import pytest
 
 from ghzdisc import (
+    PLUS_MINUS,
+    Basis,
     CounterStream,
+    ExactAmplitude,
+    LeafClass,
     LeafSampler,
+    PlanError,
     PlanParams,
     ProtocolConfig,
     Strategy,
@@ -13,11 +18,13 @@ from ghzdisc import (
     constants,
     cpm_plan,
     discriminate,
+    enumerate_branches,
     random_plan,
     run_protocol,
     spm_plan,
     w_statistic,
 )
+from ghzdisc.plans import MeasurementPlan, outcome_classes
 from ghzdisc.protocol import RESOLUTION_BITS
 
 P8 = PlanParams(8)
@@ -115,19 +122,31 @@ def test_w_statistic_matches_closed_form(n, x_sq):
 class TestLeafSampler:
     def test_cdf_covers_unit_interval(self):
         sampler = LeafSampler(spm_plan(P8), P8)
+        # one cut per outcome class: m + 1 for a spine plan, not 2^m
+        assert len(sampler._cuts) == len(sampler._p0_cuts) == P8.m + 1
         assert sampler._cuts[-1] == 1 << RESOLUTION_BITS
         assert all(a <= b for a, b in zip(sampler._cuts, sampler._cuts[1:]))
 
     def test_outcome_distribution_smoke(self):
         sampler = LeafSampler(spm_plan(P8), P8)
+        # level 1 has exact probability 1/2
+        assert sum(c.summed(c.probability) for c in sampler.classes if c.level == 1) == Fraction(1, 2)
         hits = 0
         n = 4000
         for i in range(n):
-            record, _ = sampler.sample(CounterStream(42, i))
-            if record.level == 1:
+            drawn, _ = sampler.sample(CounterStream(42, i))
+            if drawn.level == 1:
                 hits += 1
-        # level 1 has exact probability 1/2
         assert abs(hits / n - 0.5) < 0.04
+
+    def test_rejects_class_split_on_eta(self):
+        # this first basis puts the even leaf below "0" on the eta direction and the odd one off it
+        params = PlanParams(4)
+        first = Basis(ExactAmplitude(1, Fraction(1, 129)), ExactAmplitude(-1, Fraction(128, 129)))
+        plan = MeasurementPlan(3, spine=(first, PLUS_MINUS, PLUS_MINUS))
+        assert outcome_classes(plan, params)[0].leaf_classes == (LeafClass.ETA, LeafClass.OTHER)
+        with pytest.raises(PlanError, match="mixes eta and non-eta leaves"):
+            LeafSampler(plan, params)
 
     def test_uniform_plan_bit_balance(self):
         sampler = LeafSampler(cpm_plan(P8), P8)
@@ -188,14 +207,29 @@ def _around(num, den):
 _EDGE_DRAWS = (0, (1 << RESOLUTION_BITS) - 1)
 
 
+def _holds(c, record):
+    """Whether outcome class `c` holds the leaf of `record`: the leaf has
+    the class's head, level, probability and eta-ness, and one of its
+    receiver states."""
+    return (
+        record.outcomes.startswith(c.head)
+        and record.level == c.level
+        and record.probability == c.probability
+        and all((lc is LeafClass.ETA) == (record.leaf_class is LeafClass.ETA) for lc in c.leaf_classes)
+        and record.bob_state in c.states
+    )
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
 @pytest.mark.parametrize("x_sq", [Fraction(2, 3), Fraction(3, 7)])
 @pytest.mark.parametrize("plan_for", [cpm_plan, spm_plan, lambda p: random_plan(p, 11)],
                          ids=["cpm", "spm", "random"])
 def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
     params = PlanParams(n, x_sq)
-    sampler = LeafSampler(plan_for(params), params)
-    records = sampler.records
+    plan = plan_for(params)
+    sampler = LeafSampler(plan, params)
+    # the same rule as a chooser is walked node by node, one record per leaf
+    records = enumerate_branches(MeasurementPlan(params.m, plan.basis_for), params)
     tables = _reference_tables(records)
     cum, p0s = tables
     pairs = [(k, j) for k in _EDGE_DRAWS for j in _EDGE_DRAWS]
@@ -212,7 +246,7 @@ def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
     for k, j in pairs:
         got, bit = sampler.sample(_Draws(k, j))
         want, want_bit = _sample_reference(records, tables, _Draws(k, j))
-        assert got is want and bit == want_bit, (k, j)
+        assert _holds(got, want) and bit == want_bit, (k, j)
 
 
 class TestRunProtocol:
