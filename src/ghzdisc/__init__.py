@@ -1,6 +1,6 @@
 """Exact-arithmetic simulator for adaptive measurement cascades on GHZ chains."""
 
-from .amplitude import AMP_ONE, AMP_ZERO, SQRT_HALF, AmplitudeError, ExactAmplitude
+from .amplitude import AmplitudeError, ExactAmplitude
 from .engine import (
     PLUS_MINUS,
     Basis,

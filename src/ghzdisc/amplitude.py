@@ -1,14 +1,17 @@
-"""Exact arithmetic for real numbers of the form sign * sqrt(rational).
+"""Exact amplitudes of the form sign * sqrt(q), q rational.
 
-Every amplitude the measurement cascade produces has this shape: basis
-coefficients are square roots of rationals, and measurement only ever
-multiplies amplitudes, so the form is closed.  Sums are only ever taken
-over squared magnitudes, which are plain rationals.
+Every amplitude of the cascade has this shape, and the cascade only
+multiplies and negates amplitudes and sums their squares, so it holds
+each one as the signed rational sigma = sign * q: sigma1 * sigma2 is the
+product, -sigma the negation and |sigma| the Born weight.
+`ExactAmplitude` is the sign/magnitude form, the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +22,8 @@ class AmplitudeError(ValueError):
 
 @dataclass(frozen=True)
 class ExactAmplitude:
-    """Value sign * sqrt(mag_sq) with mag_sq a nonnegative rational.
+    """Value sign * sqrt(mag_sq) with mag_sq a nonnegative rational: the
+    reference form of the signed rational sign * mag_sq.
 
     Immutable; mag_sq is kept in lowest terms (Fraction does this
     eagerly), and sign is 0 exactly when the value is 0.
@@ -56,34 +60,16 @@ class ExactAmplitude:
     def __neg__(self) -> "ExactAmplitude":
         return ExactAmplitude(-self.sign, self.mag_sq)
 
-    def __float__(self) -> float:
-        # Reporting convenience only.
-        return self.sign * fraction_float(self.mag_sq, root=True)
-
-    def to_json(self) -> dict:
-        """Exact fields are authoritative; the float is a convenience."""
-        return {
-            "sign": self.sign,
-            "num": str(self.mag_sq.numerator),
-            "den": str(self.mag_sq.denominator),
-            "float": float(self),
-        }
-
-
-AMP_ZERO = ExactAmplitude(0, Fraction(0))
-AMP_ONE = ExactAmplitude(1, Fraction(1))
-SQRT_HALF = ExactAmplitude(1, Fraction(1, 2))
-
 
 def fraction_float(value: Fraction, root: bool = False) -> float:
-    """Double of a rational, or with `root` of the square root of its
-    magnitude; exponent-safe.  The rational is scaled by 2**-e into
-    [1/4, 2) before the conversion, with e even for the root, so the
-    root of a magnitude below the double range (2**-2100, say) is kept.
-    A normal result is the nearest double.  A subnormal one (below
-    2**-1022) is rounded twice, to a 53-bit quotient and again by
-    `ldexp`, so it can be one unit in the last place from the nearest;
-    the pinned tables hold such floats, so this is kept as it is."""
+    """Double of a rational, or with `root` of sign * sqrt(|value|);
+    exponent-safe.  The rational is scaled by 2**-e into [1/4, 2) before
+    the conversion, with e even for the root, so the root of a magnitude
+    below the double range (2**-2100, say) is kept.  A normal result is
+    the nearest double.  A subnormal one (below 2**-1022) is rounded
+    twice, to a 53-bit quotient and again by `ldexp`, so it can be one
+    unit in the last place from the nearest; the pinned tables hold such
+    floats, so this is kept as it is."""
     if value == 0:
         return 0.0
     n, d = abs(value.numerator), value.denominator
@@ -102,3 +88,28 @@ def fraction_json(value: Fraction) -> dict:
         "den": str(value.denominator),
         "float": fraction_float(value),
     }
+
+
+def amplitude_json(sigma: Fraction) -> dict:
+    """The amplitude sign(sigma) * sqrt(|sigma|); the float is a convenience."""
+    num = sigma.numerator
+    return {
+        "sign": (num > 0) - (num < 0),
+        "num": str(abs(num)),
+        "den": str(sigma.denominator),
+        "float": fraction_float(sigma, root=True),
+    }
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int-to-str digit limit (4300 by default; exact rationals of
+    deep trees have more digits) until exit, on Pythons that have one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator
 
-from .amplitude import fraction_float, fraction_json
+from .amplitude import amplitude_json, fraction_float, fraction_json, unlimited_int_digits
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite, receiver_marginal
 from .plans import (
     PlanParams,
@@ -89,8 +89,8 @@ def _branch_row(outcomes, probability, bob_state, leaf_class, level) -> dict:
         "probability": fraction_json(probability),
         "class": leaf_class.value,
         "level": level,
-        "bob_amp0": bob_state.amp0.to_json(),
-        "bob_amp1": bob_state.amp1.to_json(),
+        "bob_amp0": amplitude_json(bob_state.amp0),
+        "bob_amp1": amplitude_json(bob_state.amp1),
     }
 
 
@@ -356,14 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # exact rationals of deep trees (spm n=16) have more digits than Python's default
-    # int-to-str limit of 4300
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        with unlimited_int_digits():
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
         return code
     except (PlanError, ValueError) as exc:
         parser.error(str(exc))
@@ -371,9 +367,6 @@ def main(argv=None) -> int:
         # the reader closed stdout (e.g. `| head`): drop what is still buffered
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """GHZ-span states and single-qubit projective measurement.
 
 States stay in the two-dimensional span {|0...0>, |1...1>} by
-construction, so a state is just two exact amplitudes plus a qubit
-count.  Amplitudes are kept unnormalized: the squared norm of a branch
-equals the cumulative probability of the outcome history that produced
-it.
+construction, so a state is just two exact amplitudes, each held as its
+signed square (see `amplitude`), plus a qubit count.  Amplitudes are
+kept unnormalized: the squared norm of a branch equals the cumulative
+probability of the outcome history that produced it.
 """
 
 from __future__ import annotations
@@ -12,28 +12,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amplitude import ExactAmplitude, SQRT_HALF
-
 
 class MeasurementError(ValueError):
     """Invalid state or basis for a measurement operation."""
 
 
+def _coerce(record, *fields: str) -> None:
+    """Make each named field a Fraction: no int or float enters the walk."""
+    for field in fields:
+        value = getattr(record, field)
+        if not isinstance(value, Fraction):
+            object.__setattr__(record, field, Fraction(value))
+
+
 @dataclass(frozen=True)
 class Basis:
-    """Orthonormal single-qubit pair: c0|0> + c1|1> and c1|0> - c0|1>."""
+    """Orthonormal pair c0|0> + c1|1>, c1|0> - c0|1> (as signed squares)."""
 
-    c0: ExactAmplitude
-    c1: ExactAmplitude
+    c0: Fraction
+    c1: Fraction
 
     def __post_init__(self) -> None:
-        if self.c0.sq() + self.c1.sq() != 1:
-            raise MeasurementError(
-                f"basis is not normalized: c0^2 + c1^2 = {self.c0.sq() + self.c1.sq()}"
-            )
+        _coerce(self, "c0", "c1")
+        norm = abs(self.c0) + abs(self.c1)
+        if norm != 1:
+            raise MeasurementError(f"basis is not normalized: c0^2 + c1^2 = {norm}")
 
 
-PLUS_MINUS = Basis(SQRT_HALF, SQRT_HALF)
+PLUS_MINUS = Basis(Fraction(1, 2), Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -41,25 +47,26 @@ class ChainState:
     """Unnormalized amp0|0...0> + amp1|1...1> over `remaining` qubits."""
 
     remaining: int
-    amp0: ExactAmplitude
-    amp1: ExactAmplitude
+    amp0: Fraction
+    amp1: Fraction
 
     def __post_init__(self) -> None:
         if self.remaining < 1:
             raise MeasurementError(f"need at least one qubit, got {self.remaining}")
-        norm = self.amp0.sq() + self.amp1.sq()
+        _coerce(self, "amp0", "amp1")
+        norm = self.norm_sq()
         if not 0 < norm <= 1:
             raise MeasurementError(f"squared norm must be in (0, 1], got {norm}")
 
     def norm_sq(self) -> Fraction:
-        return self.amp0.sq() + self.amp1.sq()
+        return abs(self.amp0) + abs(self.amp1)
 
 
 def ghz_state(n: int) -> ChainState:
     """(|0...0> + |1...1>)/sqrt(2) over n qubits."""
     if n < 2:
         raise MeasurementError(f"a shared chain needs at least 2 qubits, got {n}")
-    return ChainState(n, SQRT_HALF, SQRT_HALF)
+    return ChainState(n, Fraction(1, 2), Fraction(1, 2))
 
 
 def measure_next(state: ChainState, basis: Basis) -> tuple[ChainState, ChainState]:
@@ -79,4 +86,4 @@ def bob_distribution(state: ChainState) -> tuple[Fraction, Fraction]:
     if state.remaining != 1:
         raise MeasurementError(f"expected a single remaining qubit, got {state.remaining}")
     norm = state.norm_sq()
-    return state.amp0.sq() / norm, state.amp1.sq() / norm
+    return abs(state.amp0) / norm, abs(state.amp1) / norm

@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amplitude import ExactAmplitude, fraction_float
+from .amplitude import fraction_float, unlimited_int_digits
 from .engine import Basis, bob_distribution
 from .plans import (
     LeafClass,
@@ -33,8 +33,8 @@ def receiver_marginal(classes) -> tuple[Fraction, Fraction]:
     """Receiver's exact computational-basis marginal over the leaves of
     `classes`; the states of a class share both squared amplitudes."""
     return (
-        sum((c.summed(c.states[0].amp0.sq()) for c in classes), Fraction(0)),
-        sum((c.summed(c.states[0].amp1.sq()) for c in classes), Fraction(0)),
+        sum((c.summed(abs(c.states[0].amp0)) for c in classes), Fraction(0)),
+        sum((c.summed(abs(c.states[0].amp1)) for c in classes), Fraction(0)),
     )
 
 
@@ -57,7 +57,7 @@ def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:
         t = Fraction(int.from_bytes(digest[:8], "big") % (2**64 - 1) + 1, 2**64)
         s0 = 1 if digest[8] & 1 else -1
         s1 = 1 if digest[9] & 1 else -1
-        return Basis(ExactAmplitude(s0, t), ExactAmplitude(s1, 1 - t))
+        return Basis(s0 * t, s1 * (1 - t))
 
     return MeasurementPlan(params.m, chooser, name=f"random-{seed}")
 
@@ -121,6 +121,7 @@ def telescoping_t_sq(params: PlanParams) -> Fraction:
     return (r**e - r**-e) / (r - 1 / r)
 
 
+@unlimited_int_digits()  # the exact fields of deep trees outgrow the int-to-str limit
 def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
     checks: list[Check] = []
     cascade = constants(params)

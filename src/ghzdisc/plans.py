@@ -28,14 +28,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
-from .amplitude import ExactAmplitude
-from .engine import (
-    PLUS_MINUS,
-    Basis,
-    ChainState,
-    ghz_state,
-    measure_next,
-)
+from .engine import PLUS_MINUS, Basis, ChainState, ghz_state, measure_next
 
 
 class PlanError(ValueError):
@@ -133,7 +126,7 @@ class CascadeConstants:
         coefficients equal (r^e, r^-e)/F_{k+1} with e = 2^(k-1)."""
         r = self.params.ratio
         return tuple(
-            Basis(ExactAmplitude.sqrt(s / (1 + s)), ExactAmplitude.sqrt(1 / (1 + s)))
+            Basis(s / (1 + s), 1 / (1 + s))
             for s in (r ** 2**k for k in range(self.params.m))
         )
 
@@ -144,11 +137,8 @@ class CascadeConstants:
         e = 2 ** (m - 1)
         two_t_sq = 2 * self.T_sq[-1]
         # the relative sign of the all-perp leaf alternates with the stage count
-        return ChainState(
-            1,
-            ExactAmplitude(1, y_sq**e / (x_sq ** (e - 1) * two_t_sq)),
-            ExactAmplitude(-1 if m % 2 else 1, x_sq**e / (y_sq ** (e - 1) * two_t_sq)),
-        )
+        amp1 = x_sq**e / (y_sq ** (e - 1) * two_t_sq)
+        return ChainState(1, y_sq**e / (x_sq ** (e - 1) * two_t_sq), -amp1 if m % 2 else amp1)
 
     @cached_property
     def slopes(self) -> tuple[tuple[Fraction, LeafClass], ...]:
@@ -232,12 +222,11 @@ class OutcomeClass(NamedTuple):
 
 
 def _slope(state: ChainState) -> Fraction | None:
-    """Signed a1/a0 of a single-qubit state, squared: equal slopes mean
-    equal directions up to global sign; None when a0 = 0."""
-    a0, a1 = state.amp0, state.amp1
-    if a0.sign == 0:
+    """Signed a1/a0 of a single-qubit state, squared (amp1 / amp0): equal
+    slopes mean equal directions up to global sign; None when a0 = 0."""
+    if state.amp0 == 0:
         return None
-    return a0.sign * a1.sign * (a1.sq() / a0.sq())
+    return state.amp1 / state.amp0
 
 
 def classify(state: ChainState, cascade: CascadeConstants) -> LeafClass:

@@ -75,11 +75,6 @@ class CounterStream:
         stream._counter = 0
         return stream
 
-    def below(self, p: Fraction) -> bool:
-        """True with probability p (up to 2**-RESOLUTION_BITS), exactly
-        compared as rationals."""
-        return self.next_int() < _cut(p)
-
 
 class LeafSampler:
     """Inverse-CDF sampler over the outcome classes of a plan: per class,
@@ -117,7 +112,7 @@ def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
         raise ValueError(f"count must be in 0..{per_group}, got {l}")
     if l == per_group:
         raise ZeroDivisionError("every state hit the exceptional leaf; the ratio is infinite")
-    eta_weight = constants(params).eta_leaf.amp1.sq()
+    eta_weight = abs(constants(params).eta_leaf.amp1)
     return l * eta_weight / ((per_group - l) * params.x_sq / 2**params.m)
 
 
@@ -226,7 +221,7 @@ def discriminate(config: ProtocolConfig) -> DiscriminationReport:
     }
     for t in range(config.trials):
         coin = CounterStream(config.seed, _DOMAIN_TRUTH, t)
-        truth = Strategy.SPM if coin.below(_HALF) else Strategy.CPM
+        truth = Strategy.SPM if coin.next_int() < _cut(_HALF) else Strategy.CPM
         result = _run_trial(config, samplers, t, truth)
         confusion[truth.value][result.decision.value] += 1
         trials.append(DiscriminationTrial(truth, result))

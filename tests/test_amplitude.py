@@ -6,8 +6,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ghzdisc import AMP_ONE, AMP_ZERO, SQRT_HALF, AmplitudeError, ExactAmplitude
-from ghzdisc.amplitude import fraction_float
+from ghzdisc import (
+    AmplitudeError,
+    ExactAmplitude,
+    PlanParams,
+    cpm_plan,
+    ghz_state,
+    measure_next,
+    random_plan,
+    spm_plan,
+)
+from ghzdisc.amplitude import amplitude_json, fraction_float
 
 X = ExactAmplitude(1, Fraction(2, 3))
 Y = ExactAmplitude(1, Fraction(1, 3))
@@ -18,7 +27,7 @@ def amps(max_den=50):
     signs = st.sampled_from([-1, 1])
 
     def build(sign, mag):
-        return AMP_ZERO if mag == 0 else ExactAmplitude(sign, mag)
+        return ExactAmplitude(0, 0) if mag == 0 else ExactAmplitude(sign, mag)
 
     return st.builds(build, signs, mags)
 
@@ -31,10 +40,12 @@ class TestFromSq:
         assert X.mag_sq == Fraction(2, 3)
 
     def test_zero(self):
-        assert ExactAmplitude(0, 0) == AMP_ZERO
+        zero = ExactAmplitude(0, 0)
+        assert zero == ExactAmplitude(0, Fraction(0))
+        assert type(zero.mag_sq) is Fraction
 
     def test_ghz_coefficient(self):
-        assert ExactAmplitude(1, Fraction(1, 2)) == SQRT_HALF
+        assert ExactAmplitude.sqrt(Fraction(1, 2)) == ExactAmplitude(1, Fraction(1, 2))
 
     def test_lowest_terms(self):
         a = ExactAmplitude(1, Fraction(4, 6))
@@ -60,10 +71,11 @@ class TestMul:
         assert X * Y == ExactAmplitude(1, Fraction(2, 9))
 
     def test_zero_absorbs(self):
-        assert X * AMP_ZERO == AMP_ZERO
+        assert X * ExactAmplitude(0, 0) == ExactAmplitude(0, 0)
 
     def test_sqrt_half_squared(self):
-        assert SQRT_HALF * SQRT_HALF == ExactAmplitude(1, Fraction(1, 4))
+        half = ExactAmplitude(1, Fraction(1, 2))
+        assert half * half == ExactAmplitude(1, Fraction(1, 4))
 
     def test_sign_product(self):
         assert (-X) * Y == ExactAmplitude(-1, Fraction(2, 9))
@@ -78,11 +90,11 @@ class TestSq:
         assert ExactAmplitude(1, Fraction(1, 128)).sq() == Fraction(1, 128)
 
     def test_zero(self):
-        assert AMP_ZERO.sq() == 0
+        assert ExactAmplitude(0, 0).sq() == 0
 
 
 def test_no_underflow_long_product():
-    product = AMP_ONE
+    product = ExactAmplitude(1, 1)
     for _ in range(200):
         product = product * Y
     assert product.sq().numerator == 1
@@ -90,13 +102,13 @@ def test_no_underflow_long_product():
 
 
 def test_float_accessor():
-    assert float(ExactAmplitude(1, Fraction(1, 4))) == 0.5
-    assert float(AMP_ZERO) == 0.0
-    assert float(ExactAmplitude(-1, Fraction(1, 4))) == -0.5
-    tiny = ExactAmplitude(1, Fraction(1, 3**200))
-    assert abs(float(tiny) / 3.0**-100 - 1) < 1e-12
-    tinier = ExactAmplitude(1, Fraction(1, 2**2000))
-    assert float(tinier) > 0
+    # the amplitude sign * sqrt(q) is held as the signed rational sign * q
+    assert amplitude_json(Fraction(1, 4)) == {"sign": 1, "num": "1", "den": "4", "float": 0.5}
+    assert amplitude_json(Fraction(0)) == {"sign": 0, "num": "0", "den": "1", "float": 0.0}
+    assert amplitude_json(Fraction(-1, 4)) == {"sign": -1, "num": "1", "den": "4", "float": -0.5}
+    tiny = amplitude_json(Fraction(1, 3**200))["float"]
+    assert abs(tiny / 3.0**-100 - 1) < 1e-12
+    assert amplitude_json(Fraction(1, 2**2000))["float"] > 0
 
 
 def _fraction_float_reference(value):
@@ -140,7 +152,7 @@ def test_float_matches_reference(num, den, shift, sign):
     assert _outcome(fraction_float, sign * mag) == _outcome(
         _fraction_float_reference, sign * mag
     )
-    assert float(ExactAmplitude(sign, mag)) == _amplitude_float_reference(sign, mag)
+    assert amplitude_json(sign * mag)["float"] == _amplitude_float_reference(sign, mag)
     assert fraction_float(mag, root=True) == _amplitude_float_reference(1, mag)
 
 
@@ -162,3 +174,41 @@ def test_sq_multiplicative(a, b):
 @given(amps())
 def test_round_trip(a):
     assert ExactAmplitude(a.sign, a.sq()) == a
+
+
+def _reference(sigma):
+    """The sign/magnitude form of the signed rational sigma."""
+    return ExactAmplitude((sigma > 0) - (sigma < 0), abs(sigma))
+
+
+def _reference_json(amp):
+    """JSON of a sign/magnitude amplitude, as `amplitude_json` must give it."""
+    return {
+        "sign": amp.sign,
+        "num": str(amp.mag_sq.numerator),
+        "den": str(amp.mag_sq.denominator),
+        "float": amp.sign * fraction_float(amp.mag_sq, root=True),
+    }
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_signed_squares_match_reference_walk(n):
+    # every path of the tree, walked twice: through `measure_next` on signed
+    # rationals, and in sign/magnitude arithmetic from the GHZ amplitudes
+    params = PlanParams(n, Fraction(2, 3))
+    half = ExactAmplitude.sqrt(Fraction(1, 2))
+
+    def walk(plan, history, state, a0, a1):
+        assert (_reference(state.amp0), _reference(state.amp1)) == (a0, a1)
+        if state.remaining == 1:
+            for sigma, amp in ((state.amp0, a0), (state.amp1, a1)):
+                assert amplitude_json(sigma) == _reference_json(amp)
+            return
+        basis = plan.basis_for(history)
+        c0, c1 = _reference(basis.c0), _reference(basis.c1)
+        first, second = measure_next(state, basis)
+        walk(plan, history + "0", first, a0 * c0, a1 * c1)
+        walk(plan, history + "1", second, a0 * c1, -(a1 * c0))
+
+    for plan in (cpm_plan(params), spm_plan(params), random_plan(params, n)):
+        walk(plan, "", ghz_state(n), half, half)

@@ -76,8 +76,8 @@ GOLDEN = {
     "verify": (
         ["verify", "--random-plans", "2", "--json", "@verify.json"],
         {
-            "stdout": "ca000248605631fbf0b00c8d11462fb2e7c7d544a9b35fc1fc7f814692e4fb32",
-            "@verify.json": "b188b501310d52bf064d8f245cf31ed6fb885a388d93e7c75c9826f2b7dd6c0a",
+            "stdout": "369203fac60667f635938b6e27dd0b499a1d2937d913572ae9a93b6f7ad75c21",
+            "@verify.json": "4a00b5450a679acb935e59e0518ce10210a3cc926366e47dcc95b0b70e855254",
         },
     ),
 }

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -59,7 +60,7 @@ class TestRandomPlan:
         plan = random_plan(P8, 17)
         for history in ("", "0", "10", "111", "0101010"[:6]):
             basis = plan.basis_for(history)
-            assert basis.c0.sq() + basis.c1.sq() == 1
+            assert abs(basis.c0) + abs(basis.c1) == 1
             assert basis == random_plan(P8, 17).basis_for(history)
 
     def test_seeds_differ(self):
@@ -81,6 +82,19 @@ class TestCheckpointReport:
         assert set(entry) == {
             "check_name", "computed_value", "expected_value", "tolerance", "status",
         }
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_deep_tree_under_default_digit_limit(self):
+        # T^2 at n=16 has more than 4300 decimal digits: the report lifts the limit
+        # for its own exact fields and restores it, with no help from the CLI
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            checks = checkpoint_report(PlanParams(16))
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert [c.name for c in checks if not c.passed] == []
 
     def test_other_instance_subset(self):
         checks = checkpoint_report(PlanParams(6))

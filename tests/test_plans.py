@@ -95,22 +95,22 @@ def test_telescoping_identity_general(x_sq, n):
 class TestSpmBasis:
     def test_stage_one(self):
         basis = constants(P8).bases[1]
-        assert basis.c0.sq() == Fraction(4, 5)
-        assert basis.c1.sq() == Fraction(1, 5)
+        assert basis.c0 == Fraction(4, 5)
+        assert basis.c1 == Fraction(1, 5)
 
     def test_stage_two(self):
-        assert constants(P8).bases[2].c0.sq() == Fraction(16, 17)
+        assert constants(P8).bases[2].c0 == Fraction(16, 17)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_orthonormal(self, k):
         basis = constants(P8).bases[k]
-        assert basis.c0.sq() + basis.c1.sq() == 1
+        assert abs(basis.c0) + abs(basis.c1) == 1
 
     def test_matches_normalizer_definition(self):
         # c0^2 = r^(2^(k-1)) / F_{k+1}^2
         for k in range(1, 7):
             e = 2 ** (k - 1)
-            assert constants(P8).bases[k].c0.sq() == P8.ratio**e / f_sq(k + 1)
+            assert constants(P8).bases[k].c0 == P8.ratio**e / f_sq(k + 1)
 
 
 class TestCpmPlan:
@@ -125,15 +125,15 @@ class TestCpmPlan:
         sixteenth_sq = Fraction(1, 256)
         for record in records:
             assert record.probability == Fraction(1, 128)
-            assert record.bob_state.amp0.sq() == sixteenth_sq
-            assert record.bob_state.amp1.sq() == sixteenth_sq
+            assert abs(record.bob_state.amp0) == sixteenth_sq
+            assert abs(record.bob_state.amp1) == sixteenth_sq
 
 
 class TestSpmPlan:
     def test_initial_basis(self):
         basis = spm_plan(P8).basis_for("")
-        assert basis.c0.sq() == X_SQ
-        assert basis.c1.sq() == Y_SQ
+        assert basis.c0 == X_SQ
+        assert basis.c1 == Y_SQ
 
     def test_perp_history_uses_ladder(self):
         bases = constants(P8).bases
@@ -226,8 +226,8 @@ def test_cascade_checkpoints(history, sign0, a0_sq, sign1, a1_sq):
     state = ghz_state(8)
     for depth, bit in enumerate(history):
         state = measure_next(state, plan.basis_for(history[:depth]))[int(bit)]
-    assert state.amp0 == ExactAmplitude(sign0, a0_sq)
-    assert state.amp1 == ExactAmplitude(sign1, a1_sq)
+    assert state.amp0 == sign0 * a0_sq
+    assert state.amp1 == sign1 * a1_sq
 
 
 class TestEtaState:
@@ -250,7 +250,7 @@ class TestEtaState:
     def test_symmetric_case(self):
         eta = constants(PlanParams(8, Fraction(1, 2))).eta_leaf
         assert bob_distribution(eta) == (Fraction(1, 2), Fraction(1, 2))
-        assert eta.amp1.sign == -1
+        assert eta.amp1 < 0
 
 
 class TestClassify:
@@ -260,9 +260,7 @@ class TestClassify:
         assert classify(records[-1].bob_state, constants(P8)) is LeafClass.ETA
 
     def test_global_sign_ignored(self):
-        flipped = ChainState(
-            1, ExactAmplitude(-1, X_SQ / 4), ExactAmplitude(-1, Y_SQ / 4)
-        )
+        flipped = ChainState(1, -X_SQ / 4, -Y_SQ / 4)
         assert classify(flipped, constants(P8)) is LeafClass.MU_PLUS
 
     def test_hadamard_leaf_is_other(self):
@@ -272,12 +270,15 @@ class TestClassify:
 
 def _classify_reference(state, params):
     """Leaf classification with the all-perp direction rebuilt from its
-    exponents on every call; the oracle for `classify`."""
+    exponents on every call, in sign/magnitude arithmetic; the oracle for
+    `classify`."""
     x = ExactAmplitude.sqrt(params.x_sq)
     y = ExactAmplitude.sqrt(params.y_sq)
+    # the signed rational sign * q is the amplitude sign * sqrt(q)
+    a0, a1 = (ExactAmplitude((s > 0) - (s < 0), abs(s)) for s in (state.amp0, state.amp1))
 
     def proportional(b0, b1):
-        return state.amp0 * b1 == state.amp1 * b0
+        return a0 * b1 == a1 * b0
 
     if proportional(x, y):
         return LeafClass.MU_PLUS
@@ -329,8 +330,8 @@ def assert_spine_walk_matches_leaf_walk(params):
         records = enumerate_branches(MeasurementPlan(params.m, plan.basis_for), params)
         assert enumerate_branches(plan, params) == records
         marginal = (
-            sum(r.bob_state.amp0.sq() for r in records),
-            sum(r.bob_state.amp1.sq() for r in records),
+            sum(abs(r.bob_state.amp0) for r in records),
+            sum(abs(r.bob_state.amp1) for r in records),
         )
         assert receiver_marginal(classes) == marginal
         levels = Counter(r.level for r in records)

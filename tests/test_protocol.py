@@ -6,7 +6,6 @@ from ghzdisc import (
     PLUS_MINUS,
     Basis,
     CounterStream,
-    ExactAmplitude,
     LeafClass,
     LeafSampler,
     PlanError,
@@ -25,7 +24,7 @@ from ghzdisc import (
     w_statistic,
 )
 from ghzdisc.plans import MeasurementPlan, outcome_classes
-from ghzdisc.protocol import RESOLUTION_BITS
+from ghzdisc.protocol import RESOLUTION_BITS, _cut
 
 P8 = PlanParams(8)
 
@@ -41,9 +40,10 @@ class TestCounterStream:
         assert CounterStream(7).next_int() != CounterStream(8).next_int()
 
     def test_below_edge_probabilities(self):
-        stream = CounterStream(0)
-        assert stream.below(Fraction(1)) is True
-        assert stream.below(Fraction(0)) is False
+        # a draw k is below p exactly when k < _cut(p): always at p = 1, never at p = 0
+        k = CounterStream(0).next_int()
+        assert _cut(Fraction(1)) == 1 << RESOLUTION_BITS and k < _cut(Fraction(1))
+        assert _cut(Fraction(0)) == 0 and not k < _cut(Fraction(0))
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
@@ -142,7 +142,7 @@ class TestLeafSampler:
     def test_rejects_class_split_on_eta(self):
         # this first basis puts the even leaf below "0" on the eta direction and the odd one off it
         params = PlanParams(4)
-        first = Basis(ExactAmplitude(1, Fraction(1, 129)), ExactAmplitude(-1, Fraction(128, 129)))
+        first = Basis(Fraction(1, 129), Fraction(-128, 129))
         plan = MeasurementPlan(3, spine=(first, PLUS_MINUS, PLUS_MINUS))
         assert outcome_classes(plan, params)[0].leaf_classes == (LeafClass.ETA, LeafClass.OTHER)
         with pytest.raises(PlanError, match="mixes eta and non-eta leaves"):
