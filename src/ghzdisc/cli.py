@@ -21,14 +21,7 @@ from typing import Iterator
 
 from .amplitude import amplitude_json, fraction_float, fraction_json, unlimited_int_digits
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite, receiver_marginal
-from .plans import (
-    PlanParams,
-    PlanError,
-    cpm_plan,
-    level_census,
-    outcome_classes,
-    spm_plan,
-)
+from .plans import PlanParams, cpm_plan, level_census, outcome_classes, spm_plan
 from .protocol import ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_statistic
 
 OUT_DIR_ENV = "GHZDISC_OUT_DIR"
@@ -39,6 +32,12 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+
+
+def _output_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("an output path must not be empty")
+    return text
 
 
 def _is_stdout(path: str) -> bool:
@@ -83,7 +82,8 @@ def _plan_for(strategy: str, params: PlanParams):
 
 
 def _branch_row(outcomes, probability, bob_state, leaf_class, level) -> dict:
-    """The table row of one leaf, from the fields of its `BranchRecord`."""
+    """The table row of one leaf: its outcome bits, exact probability,
+    class and level, and the receiver's two exact amplitudes."""
     return {
         "outcomes": outcomes,
         "probability": fraction_json(probability),
@@ -196,17 +196,6 @@ def _config_json(config: ProtocolConfig) -> dict:
     }
 
 
-def _trial_json(trial) -> dict:
-    return {
-        "per_group": [
-            {"zeros": g.zeros, "ones": g.ones, "ratio": g.ratio, "decision": g.decision.value}
-            for g in trial.groups
-        ],
-        "eta_hits": trial.eta_hits,
-        "overall_decision": trial.decision.value,
-    }
-
-
 def _write_json(path: str | None, payload) -> None:
     with _output(path) as handle:
         handle.write(json.dumps(payload, indent=2) + "\n")
@@ -217,7 +206,7 @@ def cmd_simulate(args) -> int:
     params = config.params
     samplers = build_samplers(params)
     trials = run_protocol(config, samplers)
-    ones = sum(g.ones for t in trials for g in t.groups)
+    ones = sum(g["ones"] for t in trials for g in t["per_group"])
     total = config.trials * config.groups * config.per_group
     p1 = {s: receiver_marginal(sampler.classes)[1] for s, sampler in samplers.items()}
     p1[Strategy.RANDOM_PER_STATE] = (p1[Strategy.CPM] + p1[Strategy.SPM]) / 2
@@ -228,7 +217,7 @@ def cmd_simulate(args) -> int:
             w_values[str(l)] = fraction_float(w_statistic(l, params, config.per_group))
     payload = {
         "config": _config_json(config),
-        "per_trial": [_trial_json(t) for t in trials],
+        "per_trial": trials,
         "summary": {
             "empirical_p1": ones / total,
             "oracle_p1": fraction_json(oracle_p1),
@@ -241,9 +230,10 @@ def cmd_simulate(args) -> int:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["trial", "group", "zeros", "ones", "ratio", "decision"])
             writer.writerows(
-                [t, g, c.zeros, c.ones, "" if c.ratio is None else repr(c.ratio), c.decision.value]
+                [t, g, c["zeros"], c["ones"], "" if c["ratio"] is None else repr(c["ratio"]),
+                 c["decision"]]
                 for t, trial in enumerate(trials)
-                for g, c in enumerate(trial.groups)
+                for g, c in enumerate(trial["per_group"])
             )
     return 0
 
@@ -251,21 +241,8 @@ def cmd_simulate(args) -> int:
 def cmd_discriminate(args) -> int:
     config = _config_from_args(args)
     report = discriminate(config)
-    payload = {
-        "config": _config_json(config),
-        "trials": [
-            {
-                "truth": tr.truth.value,
-                "decision": tr.result.decision.value,
-                "eta_hits": tr.result.eta_hits,
-            }
-            for tr in report.trials
-        ],
-        "confusion": report.confusion,
-        "accuracy": report.accuracy,
-    }
-    _write_json(args.out, payload)
-    sys.stderr.write(f"accuracy: {report.accuracy}\n")
+    _write_json(args.out, {"config": _config_json(config), **report})
+    sys.stderr.write(f"accuracy: {report['accuracy']}\n")
     return 0
 
 
@@ -281,16 +258,16 @@ def cmd_verify(args) -> int:
     # first, so that a bad --random-plans or --seed fails before any other work
     suite = no_signaling_suite(plans_per_n=args.random_plans, seed=args.seed)
     checks = checkpoint_report(params) + suite
-    width = max(len(c.name) for c in checks)
-    for check in checks:
+    width = max(len(c["check_name"]) for c in checks)
+    for c in checks:
         sys.stdout.write(
-            f"{check.status:<4} {check.name:<{width}} computed={check.computed} "
-            f"expected={check.expected} tol={check.tolerance}\n"
+            f"{c['status']:<4} {c['check_name']:<{width}} computed={c['computed_value']} "
+            f"expected={c['expected_value']} tol={c['tolerance']}\n"
         )
-    failed = [c for c in checks if not c.passed]
-    sys.stdout.write(f"{len(checks) - len(failed)}/{len(checks)} checks passed\n")
+    failed = sum(c["status"] == "FAIL" for c in checks)
+    sys.stdout.write(f"{len(checks) - failed}/{len(checks)} checks passed\n")
     if args.json:
-        _write_json(args.json, [c.to_json() for c in checks])
+        _write_json(args.json, checks)
     return 1 if failed else 0
 
 
@@ -310,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--strategy", choices=["cpm", "spm"], required=True)
     add_params(p_enum)
     p_enum.add_argument("--format", choices=["json", "csv"], default="json")
-    p_enum.add_argument("--out", help="output path (default: stdout)")
+    p_enum.add_argument("--out", type=_output_path, help="output path (default: stdout)")
     p_enum.set_defaults(func=cmd_enumerate)
 
     def add_protocol_flags(p):
@@ -321,12 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=_parse_fraction, default=Fraction(133, 100),
                        help="ones/zeros ratio above which a group votes for the cascade")
         add_params(p)
-        p.add_argument("--out", help="JSON output path (default: stdout)")
+        p.add_argument("--out", type=_output_path, help="JSON output path (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="run the seeded sampling protocol")
     p_sim.add_argument("--strategy", choices=["cpm", "spm", "random"], default="spm")
     add_protocol_flags(p_sim)
-    p_sim.add_argument("--csv", help="also write per-group counts as CSV")
+    p_sim.add_argument("--csv", type=_output_path, help="also write per-group counts as CSV")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_disc = sub.add_parser(
@@ -347,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--random-plans", dest="random_plans", type=int, default=5,
                        help="random adaptive plans per chain length")
     p_ver.add_argument("--seed", type=int, default=0, help="seed for random plan generation")
-    p_ver.add_argument("--json", help="also write the machine-readable report")
+    p_ver.add_argument("--json", type=_output_path, help="also write the machine-readable report")
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -361,7 +338,7 @@ def main(argv=None) -> int:
             code = args.func(args)
             sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
         return code
-    except (PlanError, ValueError) as exc:
+    except ValueError as exc:  # PlanError included
         parser.error(str(exc))
     except BrokenPipeError:
         # the reader closed stdout (e.g. `| head`): drop what is still buffered

@@ -11,7 +11,6 @@ its expected value at a stated tolerance.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .amplitude import fraction_float, unlimited_int_digits
@@ -62,41 +61,25 @@ def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:
     return MeasurementPlan(params.m, chooser, name=f"random-{seed}")
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    computed: str
-    expected: str
-    tolerance: str
-    status: str  # PASS, FAIL or INFO
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "FAIL"
-
-    def to_json(self) -> dict:
-        return {
-            "check_name": self.name,
-            "computed_value": self.computed,
-            "expected_value": self.expected,
-            "tolerance": self.tolerance,
-            "status": self.status,
-        }
+def _check(name: str, computed: str, expected: str, tolerance: str, status: str) -> dict:
+    """One `verify --json` entry; status is PASS, FAIL or INFO."""
+    return {
+        "check_name": name,
+        "computed_value": computed,
+        "expected_value": expected,
+        "tolerance": tolerance,
+        "status": status,
+    }
 
 
-def _exact(name: str, computed, expected) -> Check:
-    return Check(
-        name,
-        str(computed),
-        str(expected),
-        "exact",
-        "PASS" if computed == expected else "FAIL",
-    )
+def _exact(name: str, computed, expected) -> dict:
+    status = "PASS" if computed == expected else "FAIL"
+    return _check(name, str(computed), str(expected), "exact", status)
 
 
-def _approx(name: str, computed: Fraction, expected: str, tolerance: str) -> Check:
+def _approx(name: str, computed: Fraction, expected: str, tolerance: str) -> dict:
     ok = abs(computed - Fraction(expected)) <= Fraction(tolerance)
-    return Check(name, repr(fraction_float(computed)), expected, tolerance, "PASS" if ok else "FAIL")
+    return _check(name, repr(fraction_float(computed)), expected, tolerance, "PASS" if ok else "FAIL")
 
 
 _DEFAULT = PlanParams(8)
@@ -122,8 +105,8 @@ def telescoping_t_sq(params: PlanParams) -> Fraction:
 
 
 @unlimited_int_digits()  # the exact fields of deep trees outgrow the int-to-str limit
-def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
-    checks: list[Check] = []
+def checkpoint_report(params: PlanParams = _DEFAULT) -> list[dict]:
+    checks: list[dict] = []
     cascade = constants(params)
     classes = outcome_classes(spm_plan(params), params)
     m = params.m
@@ -180,7 +163,7 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
     checks.append(_exact("marginal_cascade_plan", receiver_marginal(classes), half))
 
     checks.append(
-        Check(
+        _check(
             "claimed_outcome_skew",
             "ones:zeros = 1:1 exactly under either strategy",
             "ones:zeros = W:1 with W >= 1.655 under the cascade",
@@ -193,7 +176,7 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[Check]:
 
 def no_signaling_suite(
     plans_per_n: int = 5, seed: int = 0, ns: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
-) -> list[Check]:
+) -> list[dict]:
     """Exact (1/2, 1/2) marginal for the built-in plans and random
     adaptive plans across chain lengths.  Random plan i at length n
     takes its seed from a SHA-256 of (seed, n, i)."""

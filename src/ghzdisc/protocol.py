@@ -136,21 +136,6 @@ class ProtocolConfig:
         return PlanParams(self.n, self.x_sq)
 
 
-@dataclass(frozen=True)
-class GroupResult:
-    zeros: int
-    ones: int
-    ratio: float | None  # ones/zeros; None when zeros == 0
-    decision: Strategy
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    groups: tuple[GroupResult, ...]
-    eta_hits: int
-    decision: Strategy
-
-
 def build_samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
     """The leaf samplers of both strategies, built once per run."""
     return {
@@ -164,12 +149,16 @@ def _run_trial(
     samplers: dict[Strategy, LeafSampler],
     trial: int,
     strategy: Strategy,
-) -> TrialResult:
+) -> dict:
+    """One trial as a `simulate` per-trial record: per group the
+    receiver's zeros and ones, their ratio (None when zeros == 0) and
+    its vote; the eta hits; and the majority vote.  Votes are
+    `Strategy` values."""
     cpm, spm = samplers[Strategy.CPM], samplers[Strategy.SPM]
     fixed = None if strategy is Strategy.RANDOM_PER_STATE else samplers[strategy]
     half, eta = _cut(_HALF), LeafClass.ETA
-    eta_hits = 0
-    groups: list[GroupResult] = []
+    eta_hits = spm_votes = 0
+    per_group: list[dict] = []
     for g in range(config.groups):
         group_stream = CounterStream(config.seed, _DOMAIN_SAMPLE, trial, g)
         ones = 0
@@ -181,40 +170,30 @@ def _run_trial(
                 eta_hits += 1
             ones += bob_bit
         zeros = config.per_group - ones
-        if zeros == 0 or Fraction(ones, zeros) >= config.threshold:
-            decision = Strategy.SPM
-        else:
-            decision = Strategy.CPM
-        groups.append(GroupResult(zeros, ones, ones / zeros if zeros else None, decision))
-    spm_votes = sum(1 for g in groups if g.decision is Strategy.SPM)
+        vote = zeros == 0 or Fraction(ones, zeros) >= config.threshold
+        spm_votes += vote
+        per_group.append({
+            "zeros": zeros,
+            "ones": ones,
+            "ratio": ones / zeros if zeros else None,
+            "decision": (Strategy.SPM if vote else Strategy.CPM).value,
+        })
     overall = Strategy.SPM if 2 * spm_votes > config.groups else Strategy.CPM
-    return TrialResult(tuple(groups), eta_hits, overall)
+    return {"per_group": per_group, "eta_hits": eta_hits, "overall_decision": overall.value}
 
 
-def run_protocol(config: ProtocolConfig, samplers: dict[Strategy, LeafSampler]) -> list[TrialResult]:
-    """Deterministic given the config (seed included); `samplers` come
-    from `build_samplers(config.params)`."""
+def run_protocol(config: ProtocolConfig, samplers: dict[Strategy, LeafSampler]) -> list[dict]:
+    """The `simulate` per-trial records, deterministic given the config
+    (seed included); `samplers` come from `build_samplers(config.params)`."""
     return [_run_trial(config, samplers, t, config.strategy) for t in range(config.trials)]
 
 
-@dataclass(frozen=True)
-class DiscriminationTrial:
-    truth: Strategy
-    result: TrialResult
-
-
-@dataclass(frozen=True)
-class DiscriminationReport:
-    trials: tuple[DiscriminationTrial, ...]
-    confusion: dict
-    accuracy: float
-
-
-def discriminate(config: ProtocolConfig) -> DiscriminationReport:
+def discriminate(config: ProtocolConfig) -> dict:
     """Per trial, a fair coin picks the sender's true strategy; the
-    receiver's decision rule is scored against it."""
+    receiver's decision rule is scored against it.  The report is the
+    `discriminate` payload without its config."""
     samplers = build_samplers(config.params)
-    trials: list[DiscriminationTrial] = []
+    trials: list[dict] = []
     confusion = {
         truth.value: {guess.value: 0 for guess in (Strategy.CPM, Strategy.SPM)}
         for truth in (Strategy.CPM, Strategy.SPM)
@@ -223,7 +202,8 @@ def discriminate(config: ProtocolConfig) -> DiscriminationReport:
         coin = CounterStream(config.seed, _DOMAIN_TRUTH, t)
         truth = Strategy.SPM if coin.next_int() < _cut(_HALF) else Strategy.CPM
         result = _run_trial(config, samplers, t, truth)
-        confusion[truth.value][result.decision.value] += 1
-        trials.append(DiscriminationTrial(truth, result))
-    correct = sum(1 for tr in trials if tr.result.decision is tr.truth)
-    return DiscriminationReport(tuple(trials), confusion, correct / len(trials))
+        decision = result["overall_decision"]
+        confusion[truth.value][decision] += 1
+        trials.append({"truth": truth.value, "decision": decision, "eta_hits": result["eta_hits"]})
+    correct = sum(1 for tr in trials if tr["decision"] == tr["truth"])
+    return {"trials": trials, "confusion": confusion, "accuracy": correct / len(trials)}

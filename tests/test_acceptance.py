@@ -188,10 +188,10 @@ def test_criterion_8_claimed_skew_not_reproduced(capsys):
     start = time.perf_counter()
     sim = ProtocolConfig(seed=20260824, per_group=50000, groups=20, strategy=Strategy.SPM)
     (trial,) = run_protocol(sim, build_samplers(sim.params))
-    ones = sum(g.ones for g in trial.groups)
+    ones = sum(g["ones"] for g in trial["per_group"])
     p1 = ones / 10**6
     disc = ProtocolConfig(seed=31337, trials=200, per_group=30, groups=20)
-    accuracy = discriminate(disc).accuracy
+    accuracy = discriminate(disc)["accuracy"]
     elapsed = time.perf_counter() - start
     sigma_p = 0.0015  # 3 sigma for 10^6 Bernoulli(1/2) draws
     sigma_acc = 3 * 0.5 / 200**0.5

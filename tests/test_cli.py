@@ -14,6 +14,8 @@ import ghzdisc
 from ghzdisc import cli
 from ghzdisc.cli import _CSV_HEADER, _branch_row, _csv_row, main
 from ghzdisc.plans import PlanParams, cpm_plan, enumerate_branches, spm_plan
+from ghzdisc.oracle import checkpoint_report, no_signaling_suite
+from ghzdisc.protocol import ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol
 
 
 def run(argv, capsys):
@@ -283,6 +285,59 @@ class TestDeterminism:
             capsys.readouterr()
             pairs.append((enum_out.read_bytes(), sim_out.read_bytes()))
         assert pairs[0] == pairs[1]
+
+
+
+class TestPayloadIsLibraryRecord:
+    """Each command writes the library's own records, with no renaming."""
+
+    def test_simulate_per_trial(self, tmp_path, capsys):
+        out = tmp_path / "run.json"
+        assert main(["simulate", "--strategy", "random", "--qubits", "6", "--trials", "2",
+                     "--seed", "7", "--groups", "3", "--per-group", "10", "--out", str(out)]) == 0
+        config = ProtocolConfig(seed=7, n=6, per_group=10, groups=3,
+                                strategy=Strategy.RANDOM_PER_STATE, trials=2)
+        expected = run_protocol(config, build_samplers(config.params))
+        assert json.loads(out.read_text())["per_trial"] == expected
+
+    def test_discriminate_report(self, tmp_path, capsys):
+        out = tmp_path / "disc.json"
+        assert main(["discriminate", "--seed", "5", "--trials", "6", "--per-group", "10",
+                     "--groups", "4", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        del payload["config"]
+        assert payload == discriminate(ProtocolConfig(seed=5, per_group=10, groups=4, trials=6))
+
+    def test_verify_checks(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--qubits", "5", "--random-plans", "1", "--seed", "3",
+                     "--json", str(out)]) == 0
+        expected = checkpoint_report(PlanParams(5)) + no_signaling_suite(plans_per_n=1, seed=3)
+        assert json.loads(out.read_text()) == expected
+
+
+# an empty path names no file: it is rejected before any output is attempted
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--strategy", "cpm", "--qubits", "3", "--out", ""],
+        ["simulate", "--seed", "7", "--groups", "2", "--per-group", "3", "--out", ""],
+        ["simulate", "--seed", "7", "--groups", "2", "--per-group", "3", "--csv", ""],
+        ["discriminate", "--seed", "7", "--groups", "2", "--per-group", "3", "--out", ""],
+        ["verify", "--qubits", "3", "--random-plans", "0", "--json", ""],
+    ],
+    ids=["enumerate-out", "simulate-out", "simulate-csv", "discriminate-out", "verify-json"],
+)
+def test_empty_output_path_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {argv[-2]}: an output path must not be empty" in captured.err
+    assert captured.out == ""  # rejected while parsing, before any work
+    assert os.listdir(tmp_path) == []
+    assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path.parent))
 
 
 class TestOutputErrors:

@@ -257,16 +257,16 @@ class TestRunProtocol:
     def test_counts_complete(self):
         config = ProtocolConfig(seed=5, trials=1, per_group=30, groups=20, strategy=Strategy.CPM)
         (trial,) = run_protocol(config, build_samplers(config.params))
-        assert len(trial.groups) == 20
-        for group in trial.groups:
-            assert group.zeros + group.ones == 30
-        assert trial.eta_hits == 0  # uniform plan never reaches the exceptional leaf
+        assert len(trial["per_group"]) == 20
+        for group in trial["per_group"]:
+            assert group["zeros"] + group["ones"] == 30
+        assert trial["eta_hits"] == 0  # uniform plan never reaches the exceptional leaf
 
     def test_cascade_hits_exceptional_leaf(self):
         config = ProtocolConfig(seed=5, trials=1, per_group=100, groups=4, strategy=Strategy.SPM)
         (trial,) = run_protocol(config, build_samplers(config.params))
         # 400 states at ~1/4 each; grossly improbable to miss entirely
-        assert trial.eta_hits > 50
+        assert trial["eta_hits"] > 50
 
     def test_random_per_state_runs(self):
         config = ProtocolConfig(
@@ -284,8 +284,8 @@ class TestDiscriminate:
         config = ProtocolConfig(seed=3, trials=20, per_group=30, groups=20)
         report = discriminate(config)
         again = discriminate(config)
-        assert report.accuracy == again.accuracy
-        assert report.confusion == again.confusion
-        total = sum(v for row in report.confusion.values() for v in row.values())
+        assert report["accuracy"] == again["accuracy"]
+        assert report["confusion"] == again["confusion"]
+        total = sum(v for row in report["confusion"].values() for v in row.values())
         assert total == 20
-        assert len(report.trials) == 20
+        assert len(report["trials"]) == 20
