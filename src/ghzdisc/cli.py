@@ -14,15 +14,16 @@ import io
 import json
 import os
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator
 
 from .amplitude import amplitude_json, fraction_float, fraction_json, unlimited_int_digits
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite, receiver_marginal
-from .plans import PlanParams, cpm_plan, level_census, outcome_classes, spm_plan
-from .protocol import ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_statistic
+from .plans import PlanParams, census, outcome_classes
+from .protocol import (
+    PLANS, ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_statistic,
+)
 
 OUT_DIR_ENV = "GHZDISC_OUT_DIR"
 
@@ -75,10 +76,6 @@ def _output(path: str | None):
     finally:
         if tmp and os.path.exists(tmp):
             os.remove(tmp)
-
-
-def _plan_for(strategy: str, params: PlanParams):
-    return cpm_plan(params) if strategy == "cpm" else spm_plan(params)
 
 
 def _branch_row(outcomes, probability, bob_state, leaf_class, level) -> dict:
@@ -134,25 +131,20 @@ def _rendered(classes, tail) -> Iterator[tuple[str, str]]:
 
 
 def _census_lines(classes) -> str:
-    levels = level_census(classes)
-    counts: Counter[str] = Counter()
-    for c in classes:
-        for leaf_class in c.leaf_classes:
-            counts[leaf_class.value] += c.per_state
+    levels, leaves, probability = census(classes)
     level_text = " ".join(f"{k}:{levels[k]}" for k in sorted(levels))
-    class_text = " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
-    total = sum((c.summed(c.probability) for c in classes), Fraction(0))
+    class_text = " ".join(f"{k}:{v}" for k, v in sorted((lc.value, v) for lc, v in leaves.items()))
     return (
         f"branches: {sum(levels.values())}\n"
         f"level census: {level_text}\n"
         f"class census: {class_text}\n"
-        f"total probability: {total} (exact)\n"
+        f"total probability: {sum(probability.values())} (exact)\n"
     )
 
 
 def cmd_enumerate(args) -> int:
     params = PlanParams(args.qubits, args.x_sq)
-    classes = outcome_classes(_plan_for(args.strategy, params), params)
+    classes = outcome_classes(PLANS[Strategy(args.strategy)](params), params)
     sys.stdout.write(_census_lines(classes))
     # outcomes are bit strings, so neither format quotes or escapes them; the JSON
     # bytes equal json.dumps of the `_branch_row`s of `enumerate_branches`, indent=2, + "\n"
@@ -248,7 +240,7 @@ def cmd_discriminate(args) -> int:
 
 def cmd_marginal(args) -> int:
     params = PlanParams(args.qubits, args.x_sq)
-    p0, p1 = bob_marginal(_plan_for(args.strategy, params), params)
+    p0, p1 = bob_marginal(PLANS[Strategy(args.strategy)](params), params)
     sys.stdout.write(f"p0 = {p0}\np1 = {p1}\n")
     return 0
 
@@ -279,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p):
-        p.add_argument("--qubits", type=int, default=8, help="qubits per shared state")
-        p.add_argument("--x-sq", dest="x_sq", type=_parse_fraction, default=Fraction(2, 3),
+        p.add_argument("--qubits", type=int, default=ProtocolConfig.n, help="qubits per shared state")
+        p.add_argument("--x-sq", dest="x_sq", type=_parse_fraction, default=ProtocolConfig.x_sq,
                        help="squared first-stage coefficient, e.g. 2/3")
 
     p_enum = sub.add_parser("enumerate", help="write the full branch table")
@@ -292,16 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_protocol_flags(p):
         p.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
-        p.add_argument("--trials", type=int, default=1)
-        p.add_argument("--per-group", dest="per_group", type=int, default=30)
-        p.add_argument("--groups", type=int, default=20)
-        p.add_argument("--threshold", type=_parse_fraction, default=Fraction(133, 100),
+        p.add_argument("--trials", type=int, default=ProtocolConfig.trials)
+        p.add_argument("--per-group", dest="per_group", type=int, default=ProtocolConfig.per_group)
+        p.add_argument("--groups", type=int, default=ProtocolConfig.groups)
+        p.add_argument("--threshold", type=_parse_fraction, default=ProtocolConfig.threshold,
                        help="ones/zeros ratio above which a group votes for the cascade")
         add_params(p)
         p.add_argument("--out", type=_output_path, help="JSON output path (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="run the seeded sampling protocol")
-    p_sim.add_argument("--strategy", choices=["cpm", "spm", "random"], default="spm")
+    p_sim.add_argument("--strategy", choices=["cpm", "spm", "random"],
+                       default=ProtocolConfig.strategy.value)
     add_protocol_flags(p_sim)
     p_sim.add_argument("--csv", type=_output_path, help="also write per-group counts as CSV")
     p_sim.set_defaults(func=cmd_simulate)

@@ -3,9 +3,9 @@
 `bob_marginal` sums the receiver's outcome weights (`receiver_marginal`)
 over every branch of an arbitrary adaptive plan, giving the marginal as
 an exact rational.
-`checkpoint_report` regenerates the reference quantities of the default
-instance (n=8, x^2=2/3) from first principles and compares each against
-its expected value at a stated tolerance.
+`checkpoint_report` regenerates the reference quantities of the paper's
+instance (`ProtocolConfig`'s defaults) from first principles and
+compares each against its expected value at a stated tolerance.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from .plans import (
     LeafClass,
     MeasurementPlan,
     PlanParams,
+    census,
     constants,
     cpm_plan,
-    level_census,
     outcome_classes,
     spm_plan,
 )
-from .protocol import w_statistic
+from .protocol import ProtocolConfig, check_seed, w_statistic
 
 
 def receiver_marginal(classes) -> tuple[Fraction, Fraction]:
@@ -45,8 +45,7 @@ def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, F
 def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:
     """Adaptive plan whose basis at every history is a hash-derived exact
     orthonormal pair; deterministic in (seed, history)."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"random plan seed must be an unsigned 64-bit integer, got {seed}")
+    check_seed(seed, "random plan seed")
 
     def chooser(history: str) -> Basis:
         digest = hashlib.sha256(
@@ -82,7 +81,7 @@ def _approx(name: str, computed: Fraction, expected: str, tolerance: str) -> dic
     return _check(name, repr(fraction_float(computed)), expected, tolerance, "PASS" if ok else "FAIL")
 
 
-_DEFAULT = PlanParams(8)
+_REFERENCE = PlanParams(ProtocolConfig.n, ProtocolConfig.x_sq)
 
 _F_SQ_EXPECTED = {
     2: Fraction(5, 2),
@@ -105,13 +104,13 @@ def telescoping_t_sq(params: PlanParams) -> Fraction:
 
 
 @unlimited_int_digits()  # the exact fields of deep trees outgrow the int-to-str limit
-def checkpoint_report(params: PlanParams = _DEFAULT) -> list[dict]:
+def checkpoint_report(params: PlanParams) -> list[dict]:
     checks: list[dict] = []
     cascade = constants(params)
     classes = outcome_classes(spm_plan(params), params)
     m = params.m
 
-    if params.n == 8 and params.x_sq == Fraction(2, 3):
+    if params == _REFERENCE:
         for k, expected in _F_SQ_EXPECTED.items():
             checks.append(_exact(f"f{k}_sq", cascade.F_sq[k - 1], expected))
 
@@ -120,15 +119,15 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[dict]:
             _exact(f"t{m}_sq_telescoping", cascade.T_sq[-1], telescoping_t_sq(params))
         )
 
-    census = level_census(classes)
+    levels, _, probability = census(classes)
     checks.append(
         _exact(
             "leaf_census",
-            "/".join(str(census[level]) for level in range(1, m + 2)),
+            "/".join(str(levels[level]) for level in range(1, m + 2)),
             "/".join(str(2 ** (m - level)) for level in range(1, m + 1)) + "/1",
         )
     )
-    checks.append(_exact("probability_total", sum(c.summed(c.probability) for c in classes), 1))
+    checks.append(_exact("probability_total", sum(probability.values()), 1))
 
     mu = (LeafClass.MU_PLUS, LeafClass.MU_MINUS)
     # the all-perp leaf (level m + 1) has no stage prefactor, though at x^2 = 1/2 it is mu
@@ -139,24 +138,20 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[dict]:
     )
     checks.append(_exact("mu_leaf_prefactors", prefactors_ok, True))
 
-    weights = [(lc, c.probability * c.per_state) for c in classes for lc in c.leaf_classes]
-    mu_total = sum(w for lc, w in weights if lc in mu)
-    eta_total = sum(w for lc, w in weights if lc is LeafClass.ETA)
-    if params.n == 8 and params.x_sq == Fraction(2, 3):
-        checks.append(_approx("mu_probability", mu_total, "0.75", "1e-37"))
-        checks.append(_approx("eta_probability", eta_total, "0.25", "1e-37"))
+    if params == _REFERENCE:
+        checks.append(_approx("mu_probability", sum(probability[lc] for lc in mu), "0.75", "1e-37"))
+        checks.append(_approx("eta_probability", probability[LeafClass.ETA], "0.25", "1e-37"))
 
         # the spine walk ends at the all-perp leaf, a class of depth 0
         checks.append(_exact("eta_leaf_matches_enumeration", classes[-1].states[0], cascade.eta_leaf))
         p0, p1 = bob_distribution(cascade.eta_leaf)
         checks.append(_approx("eta_bias_u", p1 / p0, "1.7e38", "1.7e36"))
 
-        w1 = w_statistic(1, params, 30)
-        w2 = w_statistic(2, params, 30)
-        checks.append(_approx("w_1", w1, "1.655", "1e-3"))
-        checks.append(_approx("w_2", w2, "3.43", "1e-2"))
-        checks.append(_approx("w_1_n7", w_statistic(1, PlanParams(7), 30), "0.83", "1e-2"))
-        checks.append(_approx("w_1_n6", w_statistic(1, PlanParams(6), 30), "0.41", "1e-2"))
+        per_group = ProtocolConfig.per_group
+        checks.append(_approx("w_1", w_statistic(1, params, per_group), "1.655", "1e-3"))
+        checks.append(_approx("w_2", w_statistic(2, params, per_group), "3.43", "1e-2"))
+        checks.append(_approx("w_1_n7", w_statistic(1, PlanParams(7), per_group), "0.83", "1e-2"))
+        checks.append(_approx("w_1_n6", w_statistic(1, PlanParams(6), per_group), "0.41", "1e-2"))
 
     half = (Fraction(1, 2), Fraction(1, 2))
     checks.append(_exact("marginal_uniform_plan", bob_marginal(cpm_plan(params), params), half))
@@ -174,21 +169,17 @@ def checkpoint_report(params: PlanParams = _DEFAULT) -> list[dict]:
     return checks
 
 
-def no_signaling_suite(
-    plans_per_n: int = 5, seed: int = 0, ns: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
-) -> list[dict]:
+def no_signaling_suite(plans_per_n: int, seed: int) -> list[dict]:
     """Exact (1/2, 1/2) marginal for the built-in plans and random
-    adaptive plans across chain lengths.  Random plan i at length n
+    adaptive plans at chain lengths 3..8.  Random plan i at length n
     takes its seed from a SHA-256 of (seed, n, i)."""
     if plans_per_n < 0:
         raise ValueError(f"random plans per chain length must be nonnegative, got {plans_per_n}")
-    if plans_per_n and not 0 <= seed < 2**64:
-        raise ValueError(
-            f"random plan seed must be an unsigned 64-bit integer, got seed {seed}, not in [0, 2**64)"
-        )
+    if plans_per_n:
+        check_seed(seed, "random plan seed")
     half = (Fraction(1, 2), Fraction(1, 2))
     checks = []
-    for n in ns:
+    for n in range(3, 9):
         params = PlanParams(n)
         checks.append(_exact(f"marginal_uniform_n{n}", bob_marginal(cpm_plan(params), params), half))
         checks.append(_exact(f"marginal_cascade_n{n}", bob_marginal(spm_plan(params), params), half))

@@ -211,11 +211,6 @@ class OutcomeClass(NamedTuple):
             # bin(2^depth + i) is "0b1" and then the suffix, padded to `depth` bits
             yield self.head + bin(i | 1 << self.depth)[3:], i.bit_count() & 1
 
-    @property
-    def per_state(self) -> int:
-        """Leaves per entry of `states` (the parities split 2^depth evenly)."""
-        return 2**self.depth // len(self.states)
-
     def summed(self, value: Fraction) -> Fraction:
         """`value` added over the class's 2^depth leaves."""
         return value * 2**self.depth if self.depth else value
@@ -280,9 +275,16 @@ def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[Branch
     ]
 
 
-def level_census(classes: list[OutcomeClass]) -> Counter[int]:
-    """Number of leaves at each level."""
-    census: Counter[int] = Counter()
+def census(classes: list[OutcomeClass]) -> tuple[Counter[int], Counter[LeafClass], Counter[LeafClass]]:
+    """Leaves per level, and leaves and total probability per leaf class:
+    a class's parities split its 2^depth leaves evenly between its states."""
+    levels: Counter[int] = Counter()
+    leaves: Counter[LeafClass] = Counter()
+    probability: Counter[LeafClass] = Counter()
     for c in classes:
-        census[c.level] += 2**c.depth
-    return census
+        levels[c.level] += 2**c.depth
+        share = 2**c.depth // len(c.states)
+        for leaf_class in c.leaf_classes:
+            leaves[leaf_class] += share
+            probability[leaf_class] += c.probability * share
+    return levels, leaves, probability

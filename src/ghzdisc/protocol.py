@@ -53,12 +53,17 @@ def _cut(p: Fraction) -> int:
     return -((-p.numerator << RESOLUTION_BITS) // p.denominator)
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """The one seed domain: every seed is packed as 8 big-endian bytes."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got seed {seed}, not in [0, 2**64)")
+
+
 class CounterStream:
     """Deterministic uniform stream: SHA-256 over (seed, path, counter)."""
 
     def __init__(self, seed: int, *path: int):
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        check_seed(seed)
         self._prefix = seed.to_bytes(8, "big") + b"".join(p.to_bytes(8, "big") for p in path)
         self._counter = 0
 
@@ -118,9 +123,11 @@ def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """One run's settings; the field defaults are the paper's instance and the CLI's defaults."""
+
     seed: int
     n: int = 8
-    x_sq: Fraction = Fraction(2, 3)
+    x_sq: Fraction = PlanParams.x_sq
     per_group: int = 30
     groups: int = 20
     strategy: Strategy = Strategy.SPM
@@ -130,18 +137,19 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.per_group < 1 or self.groups < 1 or self.trials < 1:
             raise ValueError("per_group, groups and trials must all be at least 1")
+        check_seed(self.seed)
 
     @property
     def params(self) -> PlanParams:
         return PlanParams(self.n, self.x_sq)
 
 
+PLANS = {Strategy.CPM: cpm_plan, Strategy.SPM: spm_plan}
+
+
 def build_samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
     """The leaf samplers of both strategies, built once per run."""
-    return {
-        Strategy.CPM: LeafSampler(cpm_plan(params), params),
-        Strategy.SPM: LeafSampler(spm_plan(params), params),
-    }
+    return {strategy: LeafSampler(plan(params), params) for strategy, plan in PLANS.items()}
 
 
 def _run_trial(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ghzdisc
-from ghzdisc import cli
+from ghzdisc import cli, protocol
 from ghzdisc.cli import _CSV_HEADER, _branch_row, _csv_row, main
 from ghzdisc.plans import PlanParams, cpm_plan, enumerate_branches, spm_plan
 from ghzdisc.oracle import checkpoint_report, no_signaling_suite
@@ -271,6 +271,33 @@ class TestVerify:
         assert "random plans per chain length must be nonnegative, got -3" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""  # rejected before any check runs
+
+
+# a sampling command checks its seed with its config, before any sampler is built
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "-1", "--qubits", "21"],
+        ["discriminate", "--seed", "18446744073709551616"],
+    ],
+    ids=["simulate", "discriminate"],
+)
+def test_sampling_seed_out_of_range_fails_fast(argv, monkeypatch, capsys):
+    def unreachable(params):
+        raise AssertionError("samplers built for an invalid seed")
+
+    monkeypatch.setattr(cli, "build_samplers", unreachable)
+    monkeypatch.setattr(protocol, "build_samplers", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert (
+        f"ghzdisc: error: seed must be an unsigned 64-bit integer, got seed {argv[2]}, "
+        "not in [0, 2**64)\n"
+    ) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 class TestDeterminism:

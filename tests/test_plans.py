@@ -24,7 +24,7 @@ from ghzdisc import (
 )
 from ghzdisc.cli import _census_lines
 from ghzdisc.oracle import receiver_marginal
-from ghzdisc.plans import MeasurementPlan, level_census, outcome_classes
+from ghzdisc.plans import MeasurementPlan, census, outcome_classes
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)
@@ -335,7 +335,10 @@ def assert_spine_walk_matches_leaf_walk(params):
         )
         assert receiver_marginal(classes) == marginal
         levels = Counter(r.level for r in records)
-        assert level_census(classes) == levels
+        probability: Counter = Counter()
+        for r in records:
+            probability[r.leaf_class] += r.probability
+        assert census(classes) == (levels, Counter(r.leaf_class for r in records), probability)
         counts = Counter(r.leaf_class.value for r in records)
         assert _census_lines(classes) == (
             f"branches: {len(records)}\n"
