@@ -165,8 +165,7 @@ def cmd_enumerate(args) -> int:
 def _config_from_args(args) -> ProtocolConfig:
     return ProtocolConfig(
         seed=args.seed,
-        n=args.qubits,
-        x_sq=args.x_sq,
+        params=PlanParams(args.qubits, args.x_sq),
         per_group=args.per_group,
         groups=args.groups,
         strategy=Strategy(args.strategy),
@@ -178,8 +177,8 @@ def _config_from_args(args) -> ProtocolConfig:
 def _config_json(config: ProtocolConfig) -> dict:
     return {
         "seed": config.seed,
-        "qubits": config.n,
-        "x_sq": {"num": str(config.x_sq.numerator), "den": str(config.x_sq.denominator)},
+        "qubits": config.params.n,
+        "x_sq": {"num": str(config.params.x_sq.numerator), "den": str(config.params.x_sq.denominator)},
         "per_group": config.per_group,
         "groups": config.groups,
         "strategy": config.strategy.value,
@@ -271,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_params(p):
-        p.add_argument("--qubits", type=int, default=ProtocolConfig.n, help="qubits per shared state")
-        p.add_argument("--x-sq", dest="x_sq", type=_parse_fraction, default=ProtocolConfig.x_sq,
+        p.add_argument("--qubits", type=int, default=ProtocolConfig.params.n, help="qubits per shared state")
+        p.add_argument("--x-sq", dest="x_sq", type=_parse_fraction, default=ProtocolConfig.params.x_sq,
                        help="squared first-stage coefficient, e.g. 2/3")
 
     p_enum = sub.add_parser("enumerate", help="write the full branch table")

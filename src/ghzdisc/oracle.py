@@ -81,7 +81,7 @@ def _approx(name: str, computed: Fraction, expected: str, tolerance: str) -> dic
     return _check(name, repr(fraction_float(computed)), expected, tolerance, "PASS" if ok else "FAIL")
 
 
-_REFERENCE = PlanParams(ProtocolConfig.n, ProtocolConfig.x_sq)
+_REFERENCE = ProtocolConfig.params
 
 _F_SQ_EXPECTED = {
     2: Fraction(5, 2),
@@ -175,8 +175,7 @@ def no_signaling_suite(plans_per_n: int, seed: int) -> list[dict]:
     takes its seed from a SHA-256 of (seed, n, i)."""
     if plans_per_n < 0:
         raise ValueError(f"random plans per chain length must be nonnegative, got {plans_per_n}")
-    if plans_per_n:
-        check_seed(seed, "random plan seed")
+    check_seed(seed, "random plan seed")
     half = (Fraction(1, 2), Fraction(1, 2))
     checks = []
     for n in range(3, 9):

@@ -14,7 +14,8 @@ the class slopes.  Both strategies are spine plans: one basis per
 all-"1" history, {|+>, |->} after the first "0".  `outcome_classes`
 walks the tree into classes (a leaf, or the two-state subtree below a
 spine plan's "0" child), each distinct state classified exactly against
-those slopes; `enumerate_branches` expands them into per-leaf records.
+those slopes; `enumerate_branches` expands them into one class of
+depth 0 per leaf.
 """
 
 from __future__ import annotations
@@ -174,29 +175,15 @@ def spm_plan(params: PlanParams) -> MeasurementPlan:
     return MeasurementPlan(params.m, name="spm", spine=constants(params).bases)
 
 
-@dataclass(frozen=True)
-class BranchRecord:
-    """One leaf of the outcome tree.
-
-    `level` is 1 + the length of the leading run of perp outcomes
-    (m + 1 for the all-perp leaf); `probability` equals the squared norm
-    of the unnormalized final state.
-    """
-
-    outcomes: str
-    probability: Fraction
-    bob_state: ChainState
-    leaf_class: LeafClass
-    level: int
-
-
 class OutcomeClass(NamedTuple):
     """The 2^depth leaves below the history `head`, at one `level` and
     with one `probability` each.  `states` and `leaf_classes` hold the
     receiver state and its class for each parity of the 1s in the
     suffix after `head` (one entry when depth = 0); the two states
-    differ only in amp1's sign.  A chooser plan's walk builds one per
-    leaf, and a named tuple is the cheapest immutable record to build."""
+    differ only in amp1's sign.  `level` is 1 + the length of the
+    leading run of perp outcomes (m + 1 for the all-perp leaf).  A
+    chooser plan's walk builds one of depth 0 per leaf, and a named tuple
+    is the cheapest immutable record to build."""
 
     head: str
     depth: int
@@ -266,10 +253,11 @@ def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeCl
     return classes
 
 
-def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[BranchRecord]:
-    """All 2^m leaves as records, in lexicographic order: the per-leaf test oracle."""
+def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeClass]:
+    """All 2^m leaves as classes of depth 0, in lexicographic order: the
+    walk of the same rule given as a chooser, and the per-leaf test oracle."""
     return [
-        BranchRecord(outcomes, c.probability, c.states[parity], c.leaf_classes[parity], c.level)
+        OutcomeClass(outcomes, 0, c.level, c.probability, (c.states[parity],), (c.leaf_classes[parity],))
         for c in outcome_classes(plan, params)
         for outcomes, parity in c.outcomes()
     ]

@@ -126,8 +126,7 @@ class ProtocolConfig:
     """One run's settings; the field defaults are the paper's instance and the CLI's defaults."""
 
     seed: int
-    n: int = 8
-    x_sq: Fraction = PlanParams.x_sq
+    params: PlanParams = PlanParams(8)
     per_group: int = 30
     groups: int = 20
     strategy: Strategy = Strategy.SPM
@@ -138,10 +137,6 @@ class ProtocolConfig:
         if self.per_group < 1 or self.groups < 1 or self.trials < 1:
             raise ValueError("per_group, groups and trials must all be at least 1")
         check_seed(self.seed)
-
-    @property
-    def params(self) -> PlanParams:
-        return PlanParams(self.n, self.x_sq)
 
 
 PLANS = {Strategy.CPM: cpm_plan, Strategy.SPM: spm_plan}

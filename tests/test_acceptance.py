@@ -110,9 +110,9 @@ def test_criterion_2_cascade_checkpoints(capsys):
 def test_criterion_3_probability_split(capsys):
     records = enumerate_branches(spm_plan(P8), P8)
     mu = sum(
-        r.probability for r in records if r.leaf_class in (LeafClass.MU_PLUS, LeafClass.MU_MINUS)
+        r.probability for r in records if r.leaf_classes[0] in (LeafClass.MU_PLUS, LeafClass.MU_MINUS)
     )
-    eta = sum(r.probability for r in records if r.leaf_class is LeafClass.ETA)
+    eta = sum(r.probability for r in records if r.leaf_classes[0] is LeafClass.ETA)
     correction = Fraction(3, 4 * (2**128 - 1))
     ok = (
         mu == Fraction(3, 4) - correction

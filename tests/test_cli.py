@@ -119,7 +119,7 @@ def test_rows_rendered_per_class(n, tmp_path):
         params = PlanParams(n, Fraction(x_sq))
         for strategy, plan_maker in (("cpm", cpm_plan), ("spm", spm_plan)):
             rows = [
-                _branch_row(r.outcomes, r.probability, r.bob_state, r.leaf_class, r.level)
+                _branch_row(r.head, r.probability, r.states[0], r.leaf_classes[0], r.level)
                 for r in enumerate_branches(plan_maker(params), params)
             ]
             argv = ["enumerate", "--strategy", strategy, "--qubits", str(n), "--x-sq", x_sq]
@@ -252,13 +252,20 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert all(entry["status"] in ("PASS", "INFO") for entry in report)
 
-    # --seed itself must lie in [0, 2**64): just below it, and at 2**64
-    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-    def test_seed_out_of_range(self, seed, capsys):
+    # --seed itself must lie in [0, 2**64): just below it, and at 2**64; and
+    # it is checked even when no random plan would use it
+    @pytest.mark.parametrize("seed,extra", [
+        pytest.param("-1", [], id="-1"),
+        pytest.param("18446744073709551616", [], id="18446744073709551616"),
+        pytest.param("-1", ["--qubits", "3", "--random-plans", "0"], id="-1-no-random-plans"),
+    ])
+    def test_seed_out_of_range(self, seed, extra, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--seed", seed])
+            main(["verify", "--seed", seed, *extra])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any check runs
+        err = captured.err
         assert "ghzdisc: error: random plan seed must be an unsigned 64-bit integer" in err
         assert f"got seed {seed}," in err  # the flag's value, not a derived plan seed
         assert "Traceback" not in err
@@ -322,7 +329,7 @@ class TestPayloadIsLibraryRecord:
         out = tmp_path / "run.json"
         assert main(["simulate", "--strategy", "random", "--qubits", "6", "--trials", "2",
                      "--seed", "7", "--groups", "3", "--per-group", "10", "--out", str(out)]) == 0
-        config = ProtocolConfig(seed=7, n=6, per_group=10, groups=3,
+        config = ProtocolConfig(seed=7, params=PlanParams(6), per_group=10, groups=3,
                                 strategy=Strategy.RANDOM_PER_STATE, trials=2)
         expected = run_protocol(config, build_samplers(config.params))
         assert json.loads(out.read_text())["per_trial"] == expected

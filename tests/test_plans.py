@@ -125,8 +125,8 @@ class TestCpmPlan:
         sixteenth_sq = Fraction(1, 256)
         for record in records:
             assert record.probability == Fraction(1, 128)
-            assert abs(record.bob_state.amp0) == sixteenth_sq
-            assert abs(record.bob_state.amp1) == sixteenth_sq
+            assert abs(record.states[0].amp0) == sixteenth_sq
+            assert abs(record.states[0].amp1) == sixteenth_sq
 
 
 class TestSpmPlan:
@@ -157,7 +157,7 @@ class TestEnumeration:
         assert Counter(r.level for r in records) == {
             1: 64, 2: 32, 3: 16, 4: 8, 5: 4, 6: 2, 7: 1, 8: 1,
         }
-        assert Counter(r.leaf_class for r in records) == {
+        assert Counter(r.leaf_classes[0] for r in records) == {
             LeafClass.MU_PLUS: 64, LeafClass.MU_MINUS: 63, LeafClass.ETA: 1,
         }
 
@@ -169,7 +169,7 @@ class TestEnumeration:
     def test_mu_prefactors(self):
         # level-k mu leaf squared norm is (1/2) / (2^(7-k) T_k^2)
         mu = [r for r in enumerate_branches(spm_plan(P8), P8)
-              if r.leaf_class in (LeafClass.MU_PLUS, LeafClass.MU_MINUS)]
+              if r.leaf_classes[0] in (LeafClass.MU_PLUS, LeafClass.MU_MINUS)]
         assert len(mu) == 127
         for record in mu:
             expected = Fraction(1, 2) / (2 ** (7 - record.level) * t_sq(record.level))
@@ -178,8 +178,8 @@ class TestEnumeration:
     def test_probability_split_exact(self):
         records = enumerate_branches(spm_plan(P8), P8)
         mu = sum(r.probability for r in records
-                 if r.leaf_class in (LeafClass.MU_PLUS, LeafClass.MU_MINUS))
-        eta = sum(r.probability for r in records if r.leaf_class is LeafClass.ETA)
+                 if r.leaf_classes[0] in (LeafClass.MU_PLUS, LeafClass.MU_MINUS))
+        eta = sum(r.probability for r in records if r.leaf_classes[0] is LeafClass.ETA)
         assert mu == Fraction(3, 4) - Fraction(3, 4 * (2**128 - 1))
         assert eta == Fraction(1, 4) + Fraction(3, 4 * (2**128 - 1))
 
@@ -198,7 +198,7 @@ class TestEnumeration:
         records = enumerate_branches(spm_plan(params), params)
         assert len(records) == leaves
         assert sum(r.probability for r in records) == 1
-        assert sum(1 for r in records if r.leaf_class is LeafClass.ETA) == 1
+        assert sum(1 for r in records if r.leaf_classes[0] is LeafClass.ETA) == 1
 
 
 # all-perp prefixes and the plus-child checkpoints, stated independently
@@ -243,8 +243,8 @@ class TestEtaState:
                 cascade = constants(params)
                 plan = spm_plan(params)
                 records = enumerate_branches(plan, params)
-                assert records[-1].outcomes == "1" * params.m
-                assert records[-1].bob_state == cascade.eta_leaf
+                assert records[-1].head == "1" * params.m
+                assert records[-1].states[0] == cascade.eta_leaf
                 assert cascade.bases == tuple(plan.basis_for("1" * k) for k in range(params.m))
 
     def test_symmetric_case(self):
@@ -256,8 +256,8 @@ class TestEtaState:
 class TestClassify:
     def test_eta_distinct_from_mu_minus(self):
         records = enumerate_branches(spm_plan(P8), P8)
-        assert records[-1].leaf_class is LeafClass.ETA
-        assert classify(records[-1].bob_state, constants(P8)) is LeafClass.ETA
+        assert records[-1].leaf_classes[0] is LeafClass.ETA
+        assert classify(records[-1].states[0], constants(P8)) is LeafClass.ETA
 
     def test_global_sign_ignored(self):
         flipped = ChainState(1, -X_SQ / 4, -Y_SQ / 4)
@@ -265,7 +265,7 @@ class TestClassify:
 
     def test_hadamard_leaf_is_other(self):
         records = enumerate_branches(cpm_plan(P8), P8)
-        assert all(r.leaf_class is LeafClass.OTHER for r in records)
+        assert all(r.leaf_classes[0] is LeafClass.OTHER for r in records)
 
 
 def _classify_reference(state, params):
@@ -294,9 +294,9 @@ def _classify_reference(state, params):
 def assert_classify_matches_reference(params, seed):
     for plan in (cpm_plan(params), spm_plan(params), random_plan(params, seed)):
         for record in enumerate_branches(plan, params):
-            flipped = ChainState(1, -record.bob_state.amp0, -record.bob_state.amp1)
-            assert record.leaf_class is _classify_reference(record.bob_state, params)
-            assert classify(flipped, constants(params)) is record.leaf_class
+            flipped = ChainState(1, -record.states[0].amp0, -record.states[0].amp1)
+            assert record.leaf_classes[0] is _classify_reference(record.states[0], params)
+            assert classify(flipped, constants(params)) is record.leaf_classes[0]
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -326,20 +326,22 @@ def assert_spine_walk_matches_leaf_walk(params):
         classes = outcome_classes(plan, params)
         assert len(classes) == (params.m + 1 if plan.spine is not None else 2**params.m)
         # the same rule as a chooser has no spine, so it is walked node by node; its
-        # records give plain per-leaf sums and counts
-        records = enumerate_branches(MeasurementPlan(params.m, plan.basis_for), params)
+        # classes, one per leaf, give plain per-leaf sums and counts
+        chooser = MeasurementPlan(params.m, plan.basis_for)
+        records = outcome_classes(chooser, params)
         assert enumerate_branches(plan, params) == records
+        assert enumerate_branches(chooser, params) == records
         marginal = (
-            sum(abs(r.bob_state.amp0) for r in records),
-            sum(abs(r.bob_state.amp1) for r in records),
+            sum(abs(r.states[0].amp0) for r in records),
+            sum(abs(r.states[0].amp1) for r in records),
         )
         assert receiver_marginal(classes) == marginal
         levels = Counter(r.level for r in records)
         probability: Counter = Counter()
         for r in records:
-            probability[r.leaf_class] += r.probability
-        assert census(classes) == (levels, Counter(r.leaf_class for r in records), probability)
-        counts = Counter(r.leaf_class.value for r in records)
+            probability[r.leaf_classes[0]] += r.probability
+        assert census(classes) == (levels, Counter(r.leaf_classes[0] for r in records), probability)
+        counts = Counter(r.leaf_classes[0].value for r in records)
         assert _census_lines(classes) == (
             f"branches: {len(records)}\n"
             f"level census: {' '.join(f'{k}:{levels[k]}' for k in sorted(levels))}\n"

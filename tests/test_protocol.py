@@ -175,7 +175,7 @@ def _reference_tables(records):
     for record in records:
         cumulative += record.probability
         cum.append((cumulative.numerator << RESOLUTION_BITS, cumulative.denominator))
-        p0 = bob_distribution(record.bob_state)[0]
+        p0 = bob_distribution(record.states[0])[0]
         p0s.append((p0.numerator << RESOLUTION_BITS, p0.denominator))
     return cum, p0s
 
@@ -212,11 +212,11 @@ def _holds(c, record):
     the class's head, level, probability and eta-ness, and one of its
     receiver states."""
     return (
-        record.outcomes.startswith(c.head)
+        record.head.startswith(c.head)
         and record.level == c.level
         and record.probability == c.probability
-        and all((lc is LeafClass.ETA) == (record.leaf_class is LeafClass.ETA) for lc in c.leaf_classes)
-        and record.bob_state in c.states
+        and all((lc is LeafClass.ETA) == (record.leaf_classes[0] is LeafClass.ETA) for lc in c.leaf_classes)
+        and record.states[0] in c.states
     )
 
 
@@ -228,8 +228,11 @@ def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
     params = PlanParams(n, x_sq)
     plan = plan_for(params)
     sampler = LeafSampler(plan, params)
-    # the same rule as a chooser is walked node by node, one record per leaf
-    records = enumerate_branches(MeasurementPlan(params.m, plan.basis_for), params)
+    # the same rule as a chooser is walked node by node, one class per leaf
+    chooser = MeasurementPlan(params.m, plan.basis_for)
+    records = outcome_classes(chooser, params)
+    assert enumerate_branches(plan, params) == records
+    assert enumerate_branches(chooser, params) == records
     tables = _reference_tables(records)
     cum, p0s = tables
     pairs = [(k, j) for k in _EDGE_DRAWS for j in _EDGE_DRAWS]
@@ -277,6 +280,32 @@ class TestRunProtocol:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ProtocolConfig(seed=1, per_group=0)
+
+    def test_group_vote_boundary(self):
+        # a group votes spm when ones/zeros reaches the threshold or zeros is 0;
+        # the majority needs more than half the groups, so a tie goes to cpm
+        drawn = outcome_classes(spm_plan(P8), P8)[0]
+        assert LeafClass.ETA not in drawn.leaf_classes
+        bits = iter([1, 1, 1, 1, 0, 0, 0] + [1] * 7 + [1, 1, 1, 0, 0, 0, 0] + [0] * 7)
+
+        class Scripted:
+            def sample(self, stream):
+                return drawn, next(bits)
+
+        s = Scripted()
+        config = ProtocolConfig(seed=1, per_group=7, groups=4, threshold=Fraction(4, 3),
+                                strategy=Strategy.SPM)
+        (trial,) = run_protocol(config, {Strategy.CPM: s, Strategy.SPM: s})
+        assert trial == {
+            "per_group": [
+                {"zeros": 3, "ones": 4, "ratio": 4 / 3, "decision": "spm"},
+                {"zeros": 0, "ones": 7, "ratio": None, "decision": "spm"},
+                {"zeros": 4, "ones": 3, "ratio": 3 / 4, "decision": "cpm"},
+                {"zeros": 7, "ones": 0, "ratio": 0.0, "decision": "cpm"},
+            ],
+            "eta_hits": 0,
+            "overall_decision": "cpm",
+        }
 
 
 class TestDiscriminate:
