@@ -1,6 +1,5 @@
 """Exact-arithmetic simulator for adaptive measurement cascades on GHZ chains."""
 
-from .amplitude import AmplitudeError, ExactAmplitude
 from .engine import (
     PLUS_MINUS,
     Basis,
@@ -17,7 +16,6 @@ from .plans import (
     classify,
     constants,
     cpm_plan,
-    enumerate_branches,
     spm_plan,
 )
 from .protocol import (

@@ -5,6 +5,8 @@ multiplies and negates amplitudes and sums their squares, so it holds
 each one as the signed rational sigma = sign * q: sigma1 * sigma2 is the
 product, -sigma the negation and |sigma| the Born weight.
 `ExactAmplitude` is the sign/magnitude form, the tests' reference.
+A rational's float is `float(q)`, correctly rounded at every exponent;
+`amplitude_json` renders sign * sqrt(|sigma|) by its own rule.
 """
 
 from __future__ import annotations
@@ -61,43 +63,30 @@ class ExactAmplitude:
         return ExactAmplitude(-self.sign, self.mag_sq)
 
 
-def fraction_float(value: Fraction, root: bool = False) -> float:
-    """Double of a rational, or with `root` of sign * sqrt(|value|);
-    exponent-safe.  The rational is scaled by 2**-e into [1/4, 2) before
-    the conversion, with e even for the root, so the root of a magnitude
-    below the double range (2**-2100, say) is kept.  A normal result is
-    the nearest double.  A subnormal one (below 2**-1022) is rounded
-    twice, to a 53-bit quotient and again by `ldexp`, so it can be one
-    unit in the last place from the nearest; the pinned tables hold such
-    floats, so this is kept as it is."""
-    if value == 0:
-        return 0.0
-    n, d = abs(value.numerator), value.denominator
-    e = n.bit_length() - d.bit_length()
-    if root:
-        e -= e % 2
-    # int / int is correctly rounded, so no Fraction (and gcd) is needed
-    scaled = n / (d << e) if e >= 0 else (n << -e) / d
-    result = math.ldexp(math.sqrt(scaled), e // 2) if root else math.ldexp(scaled, e)
-    return -result if value < 0 else result
-
-
 def fraction_json(value: Fraction) -> dict:
-    return {
-        "num": str(value.numerator),
-        "den": str(value.denominator),
-        "float": fraction_float(value),
-    }
+    return {"num": str(value.numerator), "den": str(value.denominator), "float": float(value)}
 
 
 def amplitude_json(sigma: Fraction) -> dict:
-    """The amplitude sign(sigma) * sqrt(|sigma|); the float is a convenience."""
-    num = sigma.numerator
+    """The amplitude sign(sigma) * sqrt(|sigma|); the float is a convenience.
+
+    |sigma| is scaled by 2**-e, e even, into [1/4, 2) before the root, so
+    the root of a magnitude below the double range (2**-2100, say) is
+    kept.  The float is the root of a correctly rounded quotient: within
+    one unit in the last place of the nearest double, but not always the
+    nearest (sigma = 1/15 gives 0.2581988897471611, the nearest double
+    being 0.25819888974716115).  The pinned tables hold such floats."""
+    num, den = sigma.numerator, sigma.denominator
+    sign, n = (num > 0) - (num < 0), abs(num)
+    e = n.bit_length() - den.bit_length()
+    e -= e % 2
+    # int / int is correctly rounded, so no Fraction (and gcd) is needed
+    scaled = n / (den << e) if e >= 0 else (n << -e) / den
     return {
-        "sign": (num > 0) - (num < 0),
-        "num": str(abs(num)),
-        "den": str(sigma.denominator),
-        "float": fraction_float(sigma, root=True),
+        "sign": sign,
+        "num": str(n),
+        "den": str(den),
+        "float": sign * math.ldexp(math.sqrt(scaled), e // 2),
     }
 
 

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator
 
-from .amplitude import amplitude_json, fraction_float, fraction_json, unlimited_int_digits
+from .amplitude import amplitude_json, fraction_json, unlimited_int_digits
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite, receiver_marginal
 from .plans import PlanParams, census, outcome_classes
 from .protocol import (
@@ -205,7 +205,7 @@ def cmd_simulate(args) -> int:
     w_values = {}
     for l in (1, 2, 3):
         if l < config.per_group:
-            w_values[str(l)] = fraction_float(w_statistic(l, params, config.per_group))
+            w_values[str(l)] = float(w_statistic(l, params, config.per_group))
     payload = {
         "config": _config_json(config),
         "per_trial": trials,

@@ -29,7 +29,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
-from .engine import PLUS_MINUS, Basis, ChainState, ghz_state, measure_next
+from .engine import PLUS_MINUS, Basis, ChainState, _coerce, ghz_state, measure_next
 
 
 class PlanError(ValueError):
@@ -53,8 +53,7 @@ class PlanParams:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise PlanError(f"the cascade needs at least 2 sender qubits (n >= 3), got n={self.n}")
-        if not isinstance(self.x_sq, Fraction):
-            object.__setattr__(self, "x_sq", Fraction(self.x_sq))
+        _coerce(self, "x_sq")
         if not 0 < self.x_sq < 1:
             raise PlanError(f"x_sq must lie strictly between 0 and 1, got {self.x_sq}")
 

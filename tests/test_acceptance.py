@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line."""
 
 import json
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,6 @@ from ghzdisc import (
     constants,
     cpm_plan,
     discriminate,
-    enumerate_branches,
     ghz_state,
     measure_next,
     random_plan,
@@ -29,6 +29,7 @@ from ghzdisc import (
     w_statistic,
 )
 from ghzdisc.cli import main
+from ghzdisc.plans import enumerate_branches
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)
@@ -202,9 +203,20 @@ def test_criterion_8_claimed_skew_not_reproduced(capsys):
                f"(chance +/- {sigma_acc:.3f}), {elapsed:.1f}s")
 
 
-def test_criterion_9_sampler_oracle_agreement(capsys):
-    from scipy.stats import chi2
+def _chi2_df4_critical(level):
+    """The x with P(chi2 > x) = level at 4 degrees of freedom, where the
+    survival function is exp(-x/2) * (1 + x/2): bisected to the last
+    double at which it still exceeds the level."""
+    lo, hi = 0.0, 100.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if math.exp(-mid / 2) * (1 + mid / 2) > level:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
+
+def test_criterion_9_sampler_oracle_agreement(capsys):
     params = P8
     sampler = LeafSampler(spm_plan(params), params)
     samples = 10**5
@@ -228,7 +240,7 @@ def test_criterion_9_sampler_oracle_agreement(capsys):
     obs = pool(observed)
     exp = [float(p) * samples for p in pool(exact)]
     statistic = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
-    critical = chi2.ppf(1 - 0.001, df=len(obs) - 1)
+    critical = _chi2_df4_critical(0.001)  # 5 bins, 4 degrees of freedom
     ok = statistic <= critical
     with capsys.disabled():
         report(9, ok, f"chi2={statistic:.2f} <= {critical:.2f} over {samples} samples, 5 bins")

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -455,3 +457,35 @@ class TestOutputTargets:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == expected.read_bytes()
         assert os.listdir(data) == ["table.json"]
+
+
+FLAG_SURFACE_SHA256 = "612b2f691cea5bbbb28ba47e6ae2f35039a483ccf9891718db37b1cda6716a3f"
+
+
+def _flag_surface():
+    """Every subcommand's actions as canonical JSON: option strings, dest,
+    default, choices, required, type name and help.  The structure, not
+    the `--help` text, whose layout differs across Python versions."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return json.dumps({
+        name: [
+            {
+                "options": a.option_strings,
+                "dest": a.dest,
+                "default": str(a.default),
+                "choices": a.choices,
+                "required": a.required,
+                "type": getattr(a.type, "__name__", None),
+                "help": a.help,
+            }
+            for a in parser._actions
+        ]
+        for name, parser in sub.choices.items()
+    }, sort_keys=True)
+
+
+def test_flag_surface_pinned():
+    # a new, renamed or re-defaulted flag moves the digest: update it on purpose
+    surface = _flag_surface()
+    assert hashlib.sha256(surface.encode()).hexdigest() == FLAG_SURFACE_SHA256, surface
+

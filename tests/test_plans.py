@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ghzdisc import (
     PLUS_MINUS,
     ChainState,
-    ExactAmplitude,
     LeafClass,
     PlanError,
     PlanParams,
@@ -16,15 +15,15 @@ from ghzdisc import (
     classify,
     constants,
     cpm_plan,
-    enumerate_branches,
     ghz_state,
     measure_next,
     random_plan,
     spm_plan,
 )
+from ghzdisc.amplitude import ExactAmplitude
 from ghzdisc.cli import _census_lines
 from ghzdisc.oracle import receiver_marginal
-from ghzdisc.plans import MeasurementPlan, census, outcome_classes
+from ghzdisc.plans import MeasurementPlan, census, enumerate_branches, outcome_classes
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)

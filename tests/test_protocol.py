@@ -17,13 +17,12 @@ from ghzdisc import (
     constants,
     cpm_plan,
     discriminate,
-    enumerate_branches,
     random_plan,
     run_protocol,
     spm_plan,
     w_statistic,
 )
-from ghzdisc.plans import MeasurementPlan, outcome_classes
+from ghzdisc.plans import MeasurementPlan, enumerate_branches, outcome_classes
 from ghzdisc.protocol import RESOLUTION_BITS, _cut
 
 P8 = PlanParams(8)
