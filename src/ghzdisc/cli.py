@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -114,10 +113,8 @@ def _json_tail(row: dict) -> str:
 
 
 def _csv_tail(row: dict) -> str:
-    """A row's CSV line after its outcomes cell and comma."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(_csv_row(row)[1:])
-    return buffer.getvalue()
+    """A row's CSV line after its outcomes cell and comma; no cell needs quoting."""
+    return ",".join(map(str, _csv_row(row)[1:])) + "\n"
 
 
 def _rendered(classes, tail) -> Iterator[tuple[str, str]]:
@@ -142,8 +139,7 @@ def _census_lines(classes) -> str:
     )
 
 
-def cmd_enumerate(args) -> int:
-    params = PlanParams(args.qubits, args.x_sq)
+def cmd_enumerate(args, params: PlanParams) -> int:
     classes = outcome_classes(PLANS[Strategy(args.strategy)](params), params)
     sys.stdout.write(_census_lines(classes))
     # outcomes are bit strings, so neither format quotes or escapes them; the JSON
@@ -162,10 +158,10 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> ProtocolConfig:
+def _config_from_args(args, params: PlanParams) -> ProtocolConfig:
     return ProtocolConfig(
         seed=args.seed,
-        params=PlanParams(args.qubits, args.x_sq),
+        params=params,
         per_group=args.per_group,
         groups=args.groups,
         strategy=Strategy(args.strategy),
@@ -192,9 +188,8 @@ def _write_json(path: str | None, payload) -> None:
         handle.write(json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_simulate(args) -> int:
-    config = _config_from_args(args)
-    params = config.params
+def cmd_simulate(args, params: PlanParams) -> int:
+    config = _config_from_args(args, params)
     samplers = build_samplers(params)
     trials = run_protocol(config, samplers)
     ones = sum(g["ones"] for t in trials for g in t["per_group"])
@@ -229,23 +224,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_discriminate(args) -> int:
-    config = _config_from_args(args)
+def cmd_discriminate(args, params: PlanParams) -> int:
+    config = _config_from_args(args, params)
     report = discriminate(config)
     _write_json(args.out, {"config": _config_json(config), **report})
     sys.stderr.write(f"accuracy: {report['accuracy']}\n")
     return 0
 
 
-def cmd_marginal(args) -> int:
-    params = PlanParams(args.qubits, args.x_sq)
+def cmd_marginal(args, params: PlanParams) -> int:
     p0, p1 = bob_marginal(PLANS[Strategy(args.strategy)](params), params)
     sys.stdout.write(f"p0 = {p0}\np1 = {p1}\n")
     return 0
 
 
-def cmd_verify(args) -> int:
-    params = PlanParams(args.qubits, args.x_sq)
+def cmd_verify(args, params: PlanParams) -> int:
     # first, so that a bad --random-plans or --seed fails before any other work
     suite = no_signaling_suite(plans_per_n=args.random_plans, seed=args.seed)
     checks = checkpoint_report(params) + suite
@@ -327,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with unlimited_int_digits():
-            code = args.func(args)
+            code = args.func(args, PlanParams(args.qubits, args.x_sq))  # a bad chain is reported first
             sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
         return code
     except ValueError as exc:  # PlanError included

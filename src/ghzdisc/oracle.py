@@ -1,8 +1,8 @@
-"""Brute-force exact verification.
+"""Exact verification.
 
 `bob_marginal` sums the receiver's outcome weights (`receiver_marginal`)
-over every branch of an arbitrary adaptive plan, giving the marginal as
-an exact rational.
+over a plan's outcome classes (m + 1 for cpm and spm; one per leaf for a
+random plan), giving the marginal as an exact rational.
 `checkpoint_report` regenerates the reference quantities of the paper's
 instance (`ProtocolConfig`'s defaults) from first principles and
 compares each against its expected value at a stated tolerance.
@@ -38,7 +38,7 @@ def receiver_marginal(classes) -> tuple[Fraction, Fraction]:
 
 
 def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
-    """Receiver's exact marginal over all of the sender's outcome branches."""
+    """Receiver's exact marginal, summed over the plan's outcome classes."""
     return receiver_marginal(outcome_classes(plan, params))
 
 
@@ -93,14 +93,7 @@ _F_SQ_EXPECTED = {
 }
 
 
-def telescoping_t_sq(params: PlanParams) -> Fraction:
-    """Closed form for the final product of stage normalizers, valid for
-    ratio != 1 (the symmetric case needs the direct product)."""
-    r = params.ratio
-    if r == 1:
-        raise ZeroDivisionError("closed form is singular at x^2 = 1/2")
-    e = 2 ** (params.m - 1)
-    return (r**e - r**-e) / (r - 1 / r)
+_HALVES = (Fraction(1, 2), Fraction(1, 2))  # the receiver's marginal under every plan
 
 
 @unlimited_int_digits()  # the exact fields of deep trees outgrow the int-to-str limit
@@ -114,10 +107,9 @@ def checkpoint_report(params: PlanParams) -> list[dict]:
         for k, expected in _F_SQ_EXPECTED.items():
             checks.append(_exact(f"f{k}_sq", cascade.F_sq[k - 1], expected))
 
-    if params.ratio != 1:
-        checks.append(
-            _exact(f"t{m}_sq_telescoping", cascade.T_sq[-1], telescoping_t_sq(params))
-        )
+    r, e = params.ratio, 2 ** (m - 1)
+    if r != 1:  # the closed form of T_m^2 is singular at x^2 = 1/2
+        checks.append(_exact(f"t{m}_sq_telescoping", cascade.T_sq[-1], (r**e - r**-e) / (r - 1 / r)))
 
     levels, _, probability = census(classes)
     checks.append(
@@ -153,9 +145,8 @@ def checkpoint_report(params: PlanParams) -> list[dict]:
         checks.append(_approx("w_1_n7", w_statistic(1, PlanParams(7), per_group), "0.83", "1e-2"))
         checks.append(_approx("w_1_n6", w_statistic(1, PlanParams(6), per_group), "0.41", "1e-2"))
 
-    half = (Fraction(1, 2), Fraction(1, 2))
-    checks.append(_exact("marginal_uniform_plan", bob_marginal(cpm_plan(params), params), half))
-    checks.append(_exact("marginal_cascade_plan", receiver_marginal(classes), half))
+    checks.append(_exact("marginal_uniform_plan", bob_marginal(cpm_plan(params), params), _HALVES))
+    checks.append(_exact("marginal_cascade_plan", receiver_marginal(classes), _HALVES))
 
     checks.append(
         _check(
@@ -176,14 +167,13 @@ def no_signaling_suite(plans_per_n: int, seed: int) -> list[dict]:
     if plans_per_n < 0:
         raise ValueError(f"random plans per chain length must be nonnegative, got {plans_per_n}")
     check_seed(seed, "random plan seed")
-    half = (Fraction(1, 2), Fraction(1, 2))
     checks = []
     for n in range(3, 9):
         params = PlanParams(n)
-        checks.append(_exact(f"marginal_uniform_n{n}", bob_marginal(cpm_plan(params), params), half))
-        checks.append(_exact(f"marginal_cascade_n{n}", bob_marginal(spm_plan(params), params), half))
+        checks.append(_exact(f"marginal_uniform_n{n}", bob_marginal(cpm_plan(params), params), _HALVES))
+        checks.append(_exact(f"marginal_cascade_n{n}", bob_marginal(spm_plan(params), params), _HALVES))
         for i in range(plans_per_n):
             packed = b"".join(v.to_bytes(8, "big") for v in (seed, n, i))
             plan = random_plan(params, int.from_bytes(hashlib.sha256(packed).digest()[:8], "big"))
-            checks.append(_exact(f"marginal_random_n{n}_{i}", bob_marginal(plan, params), half))
+            checks.append(_exact(f"marginal_random_n{n}_{i}", bob_marginal(plan, params), _HALVES))
     return checks

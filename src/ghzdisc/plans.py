@@ -51,6 +51,8 @@ class PlanParams:
     x_sq: Fraction = Fraction(2, 3)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int):
+            raise PlanError(f"the chain length must be an int, got n={self.n!r}")
         if self.n < 3:
             raise PlanError(f"the cascade needs at least 2 sender qubits (n >= 3), got n={self.n}")
         _coerce(self, "x_sq")

@@ -39,8 +39,6 @@ RESOLUTION_BITS = 256
 _DOMAIN_SAMPLE = 0
 _DOMAIN_TRUTH = 1
 
-_HALF = Fraction(1, 2)
-
 
 class Strategy(Enum):
     CPM = "cpm"
@@ -53,8 +51,13 @@ def _cut(p: Fraction) -> int:
     return -((-p.numerator << RESOLUTION_BITS) // p.denominator)
 
 
+_HALF_CUT = _cut(Fraction(1, 2))  # the cut of a fair coin
+
+
 def check_seed(seed: int, name: str = "seed") -> None:
     """The one seed domain: every seed is packed as 8 big-endian bytes."""
+    if not isinstance(seed, int):
+        raise ValueError(f"{name} must be an int, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got seed {seed}, not in [0, 2**64)")
 
@@ -159,7 +162,7 @@ def _run_trial(
     `Strategy` values."""
     cpm, spm = samplers[Strategy.CPM], samplers[Strategy.SPM]
     fixed = None if strategy is Strategy.RANDOM_PER_STATE else samplers[strategy]
-    half, eta = _cut(_HALF), LeafClass.ETA
+    half, eta = _HALF_CUT, LeafClass.ETA
     eta_hits = spm_votes = 0
     per_group: list[dict] = []
     for g in range(config.groups):
@@ -203,7 +206,7 @@ def discriminate(config: ProtocolConfig) -> dict:
     }
     for t in range(config.trials):
         coin = CounterStream(config.seed, _DOMAIN_TRUTH, t)
-        truth = Strategy.SPM if coin.next_int() < _cut(_HALF) else Strategy.CPM
+        truth = Strategy.SPM if coin.next_int() < _HALF_CUT else Strategy.CPM
         result = _run_trial(config, samplers, t, truth)
         decision = result["overall_decision"]
         confusion[truth.value][decision] += 1

@@ -309,6 +309,36 @@ def test_sampling_seed_out_of_range_fails_fast(argv, monkeypatch, capsys):
     assert captured.out == ""
 
 
+# `main` builds the chain before any subcommand runs, so a bad chain is the one
+# usage error even where --seed or --random-plans is bad too
+@pytest.mark.parametrize("chain,message", [
+    (["--qubits", "2"], "the cascade needs at least 2 sender qubits (n >= 3), got n=2"),
+    (["--x-sq", "1"], "x_sq must lie strictly between 0 and 1, got 1"),
+    (["--x-sq", "0"], "x_sq must lie strictly between 0 and 1, got 0"),
+])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["enumerate", "--strategy", "spm", "--out", "out.json"], id="enumerate"),
+    pytest.param(["marginal", "--strategy", "cpm"], id="marginal"),
+    pytest.param(["verify", "--json", "out.json"], id="verify"),
+    pytest.param(["simulate", "--seed", "1", "--out", "out.json", "--csv", "out.csv"], id="simulate"),
+    pytest.param(["discriminate", "--seed", "1", "--out", "out.json"], id="discriminate"),
+    pytest.param(["verify", "--seed", "-1", "--random-plans", "-3", "--json", "out.json"],
+                 id="verify-bad-seed"),
+    pytest.param(["simulate", "--seed", "-1", "--out", "out.json"], id="simulate-bad-seed"),
+])
+def test_bad_chain_is_usage_error(argv, chain, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + chain)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("ghzdisc: error:") == 1
+    assert captured.err.endswith(f"ghzdisc: error: {message}\n")
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path, capsys):
         pairs = []

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -50,6 +51,12 @@ class TestParams:
     def test_too_short(self):
         with pytest.raises(PlanError):
             PlanParams(2)
+
+    # 8.0 == 8 hashes equal, so a float n would also share `constants`' cache entry
+    @pytest.mark.parametrize("n", [8.0, Fraction(8), "8"], ids=["float", "Fraction", "str"])
+    def test_non_int_length(self, n):
+        with pytest.raises(PlanError, match=re.escape(f"the chain length must be an int, got n={n!r}")):
+            PlanParams(n)
 
     @pytest.mark.parametrize("x_sq", [Fraction(0), Fraction(1), Fraction(3, 2)])
     def test_bad_coefficient(self, x_sq):

@@ -50,6 +50,16 @@ class TestCounterStream:
         with pytest.raises(ValueError):
             CounterStream(2**64)
 
+    # a float seed would otherwise fail only at its first to_bytes, far from where it entered
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: CounterStream(2.0), id="stream"),
+        pytest.param(lambda: ProtocolConfig(seed=1.5), id="config"),
+        pytest.param(lambda: random_plan(P8, 3.0), id="random-plan"),
+    ])
+    def test_non_int_seed(self, make):
+        with pytest.raises(ValueError, match="seed must be an int, got [0-9.]+$"):
+            make()
+
     def test_child_matches_full_path(self):
         group = CounterStream(2**64 - 1, 0, 3, 7)
         for index in (0, 1, 29, 2**32, 2**64 - 1):
