@@ -9,7 +9,6 @@ authoritative.  Identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -146,7 +145,7 @@ def cmd_enumerate(args, params: PlanParams) -> int:
     # bytes equal json.dumps of the `_branch_row`s of `enumerate_branches`, indent=2, + "\n"
     with _output(args.out) as handle:
         if args.format == "csv":
-            csv.writer(handle, lineterminator="\n").writerow(_CSV_HEADER)
+            handle.write(",".join(_CSV_HEADER) + "\n")
             for outcomes, tail in _rendered(classes, _csv_tail):
                 handle.write(f"{outcomes},{tail}")
         else:
@@ -213,14 +212,11 @@ def cmd_simulate(args, params: PlanParams) -> int:
     _write_json(args.out, payload)
     if args.csv:
         with _output(args.csv) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["trial", "group", "zeros", "ones", "ratio", "decision"])
-            writer.writerows(
-                [t, g, c["zeros"], c["ones"], "" if c["ratio"] is None else repr(c["ratio"]),
-                 c["decision"]]
-                for t, trial in enumerate(trials)
-                for g, c in enumerate(trial["per_group"])
-            )
+            handle.write("trial,group,zeros,ones,ratio,decision\n")
+            for t, trial in enumerate(trials):
+                for g, c in enumerate(trial["per_group"]):
+                    ratio = "" if c["ratio"] is None else repr(c["ratio"])
+                    handle.write(f"{t},{g},{c['zeros']},{c['ones']},{ratio},{c['decision']}\n")
     return 0
 
 

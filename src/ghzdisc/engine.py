@@ -17,12 +17,11 @@ class MeasurementError(ValueError):
     """Invalid state or basis for a measurement operation."""
 
 
-def _coerce(record, *fields: str) -> None:
-    """Make each named field a Fraction: no int or float enters the walk."""
+def check_fractions(record, error: type[ValueError], *fields: str) -> None:
+    """The one rule for exact fields: each holds a Fraction, or `error` names it; nothing is converted."""
     for field in fields:
-        value = getattr(record, field)
-        if not isinstance(value, Fraction):
-            object.__setattr__(record, field, Fraction(value))
+        if not isinstance(value := getattr(record, field), Fraction):
+            raise error(f"{field} must be a Fraction, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class Basis:
     c1: Fraction
 
     def __post_init__(self) -> None:
-        _coerce(self, "c0", "c1")
+        check_fractions(self, MeasurementError, "c0", "c1")
         norm = abs(self.c0) + abs(self.c1)
         if norm != 1:
             raise MeasurementError(f"basis is not normalized: c0^2 + c1^2 = {norm}")
@@ -53,7 +52,7 @@ class ChainState:
     def __post_init__(self) -> None:
         if self.remaining < 1:
             raise MeasurementError(f"need at least one qubit, got {self.remaining}")
-        _coerce(self, "amp0", "amp1")
+        check_fractions(self, MeasurementError, "amp0", "amp1")
         norm = self.norm_sq()
         if not 0 < norm <= 1:
             raise MeasurementError(f"squared norm must be in (0, 1], got {norm}")

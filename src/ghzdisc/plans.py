@@ -29,7 +29,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
-from .engine import PLUS_MINUS, Basis, ChainState, _coerce, ghz_state, measure_next
+from .engine import PLUS_MINUS, Basis, ChainState, check_fractions, ghz_state, measure_next
 
 
 class PlanError(ValueError):
@@ -55,7 +55,7 @@ class PlanParams:
             raise PlanError(f"the chain length must be an int, got n={self.n!r}")
         if self.n < 3:
             raise PlanError(f"the cascade needs at least 2 sender qubits (n >= 3), got n={self.n}")
-        _coerce(self, "x_sq")
+        check_fractions(self, PlanError, "x_sq")
         if not 0 < self.x_sq < 1:
             raise PlanError(f"x_sq must lie strictly between 0 and 1, got {self.x_sq}")
 

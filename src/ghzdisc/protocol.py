@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .engine import bob_distribution
+from .engine import bob_distribution, check_fractions
 from .plans import (
     LeafClass,
     MeasurementPlan,
@@ -137,9 +137,13 @@ class ProtocolConfig:
     threshold: Fraction = Fraction(133, 100)
 
     def __post_init__(self) -> None:
-        if self.per_group < 1 or self.groups < 1 or self.trials < 1:
+        counts = (self.per_group, self.groups, self.trials)
+        if not all(isinstance(k, int) for k in counts):
+            raise ValueError(f"per_group, groups and trials must be ints, got {counts!r}")
+        if min(counts) < 1:
             raise ValueError("per_group, groups and trials must all be at least 1")
         check_seed(self.seed)
+        check_fractions(self, ValueError, "threshold")
 
 
 PLANS = {Strategy.CPM: cpm_plan, Strategy.SPM: spm_plan}

@@ -73,18 +73,24 @@ class TestChainState:
             ChainState(2, Fraction(-1), Fraction(-1))
 
 
-class TestCoercion:
-    """An int or float argument is stored as the Fraction it equals."""
+class TestExactFields:
+    """An exact field holds the Fraction it is given; anything else is rejected by name."""
 
-    def test_basis(self):
-        basis = Basis(0.5, -0.5)
-        assert (basis.c0, basis.c1) == (Fraction(1, 2), Fraction(-1, 2))
-        assert type(basis.c0) is type(basis.c1) is Fraction
+    def test_fraction_kept(self):
+        half, third = Fraction(1, 2), Fraction(-1, 3)
+        state = ChainState(2, half, third)
+        assert state.amp0 is half and state.amp1 is third
 
-    def test_chain_state(self):
-        state = ChainState(1, 1, 0)
-        assert (state.amp0, state.amp1) == (Fraction(1), Fraction(0))
-        assert type(state.amp0) is type(state.amp1) is Fraction
+    # a float would otherwise enter as its binary value, an int or str as whatever Fraction makes of it
+    @pytest.mark.parametrize("make, field", [
+        pytest.param(lambda: Basis(0.5, Fraction(1, 2)), "c0", id="basis-c0"),
+        pytest.param(lambda: Basis(Fraction(1, 2), -0.5), "c1", id="basis-c1"),
+        pytest.param(lambda: ChainState(1, 1, Fraction(0)), "amp0", id="state-amp0"),
+        pytest.param(lambda: ChainState(1, Fraction(1), "0"), "amp1", id="state-amp1"),
+    ])
+    def test_non_fraction_rejected(self, make, field):
+        with pytest.raises(MeasurementError, match=f"^{field} must be a Fraction, got "):
+            make()
 
 
 class TestMeasureNext:

@@ -58,6 +58,12 @@ class TestParams:
         with pytest.raises(PlanError, match=re.escape(f"the chain length must be an int, got n={n!r}")):
             PlanParams(n)
 
+    # a float would otherwise enter as its binary value: 0.1 is not 1/10
+    @pytest.mark.parametrize("x_sq", [0.1, "2/3", 1], ids=["float", "str", "int"])
+    def test_non_fraction_coefficient(self, x_sq):
+        with pytest.raises(PlanError, match=re.escape(f"x_sq must be a Fraction, got {x_sq!r}")):
+            PlanParams(8, x_sq)
+
     @pytest.mark.parametrize("x_sq", [Fraction(0), Fraction(1), Fraction(3, 2)])
     def test_bad_coefficient(self, x_sq):
         with pytest.raises(PlanError):

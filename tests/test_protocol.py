@@ -290,6 +290,16 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             ProtocolConfig(seed=1, per_group=0)
 
+    # a float count would otherwise fail only later, in `range`
+    @pytest.mark.parametrize("field, value", [("per_group", 2.5), ("groups", 2.0), ("trials", "3")])
+    def test_non_int_count(self, field, value):
+        with pytest.raises(ValueError, match="^per_group, groups and trials must be ints, got "):
+            ProtocolConfig(seed=1, **{field: value})
+
+    def test_non_fraction_threshold(self):
+        with pytest.raises(ValueError, match=r"^threshold must be a Fraction, got 1\.33$"):
+            ProtocolConfig(seed=1, threshold=1.33)
+
     def test_group_vote_boundary(self):
         # a group votes spm when ones/zeros reaches the threshold or zeros is 0;
         # the majority needs more than half the groups, so a tie goes to cpm
