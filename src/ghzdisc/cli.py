@@ -169,16 +169,20 @@ def _config_from_args(args, params: PlanParams) -> ProtocolConfig:
     )
 
 
+def _num_den(q: Fraction) -> dict:
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
 def _config_json(config: ProtocolConfig) -> dict:
     return {
         "seed": config.seed,
         "qubits": config.params.n,
-        "x_sq": {"num": str(config.params.x_sq.numerator), "den": str(config.params.x_sq.denominator)},
+        "x_sq": _num_den(config.params.x_sq),
         "per_group": config.per_group,
         "groups": config.groups,
         "strategy": config.strategy.value,
         "trials": config.trials,
-        "threshold": float(config.threshold),
+        "threshold": _num_den(config.threshold),
     }
 
 

@@ -2,14 +2,20 @@
 
 Sampling is driven by a counter-based SHA-256 stream split per
 (trial, group, state), so parallel or re-ordered execution would
-reproduce serial results bit for bit.  Each group packs its stream
-prefix once; a state's stream extends it by the state index.  A draw
-is a uniform 256-bit integer k: the rarest branch probabilities are far
-below 64-bit resolution, so all 256 bits are kept.  For integer k and
-rational p, k < p * 2**256 exactly when k < ceil(p * 2**256), so every
-threshold is stored as that exact integer cut point and each inverse-CDF
-decision is one comparison of ints of at most 257 bits.  A state's first
-draw picks one of a plan's outcome classes, not one of its 2^m leaves.
+reproduce serial results bit for bit.  A draw is a uniform 256-bit
+integer k: the rarest branch probabilities are far below 64-bit
+resolution, so all 256 bits are kept.  For integer k and rational p,
+k < p * 2**256 exactly when k < ceil(p * 2**256), so every threshold is
+stored as that exact integer cut point and each inverse-CDF decision is
+one comparison of ints of at most 257 bits.
+
+The protocol loop decides a state by one draw: the first value of the
+state's stream, hashed from its group's packed prefix (seed, domain,
+trial, group) extended by the state index and counter 0, with no stream
+object per state.  The draw is bisected over one joint table whose rows
+are (strategy, outcome class, receiver bit): 2(m + 1) rows for a
+built-in strategy, 4(m + 1) under `random`.  `LeafSampler.sample`, one
+draw for the class and one for the bit, is kept as the reference.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 from .engine import bob_distribution, check_fractions
 from .plans import (
@@ -51,7 +58,7 @@ def _cut(p: Fraction) -> int:
     return -((-p.numerator << RESOLUTION_BITS) // p.denominator)
 
 
-_HALF_CUT = _cut(Fraction(1, 2))  # the cut of a fair coin
+_HALF_CUT = _cut(Fraction(1, 2))  # the cut of the truth coin
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
@@ -62,24 +69,29 @@ def check_seed(seed: int, name: str = "seed") -> None:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got seed {seed}, not in [0, 2**64)")
 
 
+def _pack(*values: int) -> bytes:
+    """The stream's message format: each value as 8 big-endian bytes."""
+    return b"".join(v.to_bytes(8, "big") for v in values)
+
+
 class CounterStream:
     """Deterministic uniform stream: SHA-256 over (seed, path, counter)."""
 
     def __init__(self, seed: int, *path: int):
         check_seed(seed)
-        self._prefix = seed.to_bytes(8, "big") + b"".join(p.to_bytes(8, "big") for p in path)
+        self._prefix = _pack(seed, *path)
         self._counter = 0
 
     def next_int(self) -> int:
         """Uniform integer in [0, 2**RESOLUTION_BITS)."""
-        digest = hashlib.sha256(self._prefix + self._counter.to_bytes(8, "big")).digest()
+        digest = hashlib.sha256(self._prefix + _pack(self._counter)).digest()
         self._counter += 1
         return int.from_bytes(digest, "big")
 
     def child(self, index: int) -> CounterStream:
         """The stream at path + (index,), without re-packing the path."""
         stream = CounterStream.__new__(CounterStream)
-        stream._prefix = self._prefix + index.to_bytes(8, "big")
+        stream._prefix = self._prefix + _pack(index)
         stream._counter = 0
         return stream
 
@@ -106,7 +118,8 @@ class LeafSampler:
         assert cumulative == 1
 
     def sample(self, stream: CounterStream) -> tuple[OutcomeClass, int]:
-        """Draw one outcome class and the receiver's computational-basis bit."""
+        """Draw one outcome class and the receiver's computational-basis bit:
+        two draws, the reference for the protocol loop's one-draw table."""
         i = bisect_right(self._cuts, stream.next_int())
         bob_bit = 0 if stream.next_int() < self._p0_cuts[i] else 1
         return self.classes[i], bob_bit
@@ -143,6 +156,10 @@ class ProtocolConfig:
         if min(counts) < 1:
             raise ValueError("per_group, groups and trials must all be at least 1")
         check_seed(self.seed)
+        if not isinstance(self.params, PlanParams):
+            raise ValueError(f"params must be a PlanParams, got {self.params!r}")
+        if not isinstance(self.strategy, Strategy):
+            raise ValueError(f"strategy must be a Strategy, got {self.strategy!r}")
         check_fractions(self, ValueError, "threshold")
 
 
@@ -154,31 +171,53 @@ def build_samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
     return {strategy: LeafSampler(plan(params), params) for strategy, plan in PLANS.items()}
 
 
-def _run_trial(
-    config: ProtocolConfig,
-    samplers: dict[Strategy, LeafSampler],
-    trial: int,
-    strategy: Strategy,
-) -> dict:
+class JointTable(NamedTuple):
+    """Inverse CDF over (strategy, outcome class, receiver bit), one
+    column per field: a draw k picks row `bisect_right(cuts, k)`, and
+    the outputs read only that row's eta-ness and bit."""
+
+    cuts: list[int]
+    etas: list[bool]
+    bits: list[int]
+
+
+def _joint_rows(
+    samplers: dict[Strategy, LeafSampler], strategy: Strategy
+) -> Iterator[tuple[Fraction, bool, int]]:
+    """(weight, eta, bit) per row: share * 2^depth * |amp_bit| of the
+    class's state, i.e. share * p(class) * p(bit | class).  The share is
+    1, or 1/2 per strategy under `random`, spm first."""
+    chosen = (Strategy.SPM, Strategy.CPM) if strategy is Strategy.RANDOM_PER_STATE else (strategy,)
+    share = Fraction(1, len(chosen))
+    for s in chosen:
+        for c in samplers[s].classes:
+            eta = c.leaf_classes[0] is LeafClass.ETA
+            state = c.states[0]  # a class's states differ only in amp1's sign
+            for bit, amp in enumerate((state.amp0, state.amp1)):
+                yield share * c.summed(abs(amp)), eta, bit
+
+
+def joint_table(samplers: dict[Strategy, LeafSampler], strategy: Strategy) -> JointTable:
+    """The one-draw table of `strategy`, cut at each row's exact cumulative weight."""
+    table = JointTable([], [], [])
+    cumulative = Fraction(0)
+    for weight, eta, bit in _joint_rows(samplers, strategy):
+        cumulative += weight
+        table.cuts.append(_cut(cumulative))
+        table.etas.append(eta)
+        table.bits.append(bit)
+    assert cumulative == 1
+    return table
+
+
+def _trial_record(config: ProtocolConfig, ones_per_group: list[int], eta_hits: int) -> dict:
     """One trial as a `simulate` per-trial record: per group the
     receiver's zeros and ones, their ratio (None when zeros == 0) and
     its vote; the eta hits; and the majority vote.  Votes are
     `Strategy` values."""
-    cpm, spm = samplers[Strategy.CPM], samplers[Strategy.SPM]
-    fixed = None if strategy is Strategy.RANDOM_PER_STATE else samplers[strategy]
-    half, eta = _HALF_CUT, LeafClass.ETA
-    eta_hits = spm_votes = 0
+    spm_votes = 0
     per_group: list[dict] = []
-    for g in range(config.groups):
-        group_stream = CounterStream(config.seed, _DOMAIN_SAMPLE, trial, g)
-        ones = 0
-        for s in range(config.per_group):
-            stream = group_stream.child(s)
-            sampler = fixed or (spm if stream.next_int() < half else cpm)
-            drawn, bob_bit = sampler.sample(stream)
-            if drawn.leaf_classes[0] is eta:
-                eta_hits += 1
-            ones += bob_bit
+    for ones in ones_per_group:
         zeros = config.per_group - ones
         vote = zeros == 0 or Fraction(ones, zeros) >= config.threshold
         spm_votes += vote
@@ -192,10 +231,32 @@ def _run_trial(
     return {"per_group": per_group, "eta_hits": eta_hits, "overall_decision": overall.value}
 
 
+def _run_trial(config: ProtocolConfig, table: JointTable, trial: int) -> dict:
+    """One trial's record; state s of group g is decided by the first
+    value of `CounterStream(seed, _DOMAIN_SAMPLE, trial, g).child(s)`."""
+    cuts, etas, bits = table
+    from_bytes = int.from_bytes
+    suffixes = [_pack(s, 0) for s in range(config.per_group)]  # state index, counter 0
+    eta_hits = 0
+    ones_per_group: list[int] = []
+    for g in range(config.groups):
+        group = hashlib.sha256(_pack(config.seed, _DOMAIN_SAMPLE, trial, g))
+        ones = 0
+        for suffix in suffixes:
+            state = group.copy()
+            state.update(suffix)
+            i = bisect_right(cuts, from_bytes(state.digest(), "big"))
+            eta_hits += etas[i]
+            ones += bits[i]
+        ones_per_group.append(ones)
+    return _trial_record(config, ones_per_group, eta_hits)
+
+
 def run_protocol(config: ProtocolConfig, samplers: dict[Strategy, LeafSampler]) -> list[dict]:
     """The `simulate` per-trial records, deterministic given the config
     (seed included); `samplers` come from `build_samplers(config.params)`."""
-    return [_run_trial(config, samplers, t, config.strategy) for t in range(config.trials)]
+    table = joint_table(samplers, config.strategy)
+    return [_run_trial(config, table, t) for t in range(config.trials)]
 
 
 def discriminate(config: ProtocolConfig) -> dict:
@@ -203,6 +264,7 @@ def discriminate(config: ProtocolConfig) -> dict:
     receiver's decision rule is scored against it.  The report is the
     `discriminate` payload without its config."""
     samplers = build_samplers(config.params)
+    tables = {truth: joint_table(samplers, truth) for truth in (Strategy.CPM, Strategy.SPM)}
     trials: list[dict] = []
     confusion = {
         truth.value: {guess.value: 0 for guess in (Strategy.CPM, Strategy.SPM)}
@@ -211,7 +273,7 @@ def discriminate(config: ProtocolConfig) -> dict:
     for t in range(config.trials):
         coin = CounterStream(config.seed, _DOMAIN_TRUTH, t)
         truth = Strategy.SPM if coin.next_int() < _HALF_CUT else Strategy.CPM
-        result = _run_trial(config, samplers, t, truth)
+        result = _run_trial(config, tables[truth], t)
         decision = result["overall_decision"]
         confusion[truth.value][decision] += 1
         trials.append({"truth": truth.value, "decision": decision, "eta_hits": result["eta_hits"]})

@@ -180,7 +180,7 @@ class TestSimulate:
             capsys,
         )
         assert code == 0
-        assert '"threshold": 1.3333333333333333' in out.read_text()
+        assert json.loads(out.read_text())["config"]["threshold"] == {"num": "4", "den": "3"}
 
 
 class TestDiscriminate:

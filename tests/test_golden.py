@@ -49,25 +49,25 @@ GOLDEN = {
     "simulate-random-json": (
         ["simulate", "--seed", "12", "--groups", "5", "--per-group", "12",
          "--strategy", "random", "--out", "@sim.json"],
-        {"@sim.json": "dec0e57d61524443dbf6d281451be29624c93dc252a49a44e51434fef0a28ab0"},
+        {"@sim.json": "3f2554bffd2e29e5a5af232b2a6d45f33580706eabc1bce82da8ddcc42a43181"},
     ),
     "simulate-spm-csv": (
         ["simulate", "--seed", "7", "--trials", "1", "--per-group", "30", "--groups", "20",
          "--strategy", "spm", "--out", "@run.json", "--csv", "@groups.csv"],
         {
-            "@run.json": "b0710e2632e84695c5ed2fbe7a305a448c401570cabf3a3f510a0699571dc20d",
-            "@groups.csv": "b448d8a5d363ca5327df3b342e11be4e5bee5958d35207a28a4cfbb650218d9d",
+            "@run.json": "3b953a10337c5b69517a3b7d2fa1f240b17e3a8485b96593cf6386078bd8e2e7",
+            "@groups.csv": "b4766ffa2c155518f2ba5c662dd504ae8b9d6cbe1716456389b7f63897ceecc0",
         },
     ),
     "simulate-x-sq-json": (
         ["simulate", "--seed", "3", "--qubits", "6", "--x-sq", "9/10", "--groups", "2",
          "--per-group", "8", "--out", "@sim6.json"],
-        {"@sim6.json": "07a46eaecfbab1828ff4a6ed7a9ddd0ec8a9fe50985f2fb1addf02ede79667d2"},
+        {"@sim6.json": "e762b0318cf1853cdf52956a4c53115407b0728c489a03c934721feda2005319"},
     ),
     "discriminate-json": (
         ["discriminate", "--seed", "12", "--trials", "5", "--groups", "4",
          "--per-group", "10", "--out", "@disc.json"],
-        {"@disc.json": "b3f8c4f1d49769cbdf71e6dadfe92ccb252eda0f0e923aa510d362c8f5606786"},
+        {"@disc.json": "ebe4cc0ef0211f6d2bc7fed7ee3b5eeab5414b9b5aa1e8d5cbbe7d47a7ea774d"},
     ),
     "marginal-spm": (
         ["marginal", "--strategy", "spm"],

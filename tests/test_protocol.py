@@ -1,3 +1,7 @@
+import math
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +27,7 @@ from ghzdisc import (
     w_statistic,
 )
 from ghzdisc.plans import MeasurementPlan, enumerate_branches, outcome_classes
-from ghzdisc.protocol import RESOLUTION_BITS, _cut
+from ghzdisc.protocol import RESOLUTION_BITS, _cut, _joint_rows, _trial_record, joint_table
 
 P8 = PlanParams(8)
 
@@ -189,11 +193,9 @@ def _reference_tables(records):
     return cum, p0s
 
 
-def _sample_reference(records, tables, stream):
-    """Inverse-CDF draw by bisection over exact rational thresholds: a
-    draw k is below num / (den * 2**256) when k * den < num."""
-    cum, p0s = tables
-    k = stream.next_int()
+def _bisect_exact(cum, k):
+    """Inverse-CDF pick by bisection over exact rational thresholds: the
+    first i with k below cum[i] = (num, den), i.e. with k * den < num."""
     lo, hi = 0, len(cum) - 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -202,6 +204,13 @@ def _sample_reference(records, tables, stream):
             hi = mid
         else:
             lo = mid + 1
+    return lo
+
+
+def _sample_reference(records, tables, stream):
+    """The two-draw pick of a leaf and the receiver's bit, by exact comparisons."""
+    cum, p0s = tables
+    lo = _bisect_exact(cum, stream.next_int())
     num, den = p0s[lo]
     bob_bit = 0 if stream.next_int() * den < num else 1
     return records[lo], bob_bit
@@ -261,6 +270,131 @@ def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
         assert _holds(got, want) and bit == want_bit, (k, j)
 
 
+def _reference_rows(samplers, strategy):
+    """(weight, eta, bit) per joint row, in (strategy, class, bit) order,
+    from the two-draw reference's factors: share * p(class) * p(bit | class)."""
+    chosen = (Strategy.SPM, Strategy.CPM) if strategy is Strategy.RANDOM_PER_STATE else (strategy,)
+    share = Fraction(1, len(chosen))
+    return [
+        (
+            share * c.summed(c.probability) * bob_distribution(c.states[0])[bit],
+            LeafClass.ETA in c.leaf_classes,
+            bit,
+        )
+        for s in chosen
+        for c in samplers[s].classes
+        for bit in (0, 1)
+    ]
+
+
+def _scaled_cumulative(rows):
+    """Scaled (numerator, denominator) thresholds of the rows' cumulative weight."""
+    cumulative, cum = Fraction(0), []
+    for weight, _, _ in rows:
+        cumulative += weight
+        cum.append((cumulative.numerator << RESOLUTION_BITS, cumulative.denominator))
+    return cum
+
+
+_JOINT_CASES = [
+    pytest.param(Strategy.CPM, None, id="cpm"),
+    pytest.param(Strategy.SPM, None, id="spm"),
+    pytest.param(Strategy.SPM, lambda p: random_plan(p, 11), id="random-plan"),
+    pytest.param(Strategy.RANDOM_PER_STATE, None, id="random-strategy"),
+]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("x_sq", [Fraction(2, 3), Fraction(3, 7)])
+@pytest.mark.parametrize("strategy, plan_for", _JOINT_CASES)
+def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for):
+    params = PlanParams(n, x_sq)
+    samplers = build_samplers(params)
+    if plan_for is not None:  # the table reads a sampler's classes, whatever plan built them
+        samplers[strategy] = LeafSampler(plan_for(params), params)
+    reference = _reference_rows(samplers, strategy)
+    assert list(_joint_rows(samplers, strategy)) == reference
+    table = joint_table(samplers, strategy)
+    if plan_for is None:
+        assert len(table.cuts) == (4 if strategy is Strategy.RANDOM_PER_STATE else 2) * (params.m + 1)
+    assert table.etas == [eta for _, eta, _ in reference]
+    assert table.bits == [bit for _, _, bit in reference]
+    assert table.cuts[-1] == 1 << RESOLUTION_BITS
+    cum = _scaled_cumulative(reference)
+    draws = set(_EDGE_DRAWS)
+    for cut in table.cuts:
+        draws.update(k for k in (cut - 1, cut, cut + 1) if 0 <= k < 1 << RESOLUTION_BITS)
+    for k in sorted(draws):
+        assert bisect_right(table.cuts, k) == _bisect_exact(cum, k), k
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_loop_draws_each_state_from_its_stream(strategy):
+    # state s of group g in trial t is decided by the first value of its
+    # stream, picked by exact comparison against the reference rows
+    seed = 2**64 - 1  # every seed byte set
+    config = ProtocolConfig(seed=seed, groups=3, trials=2, strategy=strategy)
+    samplers = build_samplers(config.params)
+    reference = _reference_rows(samplers, strategy)
+    cum = _scaled_cumulative(reference)
+    expected = []
+    for t in range(config.trials):
+        eta_hits, ones = 0, []
+        for g in range(config.groups):
+            group = CounterStream(seed, 0, t, g)
+            draws = [group.child(s).next_int() for s in range(config.per_group)]
+            picked = [reference[_bisect_exact(cum, k)] for k in draws]
+            eta_hits += sum(eta for _, eta, _ in picked)
+            ones.append(sum(bit for _, _, bit in picked))
+        expected.append(_trial_record(config, ones, eta_hits))
+    assert run_protocol(config, samplers) == expected
+
+
+def _chi2_critical(df, level):
+    """The x with P(chi2 > x) = level at an even number df of degrees of
+    freedom, where the survival function is exp(-x/2) times the sum of
+    (x/2)^j / j! over j < df/2: bisected to the last double at which it
+    still exceeds the level."""
+    assert df % 2 == 0
+
+    def survival(x):
+        return math.exp(-x / 2) * sum((x / 2) ** j / math.factorial(j) for j in range(df // 2))
+
+    lo, hi = 0.0, 1000.0
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if survival(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("strategy", [Strategy.SPM, Strategy.RANDOM_PER_STATE])
+def test_joint_table_level_and_bit_frequencies(strategy):
+    # like acceptance criterion 9, over (strategy, level, bit) cells; levels
+    # 4..m are pooled, and so are an eta class's two bits (p0 is about 2^-127)
+    # so that every cell expects at least 5 states
+    samplers = build_samplers(P8)
+    chosen = (Strategy.SPM, Strategy.CPM) if strategy is Strategy.RANDOM_PER_STATE else (strategy,)
+    cells = [
+        (s, min(c.level, 4) if c.level <= P8.m else c.level, None if LeafClass.ETA in c.leaf_classes else bit)
+        for s in chosen
+        for c in samplers[s].classes
+        for bit in (0, 1)
+    ]
+    exact = Counter()
+    for cell, (weight, _, _) in zip(cells, _joint_rows(samplers, strategy)):
+        exact[cell] += weight
+    table = joint_table(samplers, strategy)
+    samples = 10**5
+    draws = (CounterStream(271828, i).next_int() for i in range(samples))
+    observed = Counter(cells[bisect_right(table.cuts, k)] for k in draws)
+    expected = {cell: float(p) * samples for cell, p in exact.items()}
+    assert min(expected.values()) >= 5
+    statistic = sum((observed[cell] - e) ** 2 / e for cell, e in expected.items())
+    assert statistic <= _chi2_critical(len(expected) - 1, 0.001)
+
+
 class TestRunProtocol:
     def test_deterministic(self):
         config = ProtocolConfig(seed=11, trials=2, per_group=10, groups=4)
@@ -300,22 +434,21 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match=r"^threshold must be a Fraction, got 1\.33$"):
             ProtocolConfig(seed=1, threshold=1.33)
 
+    # each would otherwise fail only in the run, as a KeyError or an AttributeError
+    @pytest.mark.parametrize("field, value, message", [
+        ("strategy", "spm", r"^strategy must be a Strategy, got 'spm'$"),
+        ("params", 8, r"^params must be a PlanParams, got 8$"),
+    ])
+    def test_wrong_type_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ProtocolConfig(seed=1, **{field: value})
+
     def test_group_vote_boundary(self):
         # a group votes spm when ones/zeros reaches the threshold or zeros is 0;
         # the majority needs more than half the groups, so a tie goes to cpm
-        drawn = outcome_classes(spm_plan(P8), P8)[0]
-        assert LeafClass.ETA not in drawn.leaf_classes
-        bits = iter([1, 1, 1, 1, 0, 0, 0] + [1] * 7 + [1, 1, 1, 0, 0, 0, 0] + [0] * 7)
-
-        class Scripted:
-            def sample(self, stream):
-                return drawn, next(bits)
-
-        s = Scripted()
         config = ProtocolConfig(seed=1, per_group=7, groups=4, threshold=Fraction(4, 3),
                                 strategy=Strategy.SPM)
-        (trial,) = run_protocol(config, {Strategy.CPM: s, Strategy.SPM: s})
-        assert trial == {
+        assert _trial_record(config, [4, 7, 3, 0], 0) == {
             "per_group": [
                 {"zeros": 3, "ones": 4, "ratio": 4 / 3, "decision": "spm"},
                 {"zeros": 0, "ones": 7, "ratio": None, "decision": "spm"},
@@ -328,6 +461,20 @@ class TestRunProtocol:
 
 
 class TestDiscriminate:
+    def test_truth_coin_and_trials(self):
+        # each trial's truth is the fair coin of its own truth stream, and its
+        # states are those of the same trial under that fixed strategy
+        config = ProtocolConfig(seed=12, trials=8, per_group=10, groups=4)
+        report = discriminate(config)
+        samplers = build_samplers(config.params)
+        runs = {s: run_protocol(replace(config, strategy=s), samplers) for s in (Strategy.CPM, Strategy.SPM)}
+        for t, trial in enumerate(report["trials"]):
+            coin = CounterStream(config.seed, 1, t).next_int()
+            truth = Strategy.SPM if coin < _cut(Fraction(1, 2)) else Strategy.CPM
+            assert trial["truth"] == truth.value
+            run = runs[truth][t]
+            assert (trial["decision"], trial["eta_hits"]) == (run["overall_decision"], run["eta_hits"])
+
     def test_deterministic_and_scored(self):
         config = ProtocolConfig(seed=3, trials=20, per_group=30, groups=20)
         report = discriminate(config)
