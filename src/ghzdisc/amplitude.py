@@ -63,10 +63,26 @@ class ExactAmplitude:
         return ExactAmplitude(-self.sign, self.mag_sq)
 
 
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int-to-str digit limit (4300 by default; exact rationals of
+    deep trees have more digits) until exit, on Pythons that have one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@unlimited_int_digits()  # a caller outside the CLI gets every digit too
 def fraction_json(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator), "float": float(value)}
 
 
+@unlimited_int_digits()
 def amplitude_json(sigma: Fraction) -> dict:
     """The amplitude sign(sigma) * sqrt(|sigma|); the float is a convenience.
 
@@ -88,17 +104,3 @@ def amplitude_json(sigma: Fraction) -> dict:
         "den": str(den),
         "float": sign * math.ldexp(math.sqrt(scaled), e // 2),
     }
-
-
-@contextmanager
-def unlimited_int_digits():
-    """Lift the int-to-str digit limit (4300 by default; exact rationals of
-    deep trees have more digits) until exit, on Pythons that have one."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)

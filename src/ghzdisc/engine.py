@@ -5,6 +5,12 @@ construction, so a state is just two exact amplitudes, each held as its
 signed square (see `amplitude`), plus a qubit count.  Amplitudes are
 kept unnormalized: the squared norm of a branch equals the cumulative
 probability of the outcome history that produced it.
+
+`measure_next` is the reference step.  The tree walks in `plans`
+carry each node as integer numerators over one denominator (the
+product of the basis denominators along its history) and build states
+only for the classes they emit; the tests compare them against
+`measure_next` node by node.
 """
 
 from __future__ import annotations

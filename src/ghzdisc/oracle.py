@@ -1,8 +1,11 @@
 """Exact verification.
 
-`bob_marginal` sums the receiver's outcome weights (`receiver_marginal`)
-over a plan's outcome classes (m + 1 for cpm and spm; one per leaf for a
-random plan), giving the marginal as an exact rational.
+`bob_marginal` sums the receiver's outcome weights over a plan's
+outcome classes (m + 1 for cpm and spm; one per leaf for a random plan)
+as the walker's integer numerators, one sum per distinct denominator,
+giving the marginal as an exact rational; it builds no state and
+classifies no leaf.  `receiver_marginal` is the same sum over classes
+already built.
 `checkpoint_report` regenerates the reference quantities of the paper's
 instance (`ProtocolConfig`'s defaults) from first principles and
 compares each against its expected value at a stated tolerance.
@@ -19,6 +22,7 @@ from .plans import (
     LeafClass,
     MeasurementPlan,
     PlanParams,
+    _walk_numerators,
     census,
     constants,
     cpm_plan,
@@ -38,8 +42,19 @@ def receiver_marginal(classes) -> tuple[Fraction, Fraction]:
 
 
 def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
-    """Receiver's exact marginal, summed over the plan's outcome classes."""
-    return receiver_marginal(outcome_classes(plan, params))
+    """Receiver's exact marginal, summed over the plan's outcome classes
+    on integer numerators: a class's 2^depth leaves sum to |a_b| / den,
+    so |a0| and |a1| are added per distinct den and divided once.  No
+    state is built and none is classified."""
+    sums: dict[int, list[int]] = {}
+    for _head, _depth, a0, a1, den in _walk_numerators(plan, params):
+        pair = sums.setdefault(den, [0, 0])
+        pair[0] += abs(a0)
+        pair[1] += abs(a1)
+    return (
+        sum((Fraction(s0, den) for den, (s0, _) in sums.items()), Fraction(0)),
+        sum((Fraction(s1, den) for den, (_, s1) in sums.items()), Fraction(0)),
+    )
 
 
 def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:
@@ -52,10 +67,10 @@ def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:
             b"random-basis" + seed.to_bytes(8, "big") + history.encode()
         ).digest()
         # keep both coefficients nonzero so branches never vanish
-        t = Fraction(int.from_bytes(digest[:8], "big") % (2**64 - 1) + 1, 2**64)
+        k = int.from_bytes(digest[:8], "big") % (2**64 - 1) + 1
         s0 = 1 if digest[8] & 1 else -1
         s1 = 1 if digest[9] & 1 else -1
-        return Basis(s0 * t, s1 * (1 - t))
+        return Basis(Fraction(s0 * k, 2**64), Fraction(s1 * (2**64 - k), 2**64))
 
     return MeasurementPlan(params.m, chooser, name=f"random-{seed}")
 

@@ -11,11 +11,16 @@ Two built-in strategies:
 `constants(params)` is the one home of the cascade's closed forms: eager
 F_k^2 and T_k^2, and lazily the stage bases, the all-perp (eta) leaf and
 the class slopes.  Both strategies are spine plans: one basis per
-all-"1" history, {|+>, |->} after the first "0".  `outcome_classes`
-walks the tree into classes (a leaf, or the two-state subtree below a
-spine plan's "0" child), each distinct state classified exactly against
-those slopes; `enumerate_branches` expands them into one class of
-depth 0 per leaf.
+all-"1" history, {|+>, |->} after the first "0".  One walker visits
+the tree on integer numerators: a node is (a0, a1, den), its signed
+squares a0/den and a1/den, with no `Fraction`, gcd or state per node,
+and each step checks that the children's weights sum to the parent's.
+`outcome_classes` turns its output into classes (a leaf, or the
+two-state subtree below a spine plan's "0" child), each distinct state
+classified exactly against those slopes; `oracle.bob_marginal` sums
+the receiver's weights from it without classifying; and
+`enumerate_branches` expands the classes into one class of depth 0 per
+leaf.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
-from .engine import PLUS_MINUS, Basis, ChainState, check_fractions, ghz_state, measure_next
+from .engine import PLUS_MINUS, Basis, ChainState, MeasurementError, check_fractions
 
 
 class PlanError(ValueError):
@@ -223,34 +228,58 @@ def classify(state: ChainState, cascade: CascadeConstants) -> LeafClass:
     return LeafClass.OTHER
 
 
+def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tuple[str, int, int, int, int]]:
+    """The outcome tree's classes in lexicographic order, as (head, depth,
+    a0, a1, den): the signed squares a0/den and a1/den of the state at
+    `head`, before its {|+>, |->} tail of `depth` stages.
+
+    A basis's c0 and c1 share their reduced denominator q, as |c0| + |c1|
+    = 1, so one step is four integer products and both children get den
+    * q; nothing is reduced.  Each step checks that both children keep a
+    nonzero norm and that their norms sum to the parent's, exactly."""
+    if plan.stages != params.m:
+        raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
+    spine = plan.spine is not None
+    m = params.m
+    stack = [("", 1, 1, 2)]  # the GHZ state: both signed squares are 1/2
+    while stack:
+        history, a0, a1, den = stack.pop()
+        depth = m - len(history)
+        if not depth or spine and history.endswith("0"):
+            yield history, depth, a0, a1, den
+            continue
+        basis = plan.basis_for(history)
+        n0, n1, q = basis.c0.numerator, basis.c1.numerator, basis.c0.denominator
+        f0, f1, g0, g1 = a0 * n0, a1 * n1, a0 * n1, -a1 * n0
+        if (
+            basis.c1.denominator != q
+            or not (f0 or f1)
+            or not (g0 or g1)
+            or abs(f0) + abs(f1) + abs(g0) + abs(g1) != (abs(a0) + abs(a1)) * q
+        ):
+            raise MeasurementError(f"basis {basis} at history {history!r} does not split the branch's weight")
+        den *= q
+        stack.append((history + "1", g0, g1, den))
+        stack.append((history + "0", f0, f1, den))
+
+
 def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeClass]:
     """The outcome tree as classes in lexicographic order: one per leaf,
     but a spine plan's walk stops at each "0" child.  Below it every basis
     is {|+>, |->}, which scales both amplitudes by sqrt(1/2) and negates
-    amp1 on a "1", so the tail's even leaf is measured along "0"*d and
-    the odd one is it with amp1 negated: m + 1 classes in all.  The same
-    rule as a chooser is walked node by node: the reference."""
-    if plan.stages != params.m:
-        raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
+    amp1 on a "1", so the tail's even leaf is the head's state over den
+    * 2^d and the odd one is it with amp1 negated: m + 1 classes in all.
+    The same rule as a chooser is walked node by node: the reference."""
     cascade = constants(params)
-    spine = plan.spine is not None
     classes: list[OutcomeClass] = []
-
-    def walk(state: ChainState, history: str) -> None:
-        depth = state.remaining - 1
-        if depth and not (spine and history.endswith("0")):
-            first, second = measure_next(state, plan.basis_for(history))
-            walk(first, history + "0")
-            walk(second, history + "1")
-            return
-        for _ in range(depth):
-            state = measure_next(state, PLUS_MINUS)[0]
+    for head, depth, a0, a1, den in _walk_numerators(plan, params):
+        den <<= depth
+        state = ChainState(1, Fraction(a0, den), Fraction(a1, den))
         states = (state, ChainState(1, state.amp0, -state.amp1)) if depth else (state,)
-        level = history.find("0") + 1 or params.m + 1
+        level = head.find("0") + 1 or params.m + 1
         leaf_classes = tuple([classify(leaf, cascade) for leaf in states])
-        classes.append(OutcomeClass(history, depth, level, state.norm_sq(), states, leaf_classes))
-
-    walk(ghz_state(params.n), "")
+        probability = Fraction(abs(a0) + abs(a1), den)
+        classes.append(OutcomeClass(head, depth, level, probability, states, leaf_classes))
     return classes
 
 

@@ -25,6 +25,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .engine import bob_distribution, check_fractions
@@ -100,22 +102,26 @@ class LeafSampler:
     """Inverse-CDF sampler over the outcome classes of a plan: per class,
     the cut points of the cumulative probability at its last leaf (a
     subset of the per-leaf cuts, so bisection picks the class holding the
-    leaf per-leaf bisection would) and of the receiver's p0.  A draw feeds
-    an output only through p0 and eta-ness, which a class's leaves share."""
+    leaf per-leaf bisection would) and of the receiver's p0, built on the
+    first `sample`.  A draw feeds an output only through p0 and eta-ness,
+    which a class's leaves share."""
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
         self.classes = outcome_classes(plan, params)
-        cumulative = Fraction(0)
-        self._cuts: list[int] = []
-        self._p0_cuts: list[int] = []
         for c in self.classes:
             if len({leaf_class is LeafClass.ETA for leaf_class in c.leaf_classes}) > 1:
                 raise PlanError(f"cannot sample class {c.head!r}: it mixes eta and non-eta leaves")
-            cumulative += c.summed(c.probability)
-            self._cuts.append(_cut(cumulative))
-            # a class's states differ only in amp1's sign, so they share p0
-            self._p0_cuts.append(_cut(bob_distribution(c.states[0])[0]))
-        assert cumulative == 1
+
+    @cached_property
+    def _cuts(self) -> list[int]:
+        cumulative = list(accumulate(c.summed(c.probability) for c in self.classes))
+        assert cumulative[-1] == 1
+        return [_cut(p) for p in cumulative]
+
+    @cached_property
+    def _p0_cuts(self) -> list[int]:
+        # a class's states differ only in amp1's sign, so they share p0
+        return [_cut(bob_distribution(c.states[0])[0]) for c in self.classes]
 
     def sample(self, stream: CounterStream) -> tuple[OutcomeClass, int]:
         """Draw one outcome class and the receiver's computational-basis bit:

@@ -1,6 +1,6 @@
-from fractions import Fraction
-
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -14,7 +14,13 @@ from ghzdisc import (
     random_plan,
     spm_plan,
 )
-from ghzdisc.amplitude import AmplitudeError, ExactAmplitude, amplitude_json, fraction_json
+from ghzdisc.amplitude import (
+    AmplitudeError,
+    ExactAmplitude,
+    amplitude_json,
+    fraction_json,
+    unlimited_int_digits,
+)
 
 X = ExactAmplitude(1, Fraction(2, 3))
 Y = ExactAmplitude(1, Fraction(1, 3))
@@ -149,6 +155,22 @@ def test_float_matches_reference(num, den, shift, sign):
     )
     assert amplitude_json(value)["float"] == _amplitude_float_reference(sign, mag)
     assert amplitude_json(mag)["float"] == _amplitude_float_reference(1, mag)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_json_keeps_digits_under_lowest_limit():
+    # 2**2127 has 641 decimal digits, one more than the lowest limit allows
+    value = -Fraction(1, 2**2127)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        rendered = fraction_json(value), amplitude_json(value)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    with unlimited_int_digits():
+        assert [r["den"] for r in rendered] == [str(2**2127)] * 2
+    assert rendered[0]["num"] == "-1" and rendered[1]["num"] == "1"
 
 
 @given(amps(), amps())

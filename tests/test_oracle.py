@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -36,6 +37,13 @@ class TestBobMarginal:
         params = PlanParams(6, Fraction(9, 10))
         assert bob_marginal(spm_plan(params), params) == HALF
 
+    def test_classifies_nothing(self, monkeypatch):
+        # the marginal reads only the receiver's weights
+        monkeypatch.setattr("ghzdisc.plans.classify", lambda *args: pytest.fail("bob_marginal classified a leaf"))
+        params = PlanParams(6)
+        for plan in (cpm_plan(params), spm_plan(params), random_plan(params, 3)):
+            assert bob_marginal(plan, params) == HALF
+
     def test_spine_marginal_builds_no_records(self):
         # 2^17 leaves; one record each would take tens of MiB
         params = PlanParams(18)
@@ -62,6 +70,15 @@ class TestRandomPlan:
             basis = plan.basis_for(history)
             assert abs(basis.c0) + abs(basis.c1) == 1
             assert basis == random_plan(P8, 17).basis_for(history)
+
+    def test_bases_pinned(self):
+        # every marginal is (1/2, 1/2), so verify's output cannot see a changed basis
+        plan = random_plan(P8, 17)
+        histories = [format(i, f"0{k}b") if k else "" for k in range(P8.m) for i in range(2**k)]
+        text = "".join(repr(plan.basis_for(h)) for h in histories)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "df042a87c14c0e24db1e3e4c8c529a3f0995d7c44c10481adacc0badda28ecf6"
+        )
 
     def test_seeds_differ(self):
         assert random_plan(P8, 1).basis_for("") != random_plan(P8, 2).basis_for("")

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from ghzdisc import (
     PLUS_MINUS,
+    Basis,
     ChainState,
     LeafClass,
+    MeasurementError,
     PlanError,
     PlanParams,
     bob_distribution,
+    bob_marginal,
     classify,
     constants,
     cpm_plan,
@@ -376,6 +379,69 @@ def test_spine_walk_matches_leaf_walk(n):
 @example(Fraction(1, 2), 8)
 def test_spine_walk_matches_leaf_walk_any_x(x_sq, n):
     assert_spine_walk_matches_leaf_walk(PlanParams(n, x_sq))
+
+
+def _leaf_walk(plan, params):
+    """(outcomes, state) per leaf in lexicographic order, each node measured
+    by `measure_next`: the reference for the walk on integer numerators."""
+    leaves = []
+    stack = [("", ghz_state(params.n))]
+    while stack:
+        history, state = stack.pop()
+        if len(history) == params.m:
+            leaves.append((history, state))
+            continue
+        first, second = measure_next(state, plan.basis_for(history))
+        stack += [(history + "1", second), (history + "0", first)]
+    return leaves
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 12), max_value=Fraction(11, 12), max_denominator=12),
+    st.integers(min_value=3, max_value=10),
+    st.sampled_from(["cpm", "spm", "random"]),
+    st.integers(min_value=0, max_value=2**16),
+)
+@example(Fraction(1, 2), 10, "spm", 0)
+@example(Fraction(3, 7), 10, "random", 7)
+def test_integer_walk_matches_measure_next(x_sq, n, kind, seed):
+    params = PlanParams(n, x_sq)
+    plan = random_plan(params, seed) if kind == "random" else {"cpm": cpm_plan, "spm": spm_plan}[kind](params)
+    leaves = _leaf_walk(plan, params)
+    cascade = constants(params)
+    records = enumerate_branches(plan, params)
+    assert [(r.head, r.states, r.probability, r.level, r.leaf_classes) for r in records] == [
+        (head, (state,), state.norm_sq(), head.find("0") + 1 or params.m + 1, (classify(state, cascade),))
+        for head, state in leaves
+    ]
+    assert bob_marginal(plan, params) == (
+        sum(abs(state.amp0) for _, state in leaves),
+        sum(abs(state.amp1) for _, state in leaves),
+    )
+
+
+@pytest.mark.parametrize(
+    "c0,c1,where",
+    [
+        (Fraction(3, 4), Fraction(3, 4), ("01",)),
+        (Fraction(1, 4), Fraction(-1, 4), ("01",)),
+        (Fraction(1, 2), Fraction(1, 4), ("01",)),  # the coefficients' denominators differ
+        (Fraction(0), Fraction(1), ("", "0")),  # a valid basis twice: the second child at "0" has zero norm
+    ],
+    ids=["weight-over-one", "weight-under-one", "two-denominators", "vanishing-branch"],
+)
+def test_walk_checks_every_step(c0, c1, where):
+    # a Basis altered past its own validation, at the histories `where`: the
+    # walk's local check stops at the last of them
+    params = PlanParams(4)
+    basis = Basis(Fraction(1, 2), Fraction(1, 2))
+    object.__setattr__(basis, "c0", c0)
+    object.__setattr__(basis, "c1", c1)
+    plan = MeasurementPlan(params.m, lambda h: basis if h in where else PLUS_MINUS)
+    for walk in (outcome_classes, bob_marginal):
+        with pytest.raises(MeasurementError, match=f"history {where[-1]!r}"):
+            walk(plan, params)
 
 
 def assert_builtin_classes_agree_on_eta(params):

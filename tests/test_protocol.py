@@ -135,6 +135,8 @@ def test_w_statistic_matches_closed_form(n, x_sq):
 class TestLeafSampler:
     def test_cdf_covers_unit_interval(self):
         sampler = LeafSampler(spm_plan(P8), P8)
+        # the protocol loop reads only the classes, so the cuts wait for `sample`
+        assert not {"_cuts", "_p0_cuts"} & set(vars(sampler))
         # one cut per outcome class: m + 1 for a spine plan, not 2^m
         assert len(sampler._cuts) == len(sampler._p0_cuts) == P8.m + 1
         assert sampler._cuts[-1] == 1 << RESOLUTION_BITS
