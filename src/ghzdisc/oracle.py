@@ -4,8 +4,9 @@
 outcome classes (m + 1 for cpm and spm; one per leaf for a random plan)
 as the walker's integer numerators, one sum per distinct denominator,
 giving the marginal as an exact rational; it builds no state and
-classifies no leaf.  `receiver_marginal` is the same sum over classes
-already built.
+classifies no leaf.  A random plan's steps come straight from its
+hash over the unreduced 2^64, so all its leaves share one denominator.
+`receiver_marginal` is the same sum over classes already built.
 `checkpoint_report` regenerates the reference quantities of the paper's
 instance (`ProtocolConfig`'s defaults) from first principles and
 compares each against its expected value at a stated tolerance.
@@ -57,22 +58,32 @@ def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, F
     )
 
 
+class _RandomPlan(MeasurementPlan):
+    """Adaptive plan whose step at every history comes from one SHA-256 of
+    (seed, history); its bases are built from the same steps."""
+
+    def __init__(self, stages: int, seed: int):
+        super().__init__(stages, self._basis, name=f"random-{seed}")
+        self._prefix = b"random-basis" + seed.to_bytes(8, "big")
+
+    def _step(self, history: str) -> tuple[int, int, int]:
+        """(±k, ±(2^64 - k), 2^64), left unreduced, so that every leaf of
+        the tree has the denominator 2^(64m + 1)."""
+        digest = hashlib.sha256(self._prefix + history.encode()).digest()
+        # keep both coefficients nonzero so branches never vanish
+        k = int.from_bytes(digest[:8], "big") % (2**64 - 1) + 1
+        return (k if digest[8] & 1 else -k, 2**64 - k if digest[9] & 1 else k - 2**64, 2**64)
+
+    def _basis(self, history: str) -> Basis:
+        n0, n1, q = self._step(history)
+        return Basis(Fraction(n0, q), Fraction(n1, q))
+
+
 def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:
     """Adaptive plan whose basis at every history is a hash-derived exact
     orthonormal pair; deterministic in (seed, history)."""
     check_seed(seed, "random plan seed")
-
-    def chooser(history: str) -> Basis:
-        digest = hashlib.sha256(
-            b"random-basis" + seed.to_bytes(8, "big") + history.encode()
-        ).digest()
-        # keep both coefficients nonzero so branches never vanish
-        k = int.from_bytes(digest[:8], "big") % (2**64 - 1) + 1
-        s0 = 1 if digest[8] & 1 else -1
-        s1 = 1 if digest[9] & 1 else -1
-        return Basis(Fraction(s0 * k, 2**64), Fraction(s1 * (2**64 - k), 2**64))
-
-    return MeasurementPlan(params.m, chooser, name=f"random-{seed}")
+    return _RandomPlan(params.m, seed)
 
 
 def _check(name: str, computed: str, expected: str, tolerance: str, status: str) -> dict:

@@ -13,8 +13,9 @@ F_k^2 and T_k^2, and lazily the stage bases, the all-perp (eta) leaf and
 the class slopes.  Both strategies are spine plans: one basis per
 all-"1" history, {|+>, |->} after the first "0".  One walker visits
 the tree on integer numerators: a node is (a0, a1, den), its signed
-squares a0/den and a1/den, with no `Fraction`, gcd or state per node,
-and each step checks that the children's weights sum to the parent's.
+squares a0/den and a1/den, with no `Fraction`, gcd or state per node;
+a step is the plan's integer (n0, n1, q), and each step checks that the
+children's weights sum to the parent's.
 `outcome_classes` turns its output into classes (a leaf, or the
 two-state subtree below a spine plan's "0" child), each distinct state
 classified exactly against those slopes; `oracle.bob_marginal` sums
@@ -112,6 +113,16 @@ class MeasurementPlan:
         if self.spine is None:
             return self._chooser(history)
         return PLUS_MINUS if "0" in history else self.spine[len(history)]
+
+    def _step(self, history: str) -> tuple[int, int, int]:
+        """The basis at `history` as integers (n0, n1, q), c0 = n0/q and
+        c1 = n1/q: a `Basis`'s coefficients must share their reduced
+        denominator q, as |c0| + |c1| = 1."""
+        basis = self.basis_for(history)
+        q = basis.c0.denominator
+        if basis.c1.denominator != q:
+            raise MeasurementError(f"basis {basis} at history {history!r} has two denominators")
+        return basis.c0.numerator, basis.c1.numerator, q
 
     def __repr__(self) -> str:
         return f"MeasurementPlan({self.name}, stages={self.stages})"
@@ -233,13 +244,16 @@ def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tupl
     a0, a1, den): the signed squares a0/den and a1/den of the state at
     `head`, before its {|+>, |->} tail of `depth` stages.
 
-    A basis's c0 and c1 share their reduced denominator q, as |c0| + |c1|
-    = 1, so one step is four integer products and both children get den
-    * q; nothing is reduced.  Each step checks that both children keep a
-    nonzero norm and that their norms sum to the parent's, exactly."""
+    A step is the plan's (n0, n1, q) at a node, c0 = n0/q and c1 = n1/q
+    with |n0| + |n1| = q, and q need not be reduced; a `Basis` step checks
+    that its coefficients share q.  One step is four integer products and
+    both children get den * q; nothing is reduced.  Each step checks that
+    both children keep a nonzero norm and that their norms sum to the
+    parent's, exactly."""
     if plan.stages != params.m:
         raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
     spine = plan.spine is not None
+    step = plan._step
     m = params.m
     stack = [("", 1, 1, 2)]  # the GHZ state: both signed squares are 1/2
     while stack:
@@ -248,16 +262,12 @@ def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tupl
         if not depth or spine and history.endswith("0"):
             yield history, depth, a0, a1, den
             continue
-        basis = plan.basis_for(history)
-        n0, n1, q = basis.c0.numerator, basis.c1.numerator, basis.c0.denominator
+        n0, n1, q = step(history)
         f0, f1, g0, g1 = a0 * n0, a1 * n1, a0 * n1, -a1 * n0
-        if (
-            basis.c1.denominator != q
-            or not (f0 or f1)
-            or not (g0 or g1)
-            or abs(f0) + abs(f1) + abs(g0) + abs(g1) != (abs(a0) + abs(a1)) * q
-        ):
-            raise MeasurementError(f"basis {basis} at history {history!r} does not split the branch's weight")
+        if not (f0 or f1) or not (g0 or g1) or abs(f0) + abs(f1) + abs(g0) + abs(g1) != (abs(a0) + abs(a1)) * q:
+            raise MeasurementError(
+                f"basis ({n0}/{q}, {n1}/{q}) at history {history!r} does not split the branch's weight"
+            )
         den *= q
         stack.append((history + "1", g0, g1, den))
         stack.append((history + "0", f0, f1, den))

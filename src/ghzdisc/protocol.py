@@ -65,7 +65,7 @@ _HALF_CUT = _cut(Fraction(1, 2))  # the cut of the truth coin
 
 def check_seed(seed: int, name: str = "seed") -> None:
     """The one seed domain: every seed is packed as 8 big-endian bytes."""
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"{name} must be an int, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"{name} must be an unsigned 64-bit integer, got seed {seed}, not in [0, 2**64)")
@@ -157,7 +157,7 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         counts = (self.per_group, self.groups, self.trials)
-        if not all(isinstance(k, int) for k in counts):
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in counts):
             raise ValueError(f"per_group, groups and trials must be ints, got {counts!r}")
         if min(counts) < 1:
             raise ValueError("per_group, groups and trials must all be at least 1")

@@ -7,6 +7,7 @@ import pytest
 
 from ghzdisc import oracle
 from ghzdisc import (
+    Basis,
     PlanParams,
     bob_marginal,
     checkpoint_report,
@@ -44,6 +45,13 @@ class TestBobMarginal:
         for plan in (cpm_plan(params), spm_plan(params), random_plan(params, 3)):
             assert bob_marginal(plan, params) == HALF
 
+    def test_random_walk_builds_no_basis(self, monkeypatch):
+        # a random plan's walk reads its integer steps straight from the hash
+        params = PlanParams(6)
+        plan = random_plan(params, 3)
+        monkeypatch.setattr(Basis, "__post_init__", lambda self: pytest.fail("the walk built a Basis"))
+        assert bob_marginal(plan, params) == HALF
+
     def test_spine_marginal_builds_no_records(self):
         # 2^17 leaves; one record each would take tens of MiB
         params = PlanParams(18)
@@ -79,6 +87,19 @@ class TestRandomPlan:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "df042a87c14c0e24db1e3e4c8c529a3f0995d7c44c10481adacc0badda28ecf6"
         )
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_steps_match_bases(self, n):
+        # the walker's step, reduced, is the plan's basis at every history
+        params = PlanParams(n)
+        histories = [format(i, f"0{k}b") if k else "" for k in range(params.m) for i in range(2**k)]
+        for seed in (0, 5, 2**64 - 1):
+            plan = random_plan(params, seed)
+            for history in histories:
+                n0, n1, q = plan._step(history)
+                assert q == 2**64 and n0 and n1 and abs(n0) + abs(n1) == q
+                basis = plan.basis_for(history)
+                assert (Fraction(n0, q), Fraction(n1, q)) == (basis.c0, basis.c1)
 
     def test_seeds_differ(self):
         assert random_plan(P8, 1).basis_for("") != random_plan(P8, 2).basis_for("")

@@ -59,9 +59,13 @@ class TestCounterStream:
         pytest.param(lambda: CounterStream(2.0), id="stream"),
         pytest.param(lambda: ProtocolConfig(seed=1.5), id="config"),
         pytest.param(lambda: random_plan(P8, 3.0), id="random-plan"),
+        # a bool is an int to isinstance, and would be written as JSON true
+        pytest.param(lambda: CounterStream(True), id="stream-bool"),
+        pytest.param(lambda: ProtocolConfig(seed=True), id="config-bool"),
+        pytest.param(lambda: random_plan(P8, False), id="random-plan-bool"),
     ])
     def test_non_int_seed(self, make):
-        with pytest.raises(ValueError, match="seed must be an int, got [0-9.]+$"):
+        with pytest.raises(ValueError, match="seed must be an int, got ([0-9.]+|True|False)$"):
             make()
 
     def test_child_matches_full_path(self):
@@ -426,8 +430,10 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             ProtocolConfig(seed=1, per_group=0)
 
-    # a float count would otherwise fail only later, in `range`
-    @pytest.mark.parametrize("field, value", [("per_group", 2.5), ("groups", 2.0), ("trials", "3")])
+    # a float count would otherwise fail only later, in `range`, and a bool would be written as JSON true
+    @pytest.mark.parametrize("field, value", [
+        ("per_group", 2.5), ("groups", 2.0), ("trials", "3"), ("per_group", True), ("trials", True),
+    ])
     def test_non_int_count(self, field, value):
         with pytest.raises(ValueError, match="^per_group, groups and trials must be ints, got "):
             ProtocolConfig(seed=1, **{field: value})
