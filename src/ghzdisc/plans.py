@@ -210,7 +210,8 @@ class OutcomeClass(NamedTuple):
     leaf_classes: tuple[LeafClass, ...]
 
     def outcomes(self) -> Iterator[tuple[str, int]]:
-        """Each leaf's outcome string and parity, in lexicographic order."""
+        """Each leaf's outcome string and parity, in lexicographic order:
+        the per-leaf reference for the CLI's table, which is written in runs."""
         for i in range(2**self.depth):
             # bin(2^depth + i) is "0b1" and then the suffix, padded to `depth` bits
             yield self.head + bin(i | 1 << self.depth)[3:], i.bit_count() & 1

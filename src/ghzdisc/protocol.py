@@ -225,7 +225,8 @@ def _trial_record(config: ProtocolConfig, ones_per_group: list[int], eta_hits: i
     per_group: list[dict] = []
     for ones in ones_per_group:
         zeros = config.per_group - ones
-        vote = zeros == 0 or Fraction(ones, zeros) >= config.threshold
+        # ones / zeros >= threshold, in integers: zeros > 0 here
+        vote = zeros == 0 or ones * config.threshold.denominator >= config.threshold.numerator * zeros
         spm_votes += vote
         per_group.append({
             "zeros": zeros,
@@ -237,12 +238,17 @@ def _trial_record(config: ProtocolConfig, ones_per_group: list[int], eta_hits: i
     return {"per_group": per_group, "eta_hits": eta_hits, "overall_decision": overall.value}
 
 
-def _run_trial(config: ProtocolConfig, table: JointTable, trial: int) -> dict:
+def _state_suffixes(config: ProtocolConfig) -> list[bytes]:
+    """Each state's (index, counter 0) as packed after its group's prefix; one list per run."""
+    return [_pack(s, 0) for s in range(config.per_group)]
+
+
+def _run_trial(config: ProtocolConfig, table: JointTable, trial: int, suffixes: list[bytes]) -> dict:
     """One trial's record; state s of group g is decided by the first
-    value of `CounterStream(seed, _DOMAIN_SAMPLE, trial, g).child(s)`."""
+    value of `CounterStream(seed, _DOMAIN_SAMPLE, trial, g).child(s)`,
+    whose message ends in `suffixes[s]`."""
     cuts, etas, bits = table
     from_bytes = int.from_bytes
-    suffixes = [_pack(s, 0) for s in range(config.per_group)]  # state index, counter 0
     eta_hits = 0
     ones_per_group: list[int] = []
     for g in range(config.groups):
@@ -262,7 +268,8 @@ def run_protocol(config: ProtocolConfig, samplers: dict[Strategy, LeafSampler]) 
     """The `simulate` per-trial records, deterministic given the config
     (seed included); `samplers` come from `build_samplers(config.params)`."""
     table = joint_table(samplers, config.strategy)
-    return [_run_trial(config, table, t) for t in range(config.trials)]
+    suffixes = _state_suffixes(config)
+    return [_run_trial(config, table, t, suffixes) for t in range(config.trials)]
 
 
 def discriminate(config: ProtocolConfig) -> dict:
@@ -276,10 +283,11 @@ def discriminate(config: ProtocolConfig) -> dict:
         truth.value: {guess.value: 0 for guess in (Strategy.CPM, Strategy.SPM)}
         for truth in (Strategy.CPM, Strategy.SPM)
     }
+    suffixes = _state_suffixes(config)
     for t in range(config.trials):
         coin = CounterStream(config.seed, _DOMAIN_TRUTH, t)
         truth = Strategy.SPM if coin.next_int() < _HALF_CUT else Strategy.CPM
-        result = _run_trial(config, tables[truth], t)
+        result = _run_trial(config, tables[truth], t, suffixes)
         decision = result["overall_decision"]
         confusion[truth.value][decision] += 1
         trials.append({"truth": truth.value, "decision": decision, "eta_hits": result["eta_hits"]})

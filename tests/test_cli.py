@@ -15,9 +15,9 @@ import pytest
 import ghzdisc
 from ghzdisc import cli, protocol
 from ghzdisc.cli import _CSV_HEADER, _branch_row, _csv_row, main
-from ghzdisc.plans import PlanParams, cpm_plan, enumerate_branches, spm_plan
+from ghzdisc.plans import PlanParams, enumerate_branches, outcome_classes
 from ghzdisc.oracle import checkpoint_report, no_signaling_suite
-from ghzdisc.protocol import ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol
+from ghzdisc.protocol import PLANS, ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol
 
 
 def run(argv, capsys):
@@ -99,6 +99,14 @@ class TestEnumerate:
             sys.set_int_max_str_digits(saved)
         assert limited.read_bytes() == lifted.read_bytes()
 
+    def test_table_written_in_bounded_memory(self, tmp_path, capsys):
+        # a 3.4 MB table; joining a whole class at once would peak above 2.6 MB
+        out = tmp_path / "t.json"
+        code, _, peak = run_traced(["enumerate", "--strategy", "spm", "--qubits", "14", "--out", str(out)], capsys)
+        assert code == 0
+        assert out.stat().st_size > 3 * 2**20
+        assert peak < 2**20
+
     def test_closed_stdout_pipe(self):
         env = dict(os.environ, PYTHONPATH=str(Path(ghzdisc.__file__).parents[1]))
         proc = subprocess.Popen(
@@ -113,26 +121,44 @@ class TestEnumerate:
         assert "Traceback" not in err and "Exception ignored" not in err
 
 
-# rows are rendered once per outcome class; every row must still equal its
-# own rendering from `_branch_row` and `_csv_row`
+def _assert_rows_rendered(strategy, n, x_sq, tmp_path):
+    """Both formats of `enumerate` equal the rows of `enumerate_branches`,
+    each rendered on its own by `_branch_row` and `_csv_row`."""
+    params = PlanParams(n, Fraction(x_sq))
+    rows = [
+        _branch_row(r.head, r.probability, r.states[0], r.leaf_classes[0], r.level)
+        for r in enumerate_branches(PLANS[Strategy(strategy)](params), params)
+    ]
+    argv = ["enumerate", "--strategy", strategy, "--qubits", str(n), "--x-sq", x_sq]
+    assert main([*argv, "--out", str(tmp_path / "t.json")]) == 0
+    assert (tmp_path / "t.json").read_text() == json.dumps(rows, indent=2) + "\n"
+    assert main([*argv, "--format", "csv", "--out", str(tmp_path / "t.csv")]) == 0
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(_CSV_HEADER)
+    writer.writerows(map(_csv_row, rows))
+    assert (tmp_path / "t.csv").read_text() == expected.getvalue()
+
+
+# rows are rendered once per outcome class and written in runs; every row
+# must still equal its own rendering from `_branch_row` and `_csv_row`
 @pytest.mark.parametrize("n", range(3, 11))
 def test_rows_rendered_per_class(n, tmp_path):
     for x_sq in ("2/3", "1/2", "3/7", "9/10"):
-        params = PlanParams(n, Fraction(x_sq))
-        for strategy, plan_maker in (("cpm", cpm_plan), ("spm", spm_plan)):
-            rows = [
-                _branch_row(r.head, r.probability, r.states[0], r.leaf_classes[0], r.level)
-                for r in enumerate_branches(plan_maker(params), params)
-            ]
-            argv = ["enumerate", "--strategy", strategy, "--qubits", str(n), "--x-sq", x_sq]
-            assert main([*argv, "--out", str(tmp_path / "t.json")]) == 0
-            assert (tmp_path / "t.json").read_text() == json.dumps(rows, indent=2) + "\n"
-            assert main([*argv, "--format", "csv", "--out", str(tmp_path / "t.csv")]) == 0
-            expected = io.StringIO()
-            writer = csv.writer(expected, lineterminator="\n")
-            writer.writerow(_CSV_HEADER)
-            writer.writerows(map(_csv_row, rows))
-            assert (tmp_path / "t.csv").read_text() == expected.getvalue()
+        for strategy in ("cpm", "spm"):
+            _assert_rows_rendered(strategy, n, x_sq, tmp_path)
+
+
+# at n = run bits + 3 both strategies have a class of depth > run bits, which
+# is written in several runs; 0 makes every row its own run
+@pytest.mark.parametrize("run_bits", [0, 2, cli._RUN_BITS])
+def test_runs_split_deep_classes(run_bits, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_RUN_BITS", run_bits)
+    params = PlanParams(run_bits + 3)
+    for strategy in ("cpm", "spm"):
+        classes = outcome_classes(PLANS[Strategy(strategy)](params), params)
+        assert max(c.depth for c in classes) > run_bits
+        _assert_rows_rendered(strategy, params.n, "3/7", tmp_path)
 
 
 class TestSimulate:
@@ -461,18 +487,30 @@ class TestOutputTargets:
         assert main(self.ENUMERATE + [os.devnull]) == 0
         assert not os.path.isfile(os.devnull)
 
-    def test_stdout_target_redirected_to_file(self, tmp_path, capsys):
-        expected = tmp_path / "expected.json"
-        assert main(self.ENUMERATE + [str(expected)]) == 0
+    @staticmethod
+    def _assert_stdout_target(argv, tmp_path, capsys):
+        """`argv + ["/dev/stdout"]` run with stdout redirected to a file
+        writes the census lines and then the table `argv` writes to a file."""
+        expected = tmp_path / "expected"
+        assert main(argv + [str(expected)]) == 0
         census = capsys.readouterr().out
         redirected = tmp_path / "redirected.txt"
         env = dict(os.environ, PYTHONPATH=str(Path(ghzdisc.__file__).parents[1]))
         with open(redirected, "w") as handle:
             subprocess.run(
-                [sys.executable, "-m", "ghzdisc.cli", *self.ENUMERATE, "/dev/stdout"],
+                [sys.executable, "-m", "ghzdisc.cli", *argv, "/dev/stdout"],
                 stdout=handle, env=env, check=True, timeout=120,
             )
         assert redirected.read_text() == census + expected.read_text()
+
+    def test_stdout_target_redirected_to_file(self, tmp_path, capsys):
+        self._assert_stdout_target(self.ENUMERATE, tmp_path, capsys)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_target_split_runs(self, fmt, tmp_path, capsys):
+        # n = 10: the deepest classes are written in several runs
+        argv = ["enumerate", "--strategy", "cpm", "--qubits", "10", "--format", fmt, "--out"]
+        self._assert_stdout_target(argv, tmp_path, capsys)
 
     def test_symlink_target_replaced(self, tmp_path, capsys):
         expected = tmp_path / "expected.json"

@@ -46,6 +46,16 @@ GOLDEN = {
             "@spm6.csv": "640ae481e56441cab12018a34e1d30f433940db3a0555a454ffe3f933140dfe7",
         },
     ),
+    # the benchmark's deep tables: thousands-digit integers, and classes
+    # deeper than one run of rows
+    "enumerate-cpm-14-csv": (
+        ["enumerate", "--strategy", "cpm", "--qubits", "14", "--format", "csv", "--out", "@cpm14.csv"],
+        {"@cpm14.csv": "db1f2922e7dec746debe0e1258490b8a3504275af27a95dcdbab474901e2cc8e"},
+    ),
+    "enumerate-spm-16-json": (
+        ["enumerate", "--strategy", "spm", "--qubits", "16", "--out", "@spm16.json"],
+        {"@spm16.json": "697d7d58d9bee4115adeb01379e05113572cf2feac02a67cdbad7851859d9367"},
+    ),
     "simulate-random-json": (
         ["simulate", "--seed", "12", "--groups", "5", "--per-group", "12",
          "--strategy", "random", "--out", "@sim.json"],
