@@ -1,21 +1,24 @@
 """Seeded Monte-Carlo harness for the discrimination experiment.
 
-Sampling is driven by a counter-based SHA-256 stream split per
-(trial, group, state), so parallel or re-ordered execution would
-reproduce serial results bit for bit.  A draw is a uniform 256-bit
+Sampling is driven by counter-based streams keyed by their path: value
+c of the stream at a path is bytes [32c, 32c + 32) of SHAKE-256 over the
+packed path, so parallel or re-ordered execution would reproduce serial
+results bit for bit.  A draw is a uniform 256-bit
 integer k: the rarest branch probabilities are far below 64-bit
 resolution, so all 256 bits are kept.  For integer k and rational p,
 k < p * 2**256 exactly when k < ceil(p * 2**256), so every threshold is
 stored as that exact integer cut point and each inverse-CDF decision is
 one comparison of ints of at most 257 bits.
 
-The protocol loop decides a state by one draw: the first value of the
-state's stream, hashed from its group's packed prefix (seed, domain,
-trial, group) extended by the state index and counter 0, with no stream
-object per state.  The draw is bisected over one joint table whose rows
-are (strategy, outcome class, receiver bit): 2(m + 1) rows for a
-built-in strategy, 4(m + 1) under `random`.  `LeafSampler.sample`, one
-draw for the class and one for the bit, is kept as the reference.
+The protocol loop decides state s of group g in trial t by one draw,
+value s mod B of the stream at (seed, domain, t, g, s // B), B = `_BLOCK`:
+one SHAKE-256 call per block.  A draw picks a row of one joint table whose
+rows are (strategy, outcome class, receiver bit): 2(m + 1) rows for a
+built-in strategy, 4(m + 1) under `random`.  The table's guide decides
+each draw whose leading byte's range holds no cut, by `bytes.translate`
+and `bytes.count`; only the rest are bisected over all 256 bits.
+`LeafSampler.sample`, one draw for the class and one for the bit, is
+kept as the reference.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ from .plans import (
 )
 
 RESOLUTION_BITS = 256
+_DRAW_BYTES = RESOLUTION_BITS // 8
+_BLOCK = 1024  # states per stream in the protocol loop
+AMBIGUOUS = 4  # a guide code: the draw's row needs its 256-bit bisection
 
 # Stream domains keep independent uses of the same seed disjoint.
 _DOMAIN_SAMPLE = 0
@@ -77,25 +83,22 @@ def _pack(*values: int) -> bytes:
 
 
 class CounterStream:
-    """Deterministic uniform stream: SHA-256 over (seed, path, counter)."""
+    """Deterministic uniform stream: value c is bytes [32c, 32c + 32) of
+    SHAKE-256 over the packed (seed, path)."""
 
     def __init__(self, seed: int, *path: int):
         check_seed(seed)
-        self._prefix = _pack(seed, *path)
+        self._xof = hashlib.shake_256(_pack(seed, *path))
+        self._out = b""  # the output read so far, doubled when a value passes its end
         self._counter = 0
 
     def next_int(self) -> int:
         """Uniform integer in [0, 2**RESOLUTION_BITS)."""
-        digest = hashlib.sha256(self._prefix + _pack(self._counter)).digest()
+        end = _DRAW_BYTES * (self._counter + 1)
+        if end > len(self._out):
+            self._out = self._xof.digest(2 * end)
         self._counter += 1
-        return int.from_bytes(digest, "big")
-
-    def child(self, index: int) -> CounterStream:
-        """The stream at path + (index,), without re-packing the path."""
-        stream = CounterStream.__new__(CounterStream)
-        stream._prefix = self._prefix + _pack(index)
-        stream._counter = 0
-        return stream
+        return int.from_bytes(self._out[end - _DRAW_BYTES : end], "big")
 
 
 class LeafSampler:
@@ -180,11 +183,14 @@ def build_samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
 class JointTable(NamedTuple):
     """Inverse CDF over (strategy, outcome class, receiver bit), one
     column per field: a draw k picks row `bisect_right(cuts, k)`, and
-    the outputs read only that row's eta-ness and bit."""
+    the outputs read only that row's eta-ness and bit.  `guide[b]` is
+    the code 2 * eta + bit of the row that every draw with leading byte
+    b picks, or AMBIGUOUS where a cut falls inside that byte's range."""
 
     cuts: list[int]
     etas: list[bool]
     bits: list[int]
+    guide: bytes
 
 
 def _joint_rows(
@@ -204,16 +210,20 @@ def _joint_rows(
 
 
 def joint_table(samplers: dict[Strategy, LeafSampler], strategy: Strategy) -> JointTable:
-    """The one-draw table of `strategy`, cut at each row's exact cumulative weight."""
-    table = JointTable([], [], [])
+    """The one-draw table of `strategy`, cut at each row's exact cumulative
+    weight; a byte's guide code compares the rows of its lowest and
+    highest draw."""
+    cuts, etas, bits, _ = table = JointTable([], [], [], b"")
     cumulative = Fraction(0)
     for weight, eta, bit in _joint_rows(samplers, strategy):
         cumulative += weight
-        table.cuts.append(_cut(cumulative))
-        table.etas.append(eta)
-        table.bits.append(bit)
+        cuts.append(_cut(cumulative))
+        etas.append(eta)
+        bits.append(bit)
     assert cumulative == 1
-    return table
+    span = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
+    ends = [(bisect_right(cuts, b * span), bisect_right(cuts, (b + 1) * span - 1)) for b in range(256)]
+    return table._replace(guide=bytes(2 * etas[lo] + bits[lo] if lo == hi else AMBIGUOUS for lo, hi in ends))
 
 
 def _trial_record(config: ProtocolConfig, ones_per_group: list[int], eta_hits: int) -> dict:
@@ -238,28 +248,29 @@ def _trial_record(config: ProtocolConfig, ones_per_group: list[int], eta_hits: i
     return {"per_group": per_group, "eta_hits": eta_hits, "overall_decision": overall.value}
 
 
-def _state_suffixes(config: ProtocolConfig) -> list[bytes]:
-    """Each state's (index, counter 0) as packed after its group's prefix; one list per run."""
-    return [_pack(s, 0) for s in range(config.per_group)]
-
-
-def _run_trial(config: ProtocolConfig, table: JointTable, trial: int, suffixes: list[bytes]) -> dict:
-    """One trial's record; state s of group g is decided by the first
-    value of `CounterStream(seed, _DOMAIN_SAMPLE, trial, g).child(s)`,
-    whose message ends in `suffixes[s]`."""
-    cuts, etas, bits = table
-    from_bytes = int.from_bytes
+def _run_trial(config: ProtocolConfig, table: JointTable, trial: int) -> dict:
+    """One trial's record; state s of group g is decided by value s % _BLOCK
+    of `CounterStream(seed, _DOMAIN_SAMPLE, trial, g, s // _BLOCK)`: one
+    SHAKE-256 call per block, counted through the table's guide."""
+    cuts, etas, bits, guide = table
+    prefix = _pack(config.seed, _DOMAIN_SAMPLE, trial)
     eta_hits = 0
     ones_per_group: list[int] = []
     for g in range(config.groups):
-        group = hashlib.sha256(_pack(config.seed, _DOMAIN_SAMPLE, trial, g))
         ones = 0
-        for suffix in suffixes:
-            state = group.copy()
-            state.update(suffix)
-            i = bisect_right(cuts, from_bytes(state.digest(), "big"))
-            eta_hits += etas[i]
-            ones += bits[i]
+        for block, start in enumerate(range(0, config.per_group, _BLOCK)):
+            stream = hashlib.shake_256(prefix + _pack(g, block))
+            draws = stream.digest(_DRAW_BYTES * min(_BLOCK, config.per_group - start))
+            codes = draws[::_DRAW_BYTES].translate(guide)
+            ones += codes.count(1) + codes.count(3)
+            eta_hits += codes.count(2) + codes.count(3)
+            i = codes.find(AMBIGUOUS)
+            while i >= 0:
+                k = int.from_bytes(draws[_DRAW_BYTES * i : _DRAW_BYTES * (i + 1)], "big")
+                row = bisect_right(cuts, k)
+                eta_hits += etas[row]
+                ones += bits[row]
+                i = codes.find(AMBIGUOUS, i + 1)
         ones_per_group.append(ones)
     return _trial_record(config, ones_per_group, eta_hits)
 
@@ -268,8 +279,7 @@ def run_protocol(config: ProtocolConfig, samplers: dict[Strategy, LeafSampler]) 
     """The `simulate` per-trial records, deterministic given the config
     (seed included); `samplers` come from `build_samplers(config.params)`."""
     table = joint_table(samplers, config.strategy)
-    suffixes = _state_suffixes(config)
-    return [_run_trial(config, table, t, suffixes) for t in range(config.trials)]
+    return [_run_trial(config, table, t) for t in range(config.trials)]
 
 
 def discriminate(config: ProtocolConfig) -> dict:
@@ -283,11 +293,10 @@ def discriminate(config: ProtocolConfig) -> dict:
         truth.value: {guess.value: 0 for guess in (Strategy.CPM, Strategy.SPM)}
         for truth in (Strategy.CPM, Strategy.SPM)
     }
-    suffixes = _state_suffixes(config)
     for t in range(config.trials):
         coin = CounterStream(config.seed, _DOMAIN_TRUTH, t)
         truth = Strategy.SPM if coin.next_int() < _HALF_CUT else Strategy.CPM
-        result = _run_trial(config, tables[truth], t, suffixes)
+        result = _run_trial(config, tables[truth], t)
         decision = result["overall_decision"]
         confusion[truth.value][decision] += 1
         trials.append({"truth": truth.value, "decision": decision, "eta_hits": result["eta_hits"]})

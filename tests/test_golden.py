@@ -59,25 +59,25 @@ GOLDEN = {
     "simulate-random-json": (
         ["simulate", "--seed", "12", "--groups", "5", "--per-group", "12",
          "--strategy", "random", "--out", "@sim.json"],
-        {"@sim.json": "3f2554bffd2e29e5a5af232b2a6d45f33580706eabc1bce82da8ddcc42a43181"},
+        {"@sim.json": "b5d6b4351cdf0b18cbf803223ca64bfdfe791cc93a1215b3b6a8c9fccdafdeb2"},
     ),
     "simulate-spm-csv": (
         ["simulate", "--seed", "7", "--trials", "1", "--per-group", "30", "--groups", "20",
          "--strategy", "spm", "--out", "@run.json", "--csv", "@groups.csv"],
         {
-            "@run.json": "3b953a10337c5b69517a3b7d2fa1f240b17e3a8485b96593cf6386078bd8e2e7",
-            "@groups.csv": "b4766ffa2c155518f2ba5c662dd504ae8b9d6cbe1716456389b7f63897ceecc0",
+            "@run.json": "3555fe353c2b0be63f0af07d43df72ee292993cc0638ecac29bedec00119dcec",
+            "@groups.csv": "995e2373ea33f278b85c9200c31cf42b2050fd4d12c91cffcb48b8b5ba151b30",
         },
     ),
     "simulate-x-sq-json": (
         ["simulate", "--seed", "3", "--qubits", "6", "--x-sq", "9/10", "--groups", "2",
          "--per-group", "8", "--out", "@sim6.json"],
-        {"@sim6.json": "e762b0318cf1853cdf52956a4c53115407b0728c489a03c934721feda2005319"},
+        {"@sim6.json": "3a37136c16be51aa0a660a3eec10f336fc1fb90335e258959591363136dc0500"},
     ),
     "discriminate-json": (
         ["discriminate", "--seed", "12", "--trials", "5", "--groups", "4",
          "--per-group", "10", "--out", "@disc.json"],
-        {"@disc.json": "ebe4cc0ef0211f6d2bc7fed7ee3b5eeab5414b9b5aa1e8d5cbbe7d47a7ea774d"},
+        {"@disc.json": "47e71b0443f2043bade86cb6d768bd98da7edb6cbfe8240ceb2fd80b31ae45e6"},
     ),
     "marginal-spm": (
         ["marginal", "--strategy", "spm"],

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
@@ -27,7 +29,7 @@ from ghzdisc import (
     w_statistic,
 )
 from ghzdisc.plans import MeasurementPlan, enumerate_branches, outcome_classes
-from ghzdisc.protocol import RESOLUTION_BITS, _cut, _joint_rows, _trial_record, joint_table
+from ghzdisc.protocol import AMBIGUOUS, RESOLUTION_BITS, _cut, _joint_rows, _trial_record, joint_table
 
 P8 = PlanParams(8)
 
@@ -68,20 +70,20 @@ class TestCounterStream:
         with pytest.raises(ValueError, match="seed must be an int, got ([0-9.]+|True|False)$"):
             make()
 
-    def test_child_matches_full_path(self):
-        group = CounterStream(2**64 - 1, 0, 3, 7)
-        for index in (0, 1, 29, 2**32, 2**64 - 1):
-            child = group.child(index)
-            full = CounterStream(2**64 - 1, 0, 3, 7, index)
-            assert [child.next_int() for _ in range(3)] == [full.next_int() for _ in range(3)]
-            group.next_int()  # the group's own draws do not move its children
+    def test_values_are_consecutive_shake_blocks(self):
+        # value c is bytes [32c, 32c + 32) of SHAKE-256 over the path, each
+        # part 8 big-endian bytes; 70 values cross several growths of the read-ahead
+        for path in ((2**64 - 1, 0, 3, 7, index) for index in (0, 1, 29, 2**32, 2**64 - 1)):
+            stream = CounterStream(*path)
+            output = hashlib.shake_256(b"".join(v.to_bytes(8, "big") for v in path)).digest(32 * 70)
+            assert [stream.next_int() for _ in range(70)] == [
+                int.from_bytes(output[32 * c : 32 * (c + 1)], "big") for c in range(70)
+            ]
 
     @pytest.mark.parametrize("index", [-1, 2**64])
-    def test_child_index_range(self, index):
+    def test_path_index_range(self, index):
         with pytest.raises(OverflowError):
             CounterStream(5, 1, index)
-        with pytest.raises(OverflowError):
-            CounterStream(5, 1).child(index)
 
 
 class TestWStatistic:
@@ -334,26 +336,57 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
         assert bisect_right(table.cuts, k) == _bisect_exact(cum, k), k
 
 
+_BYTE_RANGE = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
+
+
+@pytest.mark.parametrize("n", [3, 8, 14, 20])
+def test_guide_matches_exact_rows_at_both_ends_of_every_byte(n):
+    # a byte's code is that of the exact row at its lowest and at its highest
+    # draw, and AMBIGUOUS exactly where those two rows differ
+    samplers = build_samplers(PlanParams(n))
+    for strategy in Strategy:
+        reference = _reference_rows(samplers, strategy)
+        cum = _scaled_cumulative(reference)
+        guide = joint_table(samplers, strategy).guide
+        assert len(guide) == 256
+        for b, code in enumerate(guide):
+            low, high = (_bisect_exact(cum, k) for k in (b * _BYTE_RANGE, (b + 1) * _BYTE_RANGE - 1))
+            assert (code == AMBIGUOUS) == (low != high), (strategy, b)
+            if code != AMBIGUOUS:
+                for _, eta, bit in (reference[low], reference[high]):
+                    assert code == 2 * eta + bit, (strategy, b)
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_loop_draws_each_state_from_its_stream(strategy):
-    # state s of group g in trial t is decided by the first value of its
-    # stream, picked by exact comparison against the reference rows
+    # state s of group g in trial t is decided by value s % 1024 of the stream
+    # (seed, 0, t, g, s // 1024), picked by exact comparison against the
+    # reference rows; 1100 states per group take two blocks, and some draws
+    # fall in a byte whose range holds a cut, so the loop's bisection runs
+    # (at n = 14 for cpm, whose n = 8 cuts all lie on byte boundaries)
     seed = 2**64 - 1  # every seed byte set
-    config = ProtocolConfig(seed=seed, groups=3, trials=2, strategy=strategy)
-    samplers = build_samplers(config.params)
-    reference = _reference_rows(samplers, strategy)
-    cum = _scaled_cumulative(reference)
-    expected = []
-    for t in range(config.trials):
-        eta_hits, ones = 0, []
-        for g in range(config.groups):
-            group = CounterStream(seed, 0, t, g)
-            draws = [group.child(s).next_int() for s in range(config.per_group)]
-            picked = [reference[_bisect_exact(cum, k)] for k in draws]
-            eta_hits += sum(eta for _, eta, _ in picked)
-            ones.append(sum(bit for _, _, bit in picked))
-        expected.append(_trial_record(config, ones, eta_hits))
-    assert run_protocol(config, samplers) == expected
+    ambiguous = 0
+    for n in (8, 14):
+        config = ProtocolConfig(seed=seed, params=PlanParams(n), per_group=1100, groups=2, trials=2,
+                                strategy=strategy)
+        samplers = build_samplers(config.params)
+        reference = _reference_rows(samplers, strategy)
+        cum = _scaled_cumulative(reference)
+        expected = []
+        for t in range(config.trials):
+            eta_hits, ones = 0, []
+            for g in range(config.groups):
+                streams = [CounterStream(seed, 0, t, g, block) for block in range(2)]
+                draws = [streams[s // 1024].next_int() for s in range(config.per_group)]
+                picked = [reference[_bisect_exact(cum, k)] for k in draws]
+                eta_hits += sum(eta for _, eta, _ in picked)
+                ones.append(sum(bit for _, _, bit in picked))
+                for k in draws:
+                    low = k - k % _BYTE_RANGE  # the lowest draw with k's leading byte
+                    ambiguous += _bisect_exact(cum, low) != _bisect_exact(cum, low + _BYTE_RANGE - 1)
+            expected.append(_trial_record(config, ones, eta_hits))
+        assert run_protocol(config, samplers) == expected
+    assert ambiguous > 0
 
 
 def _chi2_critical(df, level):
@@ -425,6 +458,19 @@ class TestRunProtocol:
             seed=9, trials=1, per_group=20, groups=3, strategy=Strategy.RANDOM_PER_STATE
         )
         assert run_protocol(config, build_samplers(config.params)) == run_protocol(config, build_samplers(config.params))
+
+    def test_memory_bounded_in_per_group(self):
+        # one block of draws is held at a time, whatever the group's size
+        config = ProtocolConfig(seed=4, per_group=10**5, groups=1, trials=1)
+        samplers = build_samplers(config.params)
+        tracemalloc.start()
+        try:
+            (trial,) = run_protocol(config, samplers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trial["per_group"][0]["zeros"] + trial["per_group"][0]["ones"] == 10**5
+        assert peak < 2**20, peak
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
