@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from typing import Iterator
 
 from .amplitude import amplitude_json, fraction_json, unlimited_int_digits
-from .oracle import bob_marginal, checkpoint_report, no_signaling_suite, receiver_marginal
+from .oracle import bob_marginal, checkpoint_report, no_signaling_suite
 from .plans import PlanParams, census, outcome_classes
 from .protocol import (
     PLANS, ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_statistic,
@@ -232,7 +232,7 @@ def cmd_simulate(args, params: PlanParams) -> int:
     trials = run_protocol(config, samplers)
     ones = sum(g["ones"] for t in trials for g in t["per_group"])
     total = config.trials * config.groups * config.per_group
-    p1 = {s: receiver_marginal(sampler.classes)[1] for s, sampler in samplers.items()}
+    p1 = {s: sampler.marginal[1] for s, sampler in samplers.items()}
     p1[Strategy.RANDOM_PER_STATE] = (p1[Strategy.CPM] + p1[Strategy.SPM]) / 2
     oracle_p1 = p1[config.strategy]
     w_values = {}

@@ -6,10 +6,10 @@ as the walker's integer numerators, one sum per distinct denominator,
 giving the marginal as an exact rational; it builds no state and
 classifies no leaf.  A random plan's steps come straight from its
 hash over the unreduced 2^64, so all its leaves share one denominator.
-`receiver_marginal` is the same sum over classes already built.
 `checkpoint_report` regenerates the reference quantities of the paper's
 instance (`ProtocolConfig`'s defaults) from first principles and
-compares each against its expected value at a stated tolerance.
+compares each against its expected value at a stated tolerance; its
+cascade-plan marginal is that of the rows a `LeafSampler` draws from.
 """
 
 from __future__ import annotations
@@ -27,19 +27,9 @@ from .plans import (
     census,
     constants,
     cpm_plan,
-    outcome_classes,
     spm_plan,
 )
-from .protocol import ProtocolConfig, check_seed, w_statistic
-
-
-def receiver_marginal(classes) -> tuple[Fraction, Fraction]:
-    """Receiver's exact computational-basis marginal over the leaves of
-    `classes`; the states of a class share both squared amplitudes."""
-    return (
-        sum((c.summed(abs(c.states[0].amp0)) for c in classes), Fraction(0)),
-        sum((c.summed(abs(c.states[0].amp1)) for c in classes), Fraction(0)),
-    )
+from .protocol import LeafSampler, ProtocolConfig, _pack, check_seed, w_statistic
 
 
 def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
@@ -64,7 +54,7 @@ class _RandomPlan(MeasurementPlan):
 
     def __init__(self, stages: int, seed: int):
         super().__init__(stages, self._basis, name=f"random-{seed}")
-        self._prefix = b"random-basis" + seed.to_bytes(8, "big")
+        self._prefix = b"random-basis" + _pack(seed)
 
     def _step(self, history: str) -> tuple[int, int, int]:
         """(±k, ±(2^64 - k), 2^64), left unreduced, so that every leaf of
@@ -126,7 +116,8 @@ _HALVES = (Fraction(1, 2), Fraction(1, 2))  # the receiver's marginal under ever
 def checkpoint_report(params: PlanParams) -> list[dict]:
     checks: list[dict] = []
     cascade = constants(params)
-    classes = outcome_classes(spm_plan(params), params)
+    sampler = LeafSampler(spm_plan(params), params)
+    classes = sampler.classes
     m = params.m
 
     if params == _REFERENCE:
@@ -172,7 +163,7 @@ def checkpoint_report(params: PlanParams) -> list[dict]:
         checks.append(_approx("w_1_n6", w_statistic(1, PlanParams(6), per_group), "0.41", "1e-2"))
 
     checks.append(_exact("marginal_uniform_plan", bob_marginal(cpm_plan(params), params), _HALVES))
-    checks.append(_exact("marginal_cascade_plan", receiver_marginal(classes), _HALVES))
+    checks.append(_exact("marginal_cascade_plan", sampler.marginal, _HALVES))
 
     checks.append(
         _check(
@@ -199,7 +190,6 @@ def no_signaling_suite(plans_per_n: int, seed: int) -> list[dict]:
         checks.append(_exact(f"marginal_uniform_n{n}", bob_marginal(cpm_plan(params), params), _HALVES))
         checks.append(_exact(f"marginal_cascade_n{n}", bob_marginal(spm_plan(params), params), _HALVES))
         for i in range(plans_per_n):
-            packed = b"".join(v.to_bytes(8, "big") for v in (seed, n, i))
-            plan = random_plan(params, int.from_bytes(hashlib.sha256(packed).digest()[:8], "big"))
+            plan = random_plan(params, int.from_bytes(hashlib.sha256(_pack(seed, n, i)).digest()[:8], "big"))
             checks.append(_exact(f"marginal_random_n{n}_{i}", bob_marginal(plan, params), _HALVES))
     return checks

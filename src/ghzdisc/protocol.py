@@ -12,13 +12,13 @@ one comparison of ints of at most 257 bits.
 
 The protocol loop decides state s of group g in trial t by one draw,
 value s mod B of the stream at (seed, domain, t, g, s // B), B = `_BLOCK`:
-one SHAKE-256 call per block.  A draw picks a row of one joint table whose
-rows are (strategy, outcome class, receiver bit): 2(m + 1) rows for a
-built-in strategy, 4(m + 1) under `random`.  The table's guide decides
-each draw whose leading byte's range holds no cut, by `bytes.translate`
-and `bytes.count`; only the rest are bisected over all 256 bits.
-`LeafSampler.sample`, one draw for the class and one for the bit, is
-kept as the reference.
+one SHAKE-256 call per block.  A draw picks a row of one table whose
+rows are (outcome class, receiver bit): 2(m + 1) rows for a built-in
+strategy, its `LeafSampler`'s own, and 4(m + 1) under `random`, both
+samplers' rows at half weight.  The table's guide decides each draw
+whose leading byte's range holds no cut, by `bytes.translate` and
+`bytes.count`; only the rest are bisected over all 256 bits.
+`LeafSampler.sample` makes the same one draw per state.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .engine import bob_distribution, check_fractions
+from .engine import MeasurementError, check_fractions
 from .plans import (
     LeafClass,
     MeasurementPlan,
@@ -102,12 +101,12 @@ class CounterStream:
 
 
 class LeafSampler:
-    """Inverse-CDF sampler over the outcome classes of a plan: per class,
-    the cut points of the cumulative probability at its last leaf (a
-    subset of the per-leaf cuts, so bisection picks the class holding the
-    leaf per-leaf bisection would) and of the receiver's p0, built on the
-    first `sample`.  A draw feeds an output only through p0 and eta-ness,
-    which a class's leaves share."""
+    """The exact law of one strategy over its plan's outcome classes.
+    Built on first use: `rows`, one (2^depth * |amp_bit|, eta, bit) =
+    (p(class) * p(bit | class), eta, bit) per class and bit; `table`,
+    the one-draw inverse CDF over them; and `marginal`, the receiver's
+    exact p0 and p1.  A draw feeds an output only through the bit and
+    eta-ness, which a class's leaves share."""
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
         self.classes = outcome_classes(plan, params)
@@ -116,22 +115,27 @@ class LeafSampler:
                 raise PlanError(f"cannot sample class {c.head!r}: it mixes eta and non-eta leaves")
 
     @cached_property
-    def _cuts(self) -> list[int]:
-        cumulative = list(accumulate(c.summed(c.probability) for c in self.classes))
-        assert cumulative[-1] == 1
-        return [_cut(p) for p in cumulative]
+    def rows(self) -> list[tuple[Fraction, bool, int]]:
+        rows = []
+        for c in self.classes:
+            eta = c.leaf_classes[0] is LeafClass.ETA
+            state = c.states[0]  # a class's states differ only in amp1's sign
+            rows += ((c.summed(abs(amp)), eta, bit) for bit, amp in enumerate((state.amp0, state.amp1)))
+        return rows
 
     @cached_property
-    def _p0_cuts(self) -> list[int]:
-        # a class's states differ only in amp1's sign, so they share p0
-        return [_cut(bob_distribution(c.states[0])[0]) for c in self.classes]
+    def table(self) -> JointTable:
+        return _table(self.rows)
+
+    @cached_property
+    def marginal(self) -> tuple[Fraction, Fraction]:
+        return sum(w for w, _, _ in self.rows[0::2]), sum(w for w, _, _ in self.rows[1::2])
 
     def sample(self, stream: CounterStream) -> tuple[OutcomeClass, int]:
-        """Draw one outcome class and the receiver's computational-basis bit:
-        two draws, the reference for the protocol loop's one-draw table."""
-        i = bisect_right(self._cuts, stream.next_int())
-        bob_bit = 0 if stream.next_int() < self._p0_cuts[i] else 1
-        return self.classes[i], bob_bit
+        """Draw one outcome class and the receiver's computational-basis
+        bit by one draw through `table`, as the protocol loop does."""
+        row = bisect_right(self.table.cuts, stream.next_int())
+        return self.classes[row // 2], self.table.bits[row]
 
 
 def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
@@ -193,37 +197,32 @@ class JointTable(NamedTuple):
     guide: bytes
 
 
-def _joint_rows(
-    samplers: dict[Strategy, LeafSampler], strategy: Strategy
-) -> Iterator[tuple[Fraction, bool, int]]:
-    """(weight, eta, bit) per row: share * 2^depth * |amp_bit| of the
-    class's state, i.e. share * p(class) * p(bit | class).  The share is
-    1, or 1/2 per strategy under `random`, spm first."""
-    chosen = (Strategy.SPM, Strategy.CPM) if strategy is Strategy.RANDOM_PER_STATE else (strategy,)
-    share = Fraction(1, len(chosen))
-    for s in chosen:
-        for c in samplers[s].classes:
-            eta = c.leaf_classes[0] is LeafClass.ETA
-            state = c.states[0]  # a class's states differ only in amp1's sign
-            for bit, amp in enumerate((state.amp0, state.amp1)):
-                yield share * c.summed(abs(amp)), eta, bit
-
-
-def joint_table(samplers: dict[Strategy, LeafSampler], strategy: Strategy) -> JointTable:
-    """The one-draw table of `strategy`, cut at each row's exact cumulative
-    weight; a byte's guide code compares the rows of its lowest and
-    highest draw."""
+def _table(rows: list[tuple[Fraction, bool, int]]) -> JointTable:
+    """The one-draw table over (weight, eta, bit) rows, cut at each row's
+    exact cumulative weight; a byte's guide code compares the rows of its
+    lowest and highest draw."""
     cuts, etas, bits, _ = table = JointTable([], [], [], b"")
     cumulative = Fraction(0)
-    for weight, eta, bit in _joint_rows(samplers, strategy):
+    for weight, eta, bit in rows:
         cumulative += weight
         cuts.append(_cut(cumulative))
         etas.append(eta)
         bits.append(bit)
-    assert cumulative == 1
+    if cumulative != 1:
+        raise MeasurementError(f"the rows' weights sum to {cumulative}, not 1")
     span = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
     ends = [(bisect_right(cuts, b * span), bisect_right(cuts, (b + 1) * span - 1)) for b in range(256)]
     return table._replace(guide=bytes(2 * etas[lo] + bits[lo] if lo == hi else AMBIGUOUS for lo, hi in ends))
+
+
+def joint_table(samplers: dict[Strategy, LeafSampler], strategy: Strategy) -> JointTable:
+    """The one-draw table of `strategy`: a built-in strategy's own
+    sampler's, or under `random` one table over both samplers' rows at
+    half weight, spm first."""
+    if strategy is not Strategy.RANDOM_PER_STATE:
+        return samplers[strategy].table
+    rows = samplers[Strategy.SPM].rows + samplers[Strategy.CPM].rows
+    return _table([(w / 2, eta, bit) for w, eta, bit in rows])
 
 
 def _trial_record(config: ProtocolConfig, ones_per_group: list[int], eta_hits: int) -> dict:

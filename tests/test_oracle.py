@@ -4,10 +4,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzdisc import oracle
 from ghzdisc import (
     Basis,
+    LeafSampler,
     PlanParams,
     bob_marginal,
     checkpoint_report,
@@ -62,6 +65,27 @@ class TestBobMarginal:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+_X_SQ = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40)
+
+
+# the sampler's Fraction sums over its rows are the oracle for the walker's integer sums
+@settings(max_examples=30, deadline=None)
+@given(_X_SQ, st.integers(min_value=3, max_value=12), st.sampled_from([cpm_plan, spm_plan]))
+@example(Fraction(1, 2), 12, spm_plan)
+def test_sampler_marginal_matches_bob_marginal(x_sq, n, plan_for):
+    params = PlanParams(n, x_sq)
+    plan = plan_for(params)
+    assert LeafSampler(plan, params).marginal == bob_marginal(plan, params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_X_SQ, st.integers(min_value=3, max_value=7), st.integers(min_value=0, max_value=2**64 - 1))
+def test_sampler_marginal_matches_bob_marginal_random_plans(x_sq, n, seed):
+    params = PlanParams(n, x_sq)
+    plan = random_plan(params, seed)
+    assert LeafSampler(plan, params).marginal == bob_marginal(plan, params)
 
 
 # at x^2 = 1/2 the all-perp leaf, at level m + 1, is classified mu+ or mu-

@@ -11,6 +11,7 @@ from ghzdisc import (
     Basis,
     ChainState,
     LeafClass,
+    LeafSampler,
     MeasurementError,
     PlanError,
     PlanParams,
@@ -26,7 +27,6 @@ from ghzdisc import (
 )
 from ghzdisc.amplitude import ExactAmplitude
 from ghzdisc.cli import _census_lines
-from ghzdisc.oracle import receiver_marginal
 from ghzdisc.plans import MeasurementPlan, census, enumerate_branches, outcome_classes
 
 P8 = PlanParams(8)
@@ -338,7 +338,8 @@ X_GRID = (Fraction(2, 3), Fraction(1, 2), Fraction(3, 7), Fraction(9, 10))
 
 def assert_spine_walk_matches_leaf_walk(params):
     for plan in (cpm_plan(params), spm_plan(params), random_plan(params, params.n)):
-        classes = outcome_classes(plan, params)
+        sampler = LeafSampler(plan, params)
+        classes = sampler.classes
         assert len(classes) == (params.m + 1 if plan.spine is not None else 2**params.m)
         # the same rule as a chooser has no spine, so it is walked node by node; its
         # classes, one per leaf, give plain per-leaf sums and counts
@@ -350,7 +351,7 @@ def assert_spine_walk_matches_leaf_walk(params):
             sum(abs(r.states[0].amp0) for r in records),
             sum(abs(r.states[0].amp1) for r in records),
         )
-        assert receiver_marginal(classes) == marginal
+        assert sampler.marginal == marginal
         levels = Counter(r.level for r in records)
         probability: Counter = Counter()
         for r in records:

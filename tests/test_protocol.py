@@ -14,6 +14,7 @@ from ghzdisc import (
     CounterStream,
     LeafClass,
     LeafSampler,
+    MeasurementError,
     PlanError,
     PlanParams,
     ProtocolConfig,
@@ -29,7 +30,7 @@ from ghzdisc import (
     w_statistic,
 )
 from ghzdisc.plans import MeasurementPlan, enumerate_branches, outcome_classes
-from ghzdisc.protocol import AMBIGUOUS, RESOLUTION_BITS, _cut, _joint_rows, _trial_record, joint_table
+from ghzdisc.protocol import AMBIGUOUS, RESOLUTION_BITS, _cut, _table, _trial_record, joint_table
 
 P8 = PlanParams(8)
 
@@ -141,12 +142,20 @@ def test_w_statistic_matches_closed_form(n, x_sq):
 class TestLeafSampler:
     def test_cdf_covers_unit_interval(self):
         sampler = LeafSampler(spm_plan(P8), P8)
-        # the protocol loop reads only the classes, so the cuts wait for `sample`
-        assert not {"_cuts", "_p0_cuts"} & set(vars(sampler))
-        # one cut per outcome class: m + 1 for a spine plan, not 2^m
-        assert len(sampler._cuts) == len(sampler._p0_cuts) == P8.m + 1
-        assert sampler._cuts[-1] == 1 << RESOLUTION_BITS
-        assert all(a <= b for a, b in zip(sampler._cuts, sampler._cuts[1:]))
+        # a sampler build only classifies: the rows and the table wait for first use
+        assert not {"rows", "table", "marginal"} & set(vars(sampler))
+        # two cuts per outcome class, one per bit: 2(m + 1) for a spine plan, not 2^m
+        cuts = sampler.table.cuts
+        assert len(cuts) == 2 * (P8.m + 1)
+        assert cuts[-1] == 1 << RESOLUTION_BITS
+        assert all(a <= b for a, b in zip(cuts, cuts[1:]))
+
+    def test_marginal_sums_rows_per_bit(self):
+        # every plan's marginal is (1/2, 1/2), so uneven rows stand in to tell the bits apart
+        sampler = LeafSampler(spm_plan(P8), P8)
+        sampler.rows = [(Fraction(1, 8), False, 0), (Fraction(1, 4), False, 1),
+                        (Fraction(1, 2), True, 0), (Fraction(1, 8), True, 1)]
+        assert sampler.marginal == (Fraction(5, 8), Fraction(3, 8))
 
     def test_outcome_distribution_smoke(self):
         sampler = LeafSampler(spm_plan(P8), P8)
@@ -189,18 +198,6 @@ class _Draws:
         return next(self._draws)
 
 
-def _reference_tables(records):
-    """Scaled (numerator, denominator) thresholds of the cumulative
-    probability and of the receiver's p0, per leaf."""
-    cumulative, cum, p0s = Fraction(0), [], []
-    for record in records:
-        cumulative += record.probability
-        cum.append((cumulative.numerator << RESOLUTION_BITS, cumulative.denominator))
-        p0 = bob_distribution(record.states[0])[0]
-        p0s.append((p0.numerator << RESOLUTION_BITS, p0.denominator))
-    return cum, p0s
-
-
 def _bisect_exact(cum, k):
     """Inverse-CDF pick by bisection over exact rational thresholds: the
     first i with k below cum[i] = (num, den), i.e. with k * den < num."""
@@ -215,35 +212,26 @@ def _bisect_exact(cum, k):
     return lo
 
 
-def _sample_reference(records, tables, stream):
-    """The two-draw pick of a leaf and the receiver's bit, by exact comparisons."""
-    cum, p0s = tables
-    lo = _bisect_exact(cum, stream.next_int())
-    num, den = p0s[lo]
-    bob_bit = 0 if stream.next_int() * den < num else 1
-    return records[lo], bob_bit
-
-
-def _around(num, den):
-    """Draws next to the scaled threshold num / den, kept in range."""
-    x = num // den
-    return [k for k in (x - 1, x, x + 1) if 0 <= k < 1 << RESOLUTION_BITS]
+def _scaled_cumulative(rows):
+    """Scaled (numerator, denominator) thresholds of the rows' cumulative weight."""
+    cumulative, cum = Fraction(0), []
+    for weight, _, _ in rows:
+        cumulative += weight
+        cum.append((cumulative.numerator << RESOLUTION_BITS, cumulative.denominator))
+    return cum
 
 
 _EDGE_DRAWS = (0, (1 << RESOLUTION_BITS) - 1)
 
 
-def _holds(c, record):
-    """Whether outcome class `c` holds the leaf of `record`: the leaf has
-    the class's head, level, probability and eta-ness, and one of its
-    receiver states."""
-    return (
-        record.head.startswith(c.head)
-        and record.level == c.level
-        and record.probability == c.probability
-        and all((lc is LeafClass.ETA) == (record.leaf_classes[0] is LeafClass.ETA) for lc in c.leaf_classes)
-        and record.states[0] in c.states
-    )
+def _cut_draws(cum):
+    """Both edge draws, and the draws at each scaled threshold's cut and
+    either side of it, kept in range."""
+    draws = set(_EDGE_DRAWS)
+    for num, den in cum:
+        cut = -(-num // den)
+        draws.update(k for k in (cut - 1, cut, cut + 1) if 0 <= k < 1 << RESOLUTION_BITS)
+    return sorted(draws)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -259,23 +247,21 @@ def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
     records = outcome_classes(chooser, params)
     assert enumerate_branches(plan, params) == records
     assert enumerate_branches(chooser, params) == records
-    tables = _reference_tables(records)
-    cum, p0s = tables
-    pairs = [(k, j) for k in _EDGE_DRAWS for j in _EDGE_DRAWS]
-    for num, den in cum:
-        pairs += [(k, j) for k in _around(num, den) for j in _EDGE_DRAWS]
-    # pair each p0 cut with the smallest draw landing on its leaf, when
-    # some draw does (leaves far below 2**-256 are never drawn)
-    lowest = 0
-    for (num, den), (cum_num, cum_den) in zip(p0s, cum):
-        above = -(-cum_num // cum_den)
-        if lowest < above:
-            pairs += [(lowest, j) for j in _around(num, den) + list(_EDGE_DRAWS)]
-        lowest = above
-    for k, j in pairs:
-        got, bit = sampler.sample(_Draws(k, j))
-        want, want_bit = _sample_reference(records, tables, _Draws(k, j))
-        assert _holds(got, want) and bit == want_bit, (k, j)
+    # per class and bit, p(leaf) * p(bit | leaf) summed over the leaves below its head
+    reference = []
+    for c in sampler.classes:
+        leaves = [r for r in records if r.head.startswith(c.head)]
+        assert len(leaves) == 2**c.depth and {r.level for r in leaves} == {c.level}
+        (eta,) = {r.leaf_classes[0] is LeafClass.ETA for r in leaves}
+        for bit in (0, 1):
+            weight = sum(r.probability * bob_distribution(r.states[0])[bit] for r in leaves)
+            reference.append((weight, eta, bit))
+    assert sampler.rows == reference
+    cum = _scaled_cumulative(reference)
+    for k in _cut_draws(cum):
+        row = _bisect_exact(cum, k)
+        got, bit = sampler.sample(_Draws(k))
+        assert got is sampler.classes[row // 2] and bit == reference[row][2], k
 
 
 def _reference_rows(samplers, strategy):
@@ -295,13 +281,12 @@ def _reference_rows(samplers, strategy):
     ]
 
 
-def _scaled_cumulative(rows):
-    """Scaled (numerator, denominator) thresholds of the rows' cumulative weight."""
-    cumulative, cum = Fraction(0), []
-    for weight, _, _ in rows:
-        cumulative += weight
-        cum.append((cumulative.numerator << RESOLUTION_BITS, cumulative.denominator))
-    return cum
+def _sampler_rows(samplers, strategy):
+    """The samplers' rows in (strategy, class, bit) order, each weighed by
+    its strategy's share: 1, or 1/2 per strategy under `random`, spm first."""
+    chosen = (Strategy.SPM, Strategy.CPM) if strategy is Strategy.RANDOM_PER_STATE else (strategy,)
+    share = Fraction(1, len(chosen))
+    return [(share * weight, eta, bit) for s in chosen for weight, eta, bit in samplers[s].rows]
 
 
 _JOINT_CASES = [
@@ -321,7 +306,7 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
     if plan_for is not None:  # the table reads a sampler's classes, whatever plan built them
         samplers[strategy] = LeafSampler(plan_for(params), params)
     reference = _reference_rows(samplers, strategy)
-    assert list(_joint_rows(samplers, strategy)) == reference
+    assert _sampler_rows(samplers, strategy) == reference
     table = joint_table(samplers, strategy)
     if plan_for is None:
         assert len(table.cuts) == (4 if strategy is Strategy.RANDOM_PER_STATE else 2) * (params.m + 1)
@@ -334,6 +319,14 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
         draws.update(k for k in (cut - 1, cut, cut + 1) if 0 <= k < 1 << RESOLUTION_BITS)
     for k in sorted(draws):
         assert bisect_right(table.cuts, k) == _bisect_exact(cum, k), k
+
+
+# an `if`, not an `assert`, so that `python -O` keeps the check
+@pytest.mark.parametrize("total", [Fraction(3, 4), Fraction(5, 4)])
+def test_table_rejects_rows_not_summing_to_one(total):
+    rows = [(total / 3, False, 0), (2 * total / 3, True, 1)]
+    with pytest.raises(MeasurementError, match=f"^the rows' weights sum to {total}, not 1$"):
+        _table(rows)
 
 
 _BYTE_RANGE = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
@@ -422,7 +415,7 @@ def test_joint_table_level_and_bit_frequencies(strategy):
         for bit in (0, 1)
     ]
     exact = Counter()
-    for cell, (weight, _, _) in zip(cells, _joint_rows(samplers, strategy)):
+    for cell, (weight, _, _) in zip(cells, _sampler_rows(samplers, strategy)):
         exact[cell] += weight
     table = joint_table(samplers, strategy)
     samples = 10**5
