@@ -226,6 +226,39 @@ def _write_json(path: str | None, payload) -> None:
         handle.write(json.dumps(payload, indent=2) + "\n")
 
 
+# a `simulate` group record and trial record as json.dumps(payload, indent=2)
+# writes them inside `per_trial`; every field is an int, a float, None or a
+# Strategy value, so none needs escaping
+_GROUP_JSON = (
+    '        {{\n          "zeros": {zeros},\n          "ones": {ones},\n'
+    '          "ratio": {ratio},\n          "decision": "{decision}"\n        }}'
+)
+_TRIAL_JSON = (
+    '    {{\n      "per_group": [\n{groups}\n      ],\n'
+    '      "eta_hits": {eta_hits},\n      "overall_decision": "{overall_decision}"\n    }}'
+)
+
+
+def _simulate_json(payload: dict) -> str:
+    """`json.dumps(payload, indent=2)` for a `simulate` payload: the
+    config and summary by json.dumps, and `per_trial` spliced in from
+    templates.  Each distinct group record is rendered once; a run's
+    groups of equal count share one record."""
+    texts: dict[int, str] = {}  # id of a record -> its text; the payload keeps every record alive
+    trials = []
+    for trial in payload["per_trial"]:
+        groups = []
+        for record in trial["per_group"]:
+            text = texts.get(id(record))
+            if text is None:
+                ratio = "null" if record["ratio"] is None else repr(record["ratio"])
+                text = texts[id(record)] = _GROUP_JSON.format_map({**record, "ratio": ratio})
+            groups.append(text)
+        trials.append(_TRIAL_JSON.format_map({**trial, "groups": ",\n".join(groups)}))
+    head, _, tail = json.dumps({**payload, "per_trial": None}, indent=2).partition('"per_trial": null')
+    return head + '"per_trial": [\n' + ",\n".join(trials) + "\n  ]" + tail
+
+
 def cmd_simulate(args, params: PlanParams) -> int:
     config = _config_from_args(args, params)
     samplers = build_samplers(params)
@@ -248,7 +281,8 @@ def cmd_simulate(args, params: PlanParams) -> int:
             "w_values": w_values,
         },
     }
-    _write_json(args.out, payload)
+    with _output(args.out) as handle:
+        handle.write(_simulate_json(payload) + "\n")
     if args.csv:
         with _output(args.csv) as handle:
             handle.write("trial,group,zeros,ones,ratio,decision\n")

@@ -1,24 +1,30 @@
 """Seeded Monte-Carlo harness for the discrimination experiment.
 
-Sampling is driven by counter-based streams keyed by their path: value
-c of the stream at a path is bytes [32c, 32c + 32) of SHAKE-256 over the
-packed path, so parallel or re-ordered execution would reproduce serial
-results bit for bit.  A draw is a uniform 256-bit
-integer k: the rarest branch probabilities are far below 64-bit
-resolution, so all 256 bits are kept.  For integer k and rational p,
-k < p * 2**256 exactly when k < ceil(p * 2**256), so every threshold is
-stored as that exact integer cut point and each inverse-CDF decision is
-one comparison of ints of at most 257 bits.
+Sampling is driven by counter-based streams keyed by their path, so
+parallel or re-ordered execution would reproduce serial results bit for
+bit.  A draw is a uniform 256-bit integer k: the rarest branch
+probabilities are far below 64-bit resolution, so all 256 bits are
+kept.  Value c of the stream at a path is byte c of SHAKE-256 over the
+packed path (its lead message) times 2**248, plus as its low 248 bits
+31 bytes of SHAKE-256 over a tail message: the packed path, c, and a
+marker byte that gives every tail message a length no lead message has.
+For integer k and rational p, k < p * 2**256 exactly when
+k < ceil(p * 2**256), so every threshold is stored as that exact integer
+cut point and each inverse-CDF decision is one comparison of ints of at
+most 257 bits.
 
 The protocol loop decides state s of group g in trial t by one draw,
 value s mod B of the stream at (seed, domain, t, g, s // B), B = `_BLOCK`:
-one SHAKE-256 call per block.  A draw picks a row of one table whose
-rows are (outcome class, receiver bit): 2(m + 1) rows for a built-in
-strategy, its `LeafSampler`'s own, and 4(m + 1) under `random`, both
-samplers' rows at half weight.  The table's guide decides each draw
-whose leading byte's range holds no cut, by `bytes.translate` and
-`bytes.count`; only the rest are bisected over all 256 bits.
-`LeafSampler.sample` makes the same one draw per state.
+one SHAKE-256 call reads a block's lead bytes, one byte per state.  A
+draw picks a row of one table whose rows are (outcome class, receiver
+bit): 2(m + 1) rows for a built-in strategy, its `LeafSampler`'s own,
+and 4(m + 1) under `random`, both samplers' rows at half weight.  The
+table's guide decides each draw whose leading byte's range holds no
+cut, by `bytes.translate` and `bytes.count`; only the rest hash their
+tail message and are bisected over all 256 bits.  A group's vote and
+record depend only on its count of ones, so each distinct count is
+decided once per run.  `LeafSampler.sample` makes the same one draw per
+state.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .engine import MeasurementError, check_fractions
@@ -45,7 +51,6 @@ from .plans import (
 )
 
 RESOLUTION_BITS = 256
-_DRAW_BYTES = RESOLUTION_BITS // 8
 _BLOCK = 1024  # states per stream in the protocol loop
 AMBIGUOUS = 4  # a guide code: the draw's row needs its 256-bit bisection
 
@@ -81,23 +86,39 @@ def _pack(*values: int) -> bytes:
     return b"".join(v.to_bytes(8, "big") for v in values)
 
 
+_TAIL_BITS = RESOLUTION_BITS - 8  # the bits of a draw below its leading byte
+_TAIL_MARK = b"\x01"  # ends every tail message
+
+
+def _draw(message: bytes, leads: bytes, c: int) -> int:
+    """Value c of the stream whose lead bytes `leads` are SHAKE-256 over
+    `message`: lead byte c times 2**_TAIL_BITS plus 31 bytes of SHAKE-256
+    over the tail message (message, c, _TAIL_MARK)."""
+    tail = hashlib.shake_256(message + c.to_bytes(8, "big") + _TAIL_MARK).digest(_TAIL_BITS // 8)
+    return leads[c] << _TAIL_BITS | int.from_bytes(tail, "big")
+
+
 class CounterStream:
-    """Deterministic uniform stream: value c is bytes [32c, 32c + 32) of
-    SHAKE-256 over the packed (seed, path)."""
+    """Deterministic uniform stream over the packed (seed, path): value c
+    is byte c of SHAKE-256 over that message times 2**248, plus 31 bytes
+    of SHAKE-256 over the tail message (message, c, _TAIL_MARK) as its
+    low bits.  A tail message is 8j + 9 bytes long and a packed path 8j,
+    so no tail message is any stream's lead message."""
 
     def __init__(self, seed: int, *path: int):
         check_seed(seed)
-        self._xof = hashlib.shake_256(_pack(seed, *path))
-        self._out = b""  # the output read so far, doubled when a value passes its end
+        self._message = _pack(seed, *path)
+        self._xof = hashlib.shake_256(self._message)
+        self._leads = b""  # the lead bytes read so far, doubled when a value passes their end
         self._counter = 0
 
     def next_int(self) -> int:
         """Uniform integer in [0, 2**RESOLUTION_BITS)."""
-        end = _DRAW_BYTES * (self._counter + 1)
-        if end > len(self._out):
-            self._out = self._xof.digest(2 * end)
-        self._counter += 1
-        return int.from_bytes(self._out[end - _DRAW_BYTES : end], "big")
+        c = self._counter
+        if c == len(self._leads):
+            self._leads = self._xof.digest(2 * c + 2)
+        self._counter = c + 1
+        return _draw(self._message, self._leads, c)
 
 
 class LeafSampler:
@@ -225,60 +246,94 @@ def joint_table(samplers: dict[Strategy, LeafSampler], strategy: Strategy) -> Jo
     return _table([(w / 2, eta, bit) for w, eta, bit in rows])
 
 
-def _trial_record(config: ProtocolConfig, ones_per_group: list[int], eta_hits: int) -> dict:
-    """One trial as a `simulate` per-trial record: per group the
-    receiver's zeros and ones, their ratio (None when zeros == 0) and
-    its vote; the eta hits; and the majority vote.  Votes are
-    `Strategy` values."""
-    spm_votes = 0
-    per_group: list[dict] = []
-    for ones in ones_per_group:
-        zeros = config.per_group - ones
+class _Decider:
+    """The decision rule of one run.  A group's vote and record depend
+    only on its count of ones, so `vote` and `record` are cached per
+    decider: each is built once per distinct count seen, and the groups
+    of equal count share one record dict."""
+
+    def __init__(self, config: ProtocolConfig):
+        self.config = config
+        self.vote = cache(self._vote)
+        self.record = cache(self._record)
+
+    def _vote(self, ones: int) -> bool:
+        """Whether a group of `ones` ones votes spm: ones / zeros reaches
+        the threshold, or zeros == 0."""
+        zeros = self.config.per_group - ones
         # ones / zeros >= threshold, in integers: zeros > 0 here
-        vote = zeros == 0 or ones * config.threshold.denominator >= config.threshold.numerator * zeros
-        spm_votes += vote
-        per_group.append({
+        threshold = self.config.threshold
+        return zeros == 0 or ones * threshold.denominator >= threshold.numerator * zeros
+
+    def _record(self, ones: int) -> dict:
+        zeros = self.config.per_group - ones
+        return {
             "zeros": zeros,
             "ones": ones,
             "ratio": ones / zeros if zeros else None,
-            "decision": (Strategy.SPM if vote else Strategy.CPM).value,
-        })
-    overall = Strategy.SPM if 2 * spm_votes > config.groups else Strategy.CPM
-    return {"per_group": per_group, "eta_hits": eta_hits, "overall_decision": overall.value}
+            "decision": (Strategy.SPM if self.vote(ones) else Strategy.CPM).value,
+        }
+
+    def overall(self, ones_per_group: list[int]) -> str:
+        """The majority vote: spm needs more than half the groups."""
+        spm_votes = sum(map(self.vote, ones_per_group))
+        return (Strategy.SPM if 2 * spm_votes > self.config.groups else Strategy.CPM).value
 
 
-def _run_trial(config: ProtocolConfig, table: JointTable, trial: int) -> dict:
-    """One trial's record; state s of group g is decided by value s % _BLOCK
-    of `CounterStream(seed, _DOMAIN_SAMPLE, trial, g, s // _BLOCK)`: one
-    SHAKE-256 call per block, counted through the table's guide."""
+def _trial_record(
+    config: ProtocolConfig, ones_per_group: list[int], eta_hits: int, decider: _Decider | None = None
+) -> dict:
+    """One trial as a `simulate` per-trial record: per group the
+    receiver's zeros and ones, their ratio (None when zeros == 0) and
+    its vote; the eta hits; and the majority vote.  Votes are
+    `Strategy` values.  A run passes its one `decider`."""
+    decider = decider or _Decider(config)
+    return {
+        "per_group": list(map(decider.record, ones_per_group)),
+        "eta_hits": eta_hits,
+        "overall_decision": decider.overall(ones_per_group),
+    }
+
+
+def _run_trial(
+    config: ProtocolConfig, table: JointTable, trial: int, group_paths: list[bytes]
+) -> tuple[list[int], int]:
+    """One trial's ones per group and its eta hits, given each group's
+    packed path part (packed once per run).  State s of group g
+    is decided by value s % _BLOCK of `CounterStream(seed, _DOMAIN_SAMPLE,
+    trial, g, s // _BLOCK)`: one SHAKE-256 call reads a block's lead
+    bytes, which are counted through the table's guide, and only a draw
+    whose byte is AMBIGUOUS hashes its tail message."""
     cuts, etas, bits, guide = table
     prefix = _pack(config.seed, _DOMAIN_SAMPLE, trial)
     eta_hits = 0
     ones_per_group: list[int] = []
-    for g in range(config.groups):
+    for group_path in group_paths:
         ones = 0
         for block, start in enumerate(range(0, config.per_group, _BLOCK)):
-            stream = hashlib.shake_256(prefix + _pack(g, block))
-            draws = stream.digest(_DRAW_BYTES * min(_BLOCK, config.per_group - start))
-            codes = draws[::_DRAW_BYTES].translate(guide)
+            message = prefix + group_path + block.to_bytes(8, "big")
+            leads = hashlib.shake_256(message).digest(min(_BLOCK, config.per_group - start))
+            codes = leads.translate(guide)
             ones += codes.count(1) + codes.count(3)
             eta_hits += codes.count(2) + codes.count(3)
             i = codes.find(AMBIGUOUS)
             while i >= 0:
-                k = int.from_bytes(draws[_DRAW_BYTES * i : _DRAW_BYTES * (i + 1)], "big")
-                row = bisect_right(cuts, k)
+                row = bisect_right(cuts, _draw(message, leads, i))
                 eta_hits += etas[row]
                 ones += bits[row]
                 i = codes.find(AMBIGUOUS, i + 1)
         ones_per_group.append(ones)
-    return _trial_record(config, ones_per_group, eta_hits)
+    return ones_per_group, eta_hits
 
 
 def run_protocol(config: ProtocolConfig, samplers: dict[Strategy, LeafSampler]) -> list[dict]:
     """The `simulate` per-trial records, deterministic given the config
     (seed included); `samplers` come from `build_samplers(config.params)`."""
     table = joint_table(samplers, config.strategy)
-    return [_run_trial(config, table, t) for t in range(config.trials)]
+    decider, group_paths = _Decider(config), [_pack(g) for g in range(config.groups)]
+    return [
+        _trial_record(config, *_run_trial(config, table, t, group_paths), decider) for t in range(config.trials)
+    ]
 
 
 def discriminate(config: ProtocolConfig) -> dict:
@@ -287,6 +342,7 @@ def discriminate(config: ProtocolConfig) -> dict:
     `discriminate` payload without its config."""
     samplers = build_samplers(config.params)
     tables = {truth: joint_table(samplers, truth) for truth in (Strategy.CPM, Strategy.SPM)}
+    decider, group_paths = _Decider(config), [_pack(g) for g in range(config.groups)]
     trials: list[dict] = []
     confusion = {
         truth.value: {guess.value: 0 for guess in (Strategy.CPM, Strategy.SPM)}
@@ -295,9 +351,9 @@ def discriminate(config: ProtocolConfig) -> dict:
     for t in range(config.trials):
         coin = CounterStream(config.seed, _DOMAIN_TRUTH, t)
         truth = Strategy.SPM if coin.next_int() < _HALF_CUT else Strategy.CPM
-        result = _run_trial(config, tables[truth], t)
-        decision = result["overall_decision"]
+        ones_per_group, eta_hits = _run_trial(config, tables[truth], t, group_paths)
+        decision = decider.overall(ones_per_group)
         confusion[truth.value][decision] += 1
-        trials.append({"truth": truth.value, "decision": decision, "eta_hits": result["eta_hits"]})
+        trials.append({"truth": truth.value, "decision": decision, "eta_hits": eta_hits})
     correct = sum(1 for tr in trials if tr["decision"] == tr["truth"])
     return {"trials": trials, "confusion": confusion, "accuracy": correct / len(trials)}

@@ -11,9 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghzdisc
 from ghzdisc import cli, protocol
+from ghzdisc.amplitude import fraction_json
 from ghzdisc.cli import _CSV_HEADER, _branch_row, _csv_row, main
 from ghzdisc.plans import PlanParams, enumerate_branches, outcome_classes
 from ghzdisc.oracle import checkpoint_report, no_signaling_suite
@@ -207,6 +210,51 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out.read_text())["config"]["threshold"] == {"num": "4", "den": "3"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    per_group=st.integers(min_value=1, max_value=40),
+    groups=st.integers(min_value=1, max_value=6),
+    trials=st.integers(min_value=1, max_value=3),
+    threshold=st.fractions(min_value=0, max_value=5, max_denominator=1000),
+    strategy=st.sampled_from(list(Strategy)),
+    data=st.data(),
+)
+def test_simulate_json_is_json_dumps(per_group, groups, trials, threshold, strategy, data):
+    # the spliced per-trial text equals json.dumps of the same payload, whose
+    # groups share one record per count as a run's do; a count of per_group
+    # ones has zeros = 0 and a null ratio
+    config = ProtocolConfig(seed=1, per_group=per_group, groups=groups, trials=trials,
+                            threshold=threshold, strategy=strategy)
+    decider = protocol._Decider(config)
+    counts = st.lists(st.integers(min_value=0, max_value=per_group), min_size=groups, max_size=groups)
+    per_trial = [
+        protocol._trial_record(config, data.draw(counts), data.draw(st.integers(0, groups * per_group)), decider)
+        for _ in range(trials)
+    ]
+    payload = {
+        "config": cli._config_json(config),
+        "per_trial": per_trial,
+        "summary": {
+            "empirical_p1": data.draw(st.floats(min_value=0, max_value=1)),
+            "oracle_p1": fraction_json(Fraction(1, 2)),
+            "w_values": {"1": 1.655, "2": 3.43},
+        },
+    }
+    assert cli._simulate_json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("strategy", ["cpm", "spm", "random"])
+def test_simulate_output_is_json_dumps(strategy, tmp_path):
+    # one state per group leaves groups with zeros = 0, whose ratio is null
+    for per_group in (1, 7, 40):
+        out = tmp_path / "run.json"
+        assert main(["simulate", "--seed", "5", "--strategy", strategy, "--trials", "2", "--groups", "12",
+                     "--per-group", str(per_group), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert per_group > 1 or '"ratio": null' in text
 
 
 class TestDiscriminate:

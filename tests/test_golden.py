@@ -59,25 +59,25 @@ GOLDEN = {
     "simulate-random-json": (
         ["simulate", "--seed", "12", "--groups", "5", "--per-group", "12",
          "--strategy", "random", "--out", "@sim.json"],
-        {"@sim.json": "b5d6b4351cdf0b18cbf803223ca64bfdfe791cc93a1215b3b6a8c9fccdafdeb2"},
+        {"@sim.json": "ca0b7a2dcb4ba5b2ed752221c1518514b2aaa94fe87d60e6712b54be1b6af9e9"},
     ),
     "simulate-spm-csv": (
         ["simulate", "--seed", "7", "--trials", "1", "--per-group", "30", "--groups", "20",
          "--strategy", "spm", "--out", "@run.json", "--csv", "@groups.csv"],
         {
-            "@run.json": "3555fe353c2b0be63f0af07d43df72ee292993cc0638ecac29bedec00119dcec",
-            "@groups.csv": "995e2373ea33f278b85c9200c31cf42b2050fd4d12c91cffcb48b8b5ba151b30",
+            "@run.json": "03cb7fea88944813503506ca3ea4fa7096ccc9a138d2e91708c42146f2bcdc7e",
+            "@groups.csv": "7706be966579c817f9e6968ede38daac6f3108251117fed2658a5e0390f51f18",
         },
     ),
     "simulate-x-sq-json": (
         ["simulate", "--seed", "3", "--qubits", "6", "--x-sq", "9/10", "--groups", "2",
          "--per-group", "8", "--out", "@sim6.json"],
-        {"@sim6.json": "3a37136c16be51aa0a660a3eec10f336fc1fb90335e258959591363136dc0500"},
+        {"@sim6.json": "6d653100f1693b11aa18786c509edc92223041a0530fd35016be7e022e9235ec"},
     ),
     "discriminate-json": (
         ["discriminate", "--seed", "12", "--trials", "5", "--groups", "4",
          "--per-group", "10", "--out", "@disc.json"],
-        {"@disc.json": "47e71b0443f2043bade86cb6d768bd98da7edb6cbfe8240ceb2fd80b31ae45e6"},
+        {"@disc.json": "7caa496b62a95f41b17f8064184e6dc0c2c942d42cdc22a1e07dc3bbae828d6a"},
     ),
     "marginal-spm": (
         ["marginal", "--strategy", "spm"],

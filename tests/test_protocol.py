@@ -30,7 +30,9 @@ from ghzdisc import (
     w_statistic,
 )
 from ghzdisc.plans import MeasurementPlan, enumerate_branches, outcome_classes
-from ghzdisc.protocol import AMBIGUOUS, RESOLUTION_BITS, _cut, _table, _trial_record, joint_table
+from ghzdisc.protocol import (
+    AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, _table, _trial_record, joint_table,
+)
 
 P8 = PlanParams(8)
 
@@ -72,14 +74,41 @@ class TestCounterStream:
             make()
 
     def test_values_are_consecutive_shake_blocks(self):
-        # value c is bytes [32c, 32c + 32) of SHAKE-256 over the path, each
-        # part 8 big-endian bytes; 70 values cross several growths of the read-ahead
+        # value c is byte c of SHAKE-256 over the path, each part 8 big-endian
+        # bytes, times 2^248, plus as its low bits 31 bytes of SHAKE-256 over
+        # the tail message (path, c, 0x01); 70 values cross several growths of
+        # the lead bytes read so far
         for path in ((2**64 - 1, 0, 3, 7, index) for index in (0, 1, 29, 2**32, 2**64 - 1)):
             stream = CounterStream(*path)
-            output = hashlib.shake_256(b"".join(v.to_bytes(8, "big") for v in path)).digest(32 * 70)
+            message = b"".join(v.to_bytes(8, "big") for v in path)
+            leads = hashlib.shake_256(message).digest(70)
+            tails = [hashlib.shake_256(message + c.to_bytes(8, "big") + b"\x01").digest(31) for c in range(70)]
             assert [stream.next_int() for _ in range(70)] == [
-                int.from_bytes(output[32 * c : 32 * (c + 1)], "big") for c in range(70)
+                leads[c] << 248 | int.from_bytes(tails[c], "big") for c in range(70)
             ]
+
+    def test_tail_messages_are_not_lead_messages(self, monkeypatch):
+        # every message hashed is a lead message, a packed path of 8 bytes per
+        # part, or a tail message: a lead message, an 8-byte index and one
+        # marker byte, so 8j + 9 bytes long, the length of no lead message
+        hashed = []
+        shake_256 = hashlib.shake_256
+        monkeypatch.setattr(hashlib, "shake_256", lambda message: hashed.append(message) or shake_256(message))
+        seed = 2**64 - 1
+        # cpm at n = 14 has draws whose leading byte's range holds a cut
+        config = ProtocolConfig(seed=seed, params=PlanParams(14), per_group=1100, groups=2, trials=1,
+                                strategy=Strategy.CPM)
+        run_protocol(config, build_samplers(config.params))
+        stream = CounterStream(seed, 5)
+        for _ in range(3):
+            stream.next_int()
+        leads = {_pack(seed, 0, 0, g, block) for g in range(2) for block in range(2)} | {_pack(seed, 5)}
+        tails = [m for m in hashed if m not in leads]
+        assert set(hashed) - set(tails) == leads
+        assert len(tails) > 3
+        assert {len(m) % 8 for m in leads} == {0}
+        assert {len(m) % 8 for m in tails} == {1}
+        assert all(m[:-9] in leads and m[-1:] == b"\x01" for m in tails)
 
     @pytest.mark.parametrize("index", [-1, 2**64])
     def test_path_index_range(self, index):
@@ -465,6 +494,18 @@ class TestRunProtocol:
         assert trial["per_group"][0]["zeros"] + trial["per_group"][0]["ones"] == 10**5
         assert peak < 2**20, peak
 
+    def test_each_count_decided_once(self, monkeypatch):
+        # a group's vote and record depend only on its count of ones: each
+        # distinct count is decided once per run, and equal counts share a record
+        voted = []
+        vote = _Decider._vote
+        monkeypatch.setattr(_Decider, "_vote", lambda self, ones: voted.append(ones) or vote(self, ones))
+        config = ProtocolConfig(seed=6, per_group=12, groups=20, trials=5)
+        trials = run_protocol(config, build_samplers(config.params))
+        records = [record for trial in trials for record in trial["per_group"]]
+        assert sorted(voted) == sorted({record["ones"] for record in records})
+        assert len({id(record) for record in records}) == len(voted) < len(records)
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ProtocolConfig(seed=1, per_group=0)
@@ -508,6 +549,15 @@ class TestRunProtocol:
 
 
 class TestDiscriminate:
+    def test_votes_from_counts(self, monkeypatch):
+        # a trial's decision needs only its groups' votes: no group record is built
+        def no_record(self, ones):
+            raise AssertionError(f"built a group record for count {ones}")
+
+        monkeypatch.setattr(_Decider, "_record", no_record)
+        config = ProtocolConfig(seed=12, trials=4, per_group=10, groups=4)
+        assert len(discriminate(config)["trials"]) == 4
+
     def test_truth_coin_and_trials(self):
         # each trial's truth is the fair coin of its own truth stream, and its
         # states are those of the same trial under that fixed strategy
