@@ -244,15 +244,16 @@ def _simulate_json(payload: dict) -> str:
     config and summary by json.dumps, and `per_trial` spliced in from
     templates.  Each distinct group record is rendered once; a run's
     groups of equal count share one record."""
-    texts: dict[int, str] = {}  # id of a record -> its text; the payload keeps every record alive
+    texts: dict[tuple, str] = {}  # a record's values -> its text
     trials = []
     for trial in payload["per_trial"]:
         groups = []
         for record in trial["per_group"]:
-            text = texts.get(id(record))
+            key = tuple(record.values())
+            text = texts.get(key)
             if text is None:
                 ratio = "null" if record["ratio"] is None else repr(record["ratio"])
-                text = texts[id(record)] = _GROUP_JSON.format_map({**record, "ratio": ratio})
+                text = texts[key] = _GROUP_JSON.format_map({**record, "ratio": ratio})
             groups.append(text)
         trials.append(_TRIAL_JSON.format_map({**trial, "groups": ",\n".join(groups)}))
     head, _, tail = json.dumps({**payload, "per_trial": None}, indent=2).partition('"per_trial": null')
@@ -265,9 +266,7 @@ def cmd_simulate(args, params: PlanParams) -> int:
     trials = run_protocol(config, samplers)
     ones = sum(g["ones"] for t in trials for g in t["per_group"])
     total = config.trials * config.groups * config.per_group
-    p1 = {s: sampler.marginal[1] for s, sampler in samplers.items()}
-    p1[Strategy.RANDOM_PER_STATE] = (p1[Strategy.CPM] + p1[Strategy.SPM]) / 2
-    oracle_p1 = p1[config.strategy]
+    oracle_p1 = samplers[config.strategy].marginal[1]
     w_values = {}
     for l in (1, 2, 3):
         if l < config.per_group:

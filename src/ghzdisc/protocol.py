@@ -4,11 +4,12 @@ Sampling is driven by counter-based streams keyed by their path, so
 parallel or re-ordered execution would reproduce serial results bit for
 bit.  A draw is a uniform 256-bit integer k: the rarest branch
 probabilities are far below 64-bit resolution, so all 256 bits are
-kept.  Value c of the stream at a path is byte c of SHAKE-256 over the
-packed path (its lead message) times 2**248, plus as its low 248 bits
-31 bytes of SHAKE-256 over a tail message: the packed path, c, and a
-marker byte that gives every tail message a length no lead message has.
-For integer k and rational p, k < p * 2**256 exactly when
+kept.  The stream layout: value c of the stream at a path is byte c of
+SHAKE-256 over the packed path (its lead message) times 2**248, plus as
+its low 248 bits 31 bytes of SHAKE-256 over a tail message: the packed
+path, c, and a marker byte.  A packed path is 8j bytes long and a tail
+message 8j + 9, so no tail message is any stream's lead message.  For
+integer k and rational p, k < p * 2**256 exactly when
 k < ceil(p * 2**256), so every threshold is stored as that exact integer
 cut point and each inverse-CDF decision is one comparison of ints of at
 most 257 bits.
@@ -16,15 +17,19 @@ most 257 bits.
 The protocol loop decides state s of group g in trial t by one draw,
 value s mod B of the stream at (seed, domain, t, g, s // B), B = `_BLOCK`:
 one SHAKE-256 call reads a block's lead bytes, one byte per state.  A
-draw picks a row of one table whose rows are (outcome class, receiver
-bit): 2(m + 1) rows for a built-in strategy, its `LeafSampler`'s own,
-and 4(m + 1) under `random`, both samplers' rows at half weight.  The
+draw picks a row (outcome class, receiver bit) of the table of the
+strategy's `LeafSampler`: 2(m + 1) rows for a built-in strategy, and
+4(m + 1) under `random`, both strategies' rows at half weight.  The
 table's guide decides each draw whose leading byte's range holds no
 cut, by `bytes.translate` and `bytes.count`; only the rest hash their
 tail message and are bisected over all 256 bits.  A group's vote and
 record depend only on its count of ones, so each distinct count is
-decided once per run.  `LeafSampler.sample` makes the same one draw per
-state.
+decided once per run.  `discriminate`'s truth coin for trial t is the
+lead byte of value 0 of the stream at (seed, truth domain, t): that
+value is below 2**255 exactly when its lead byte is below 128.
+`CounterStream` and `LeafSampler.sample` read the same values one draw
+at a time; they are the reference for the loop and are on no command's
+path.
 """
 
 from __future__ import annotations
@@ -70,9 +75,6 @@ def _cut(p: Fraction) -> int:
     return -((-p.numerator << RESOLUTION_BITS) // p.denominator)
 
 
-_HALF_CUT = _cut(Fraction(1, 2))  # the cut of the truth coin
-
-
 def check_seed(seed: int, name: str = "seed") -> None:
     """The one seed domain: every seed is packed as 8 big-endian bytes."""
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -91,19 +93,15 @@ _TAIL_MARK = b"\x01"  # ends every tail message
 
 
 def _draw(message: bytes, leads: bytes, c: int) -> int:
-    """Value c of the stream whose lead bytes `leads` are SHAKE-256 over
-    `message`: lead byte c times 2**_TAIL_BITS plus 31 bytes of SHAKE-256
-    over the tail message (message, c, _TAIL_MARK)."""
+    """Value c of the stream over the packed path `message`, whose lead
+    bytes read so far are `leads`; the layout is the module docstring's."""
     tail = hashlib.shake_256(message + c.to_bytes(8, "big") + _TAIL_MARK).digest(_TAIL_BITS // 8)
     return leads[c] << _TAIL_BITS | int.from_bytes(tail, "big")
 
 
 class CounterStream:
-    """Deterministic uniform stream over the packed (seed, path): value c
-    is byte c of SHAKE-256 over that message times 2**248, plus 31 bytes
-    of SHAKE-256 over the tail message (message, c, _TAIL_MARK) as its
-    low bits.  A tail message is 8j + 9 bytes long and a packed path 8j,
-    so no tail message is any stream's lead message."""
+    """Deterministic uniform stream over the packed (seed, path), one
+    value at a time, laid out as the module docstring describes."""
 
     def __init__(self, seed: int, *path: int):
         check_seed(seed)
@@ -156,7 +154,22 @@ class LeafSampler:
         """Draw one outcome class and the receiver's computational-basis
         bit by one draw through `table`, as the protocol loop does."""
         row = bisect_right(self.table.cuts, stream.next_int())
-        return self.classes[row // 2], self.table.bits[row]
+        return self.classes[row // 2], self.table.codes[row] & 1
+
+
+class MixtureSampler(LeafSampler):
+    """The exact law of `random`, under which each state is spm's or
+    cpm's at half weight.  It walks no plan: its classes are spm's, then
+    cpm's, and its rows theirs at half weight; `table`, `marginal` and
+    `sample` are a `LeafSampler`'s."""
+
+    def __init__(self, spm: LeafSampler, cpm: LeafSampler):
+        self.parts = spm, cpm
+        self.classes = spm.classes + cpm.classes
+
+    @cached_property
+    def rows(self) -> list[tuple[Fraction, bool, int]]:
+        return [(w / 2, eta, bit) for part in self.parts for w, eta, bit in part.rows]
 
 
 def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
@@ -201,20 +214,22 @@ PLANS = {Strategy.CPM: cpm_plan, Strategy.SPM: spm_plan}
 
 
 def build_samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
-    """The leaf samplers of both strategies, built once per run."""
-    return {strategy: LeafSampler(plan(params), params) for strategy, plan in PLANS.items()}
+    """The exact law of every strategy, built once per run: cpm's and
+    spm's from their plans, and `random`'s from those two."""
+    samplers = {strategy: LeafSampler(plan(params), params) for strategy, plan in PLANS.items()}
+    samplers[Strategy.RANDOM_PER_STATE] = MixtureSampler(samplers[Strategy.SPM], samplers[Strategy.CPM])
+    return samplers
 
 
 class JointTable(NamedTuple):
-    """Inverse CDF over (strategy, outcome class, receiver bit), one
-    column per field: a draw k picks row `bisect_right(cuts, k)`, and
-    the outputs read only that row's eta-ness and bit.  `guide[b]` is
-    the code 2 * eta + bit of the row that every draw with leading byte
-    b picks, or AMBIGUOUS where a cut falls inside that byte's range."""
+    """Inverse CDF over a law's (outcome class, receiver bit) rows: a
+    draw k picks row `bisect_right(cuts, k)`, and the outputs read only
+    that row's code, 2 * eta + bit.  `guide[b]` is the code of the row
+    that every draw with leading byte b picks, or AMBIGUOUS where a cut
+    falls inside that byte's range."""
 
     cuts: list[int]
-    etas: list[bool]
-    bits: list[int]
+    codes: list[int]
     guide: bytes
 
 
@@ -222,28 +237,17 @@ def _table(rows: list[tuple[Fraction, bool, int]]) -> JointTable:
     """The one-draw table over (weight, eta, bit) rows, cut at each row's
     exact cumulative weight; a byte's guide code compares the rows of its
     lowest and highest draw."""
-    cuts, etas, bits, _ = table = JointTable([], [], [], b"")
+    cuts, codes = [], []
     cumulative = Fraction(0)
     for weight, eta, bit in rows:
         cumulative += weight
         cuts.append(_cut(cumulative))
-        etas.append(eta)
-        bits.append(bit)
+        codes.append(2 * eta + bit)
     if cumulative != 1:
         raise MeasurementError(f"the rows' weights sum to {cumulative}, not 1")
     span = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
     ends = [(bisect_right(cuts, b * span), bisect_right(cuts, (b + 1) * span - 1)) for b in range(256)]
-    return table._replace(guide=bytes(2 * etas[lo] + bits[lo] if lo == hi else AMBIGUOUS for lo, hi in ends))
-
-
-def joint_table(samplers: dict[Strategy, LeafSampler], strategy: Strategy) -> JointTable:
-    """The one-draw table of `strategy`: a built-in strategy's own
-    sampler's, or under `random` one table over both samplers' rows at
-    half weight, spm first."""
-    if strategy is not Strategy.RANDOM_PER_STATE:
-        return samplers[strategy].table
-    rows = samplers[Strategy.SPM].rows + samplers[Strategy.CPM].rows
-    return _table([(w / 2, eta, bit) for w, eta, bit in rows])
+    return JointTable(cuts, codes, bytes(codes[lo] if lo == hi else AMBIGUOUS for lo, hi in ends))
 
 
 class _Decider:
@@ -279,32 +283,25 @@ class _Decider:
         spm_votes = sum(map(self.vote, ones_per_group))
         return (Strategy.SPM if 2 * spm_votes > self.config.groups else Strategy.CPM).value
 
-
-def _trial_record(
-    config: ProtocolConfig, ones_per_group: list[int], eta_hits: int, decider: _Decider | None = None
-) -> dict:
-    """One trial as a `simulate` per-trial record: per group the
-    receiver's zeros and ones, their ratio (None when zeros == 0) and
-    its vote; the eta hits; and the majority vote.  Votes are
-    `Strategy` values.  A run passes its one `decider`."""
-    decider = decider or _Decider(config)
-    return {
-        "per_group": list(map(decider.record, ones_per_group)),
-        "eta_hits": eta_hits,
-        "overall_decision": decider.overall(ones_per_group),
-    }
+    def trial(self, ones_per_group: list[int], eta_hits: int) -> dict:
+        """One trial as a `simulate` per-trial record: per group the
+        receiver's zeros and ones, their ratio (None when zeros == 0) and
+        its vote; the eta hits; and the majority vote.  Votes are
+        `Strategy` values."""
+        return {
+            "per_group": list(map(self.record, ones_per_group)),
+            "eta_hits": eta_hits,
+            "overall_decision": self.overall(ones_per_group),
+        }
 
 
 def _run_trial(
     config: ProtocolConfig, table: JointTable, trial: int, group_paths: list[bytes]
 ) -> tuple[list[int], int]:
     """One trial's ones per group and its eta hits, given each group's
-    packed path part (packed once per run).  State s of group g
-    is decided by value s % _BLOCK of `CounterStream(seed, _DOMAIN_SAMPLE,
-    trial, g, s // _BLOCK)`: one SHAKE-256 call reads a block's lead
-    bytes, which are counted through the table's guide, and only a draw
-    whose byte is AMBIGUOUS hashes its tail message."""
-    cuts, etas, bits, guide = table
+    packed path part (packed once per run), drawn block by block as the
+    module docstring describes."""
+    cuts, row_codes, guide = table
     prefix = _pack(config.seed, _DOMAIN_SAMPLE, trial)
     eta_hits = 0
     ones_per_group: list[int] = []
@@ -318,9 +315,9 @@ def _run_trial(
             eta_hits += codes.count(2) + codes.count(3)
             i = codes.find(AMBIGUOUS)
             while i >= 0:
-                row = bisect_right(cuts, _draw(message, leads, i))
-                eta_hits += etas[row]
-                ones += bits[row]
+                code = row_codes[bisect_right(cuts, _draw(message, leads, i))]
+                eta_hits += code >> 1
+                ones += code & 1
                 i = codes.find(AMBIGUOUS, i + 1)
         ones_per_group.append(ones)
     return ones_per_group, eta_hits
@@ -329,11 +326,9 @@ def _run_trial(
 def run_protocol(config: ProtocolConfig, samplers: dict[Strategy, LeafSampler]) -> list[dict]:
     """The `simulate` per-trial records, deterministic given the config
     (seed included); `samplers` come from `build_samplers(config.params)`."""
-    table = joint_table(samplers, config.strategy)
+    table = samplers[config.strategy].table
     decider, group_paths = _Decider(config), [_pack(g) for g in range(config.groups)]
-    return [
-        _trial_record(config, *_run_trial(config, table, t, group_paths), decider) for t in range(config.trials)
-    ]
+    return [decider.trial(*_run_trial(config, table, t, group_paths)) for t in range(config.trials)]
 
 
 def discriminate(config: ProtocolConfig) -> dict:
@@ -341,7 +336,6 @@ def discriminate(config: ProtocolConfig) -> dict:
     receiver's decision rule is scored against it.  The report is the
     `discriminate` payload without its config."""
     samplers = build_samplers(config.params)
-    tables = {truth: joint_table(samplers, truth) for truth in (Strategy.CPM, Strategy.SPM)}
     decider, group_paths = _Decider(config), [_pack(g) for g in range(config.groups)]
     trials: list[dict] = []
     confusion = {
@@ -349,9 +343,9 @@ def discriminate(config: ProtocolConfig) -> dict:
         for truth in (Strategy.CPM, Strategy.SPM)
     }
     for t in range(config.trials):
-        coin = CounterStream(config.seed, _DOMAIN_TRUTH, t)
-        truth = Strategy.SPM if coin.next_int() < _HALF_CUT else Strategy.CPM
-        ones_per_group, eta_hits = _run_trial(config, tables[truth], t, group_paths)
+        coin = hashlib.shake_256(_pack(config.seed, _DOMAIN_TRUTH, t)).digest(1)[0]
+        truth = Strategy.SPM if coin < 128 else Strategy.CPM
+        ones_per_group, eta_hits = _run_trial(config, samplers[truth].table, t, group_paths)
         decision = decider.overall(ones_per_group)
         confusion[truth.value][decision] += 1
         trials.append({"truth": truth.value, "decision": decision, "eta_hits": eta_hits})

@@ -230,7 +230,7 @@ def test_simulate_json_is_json_dumps(per_group, groups, trials, threshold, strat
     decider = protocol._Decider(config)
     counts = st.lists(st.integers(min_value=0, max_value=per_group), min_size=groups, max_size=groups)
     per_trial = [
-        protocol._trial_record(config, data.draw(counts), data.draw(st.integers(0, groups * per_group)), decider)
+        decider.trial(data.draw(counts), data.draw(st.integers(0, groups * per_group)))
         for _ in range(trials)
     ]
     payload = {

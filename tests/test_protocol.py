@@ -31,7 +31,7 @@ from ghzdisc import (
 )
 from ghzdisc.plans import MeasurementPlan, enumerate_branches, outcome_classes
 from ghzdisc.protocol import (
-    AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, _table, _trial_record, joint_table,
+    AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, _table,
 )
 
 P8 = PlanParams(8)
@@ -310,14 +310,6 @@ def _reference_rows(samplers, strategy):
     ]
 
 
-def _sampler_rows(samplers, strategy):
-    """The samplers' rows in (strategy, class, bit) order, each weighed by
-    its strategy's share: 1, or 1/2 per strategy under `random`, spm first."""
-    chosen = (Strategy.SPM, Strategy.CPM) if strategy is Strategy.RANDOM_PER_STATE else (strategy,)
-    share = Fraction(1, len(chosen))
-    return [(share * weight, eta, bit) for s in chosen for weight, eta, bit in samplers[s].rows]
-
-
 _JOINT_CASES = [
     pytest.param(Strategy.CPM, None, id="cpm"),
     pytest.param(Strategy.SPM, None, id="spm"),
@@ -335,12 +327,12 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
     if plan_for is not None:  # the table reads a sampler's classes, whatever plan built them
         samplers[strategy] = LeafSampler(plan_for(params), params)
     reference = _reference_rows(samplers, strategy)
-    assert _sampler_rows(samplers, strategy) == reference
-    table = joint_table(samplers, strategy)
+    sampler = samplers[strategy]
+    assert sampler.rows == reference
+    table = sampler.table
     if plan_for is None:
         assert len(table.cuts) == (4 if strategy is Strategy.RANDOM_PER_STATE else 2) * (params.m + 1)
-    assert table.etas == [eta for _, eta, _ in reference]
-    assert table.bits == [bit for _, _, bit in reference]
+    assert table.codes == [2 * eta + bit for _, eta, bit in reference]
     assert table.cuts[-1] == 1 << RESOLUTION_BITS
     cum = _scaled_cumulative(reference)
     draws = set(_EDGE_DRAWS)
@@ -348,6 +340,17 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
         draws.update(k for k in (cut - 1, cut, cut + 1) if 0 <= k < 1 << RESOLUTION_BITS)
     for k in sorted(draws):
         assert bisect_right(table.cuts, k) == _bisect_exact(cum, k), k
+    if strategy is Strategy.RANDOM_PER_STATE:
+        # the mixture is a law like the others: it samples the reference
+        # (class, bit) at every cut, spm's classes first, and its marginal is
+        # exactly the mean of the two strategies'
+        classes = samplers[Strategy.SPM].classes + samplers[Strategy.CPM].classes
+        for k in sorted(draws):
+            row = _bisect_exact(cum, k)
+            got, bit = sampler.sample(_Draws(k))
+            assert got is classes[row // 2] and bit == reference[row][2], k
+        cpm, spm = samplers[Strategy.CPM].marginal, samplers[Strategy.SPM].marginal
+        assert sampler.marginal == tuple((a + b) / 2 for a, b in zip(cpm, spm))
 
 
 # an `if`, not an `assert`, so that `python -O` keeps the check
@@ -369,7 +372,7 @@ def test_guide_matches_exact_rows_at_both_ends_of_every_byte(n):
     for strategy in Strategy:
         reference = _reference_rows(samplers, strategy)
         cum = _scaled_cumulative(reference)
-        guide = joint_table(samplers, strategy).guide
+        guide = samplers[strategy].table.guide
         assert len(guide) == 256
         for b, code in enumerate(guide):
             low, high = (_bisect_exact(cum, k) for k in (b * _BYTE_RANGE, (b + 1) * _BYTE_RANGE - 1))
@@ -406,7 +409,7 @@ def test_loop_draws_each_state_from_its_stream(strategy):
                 for k in draws:
                     low = k - k % _BYTE_RANGE  # the lowest draw with k's leading byte
                     ambiguous += _bisect_exact(cum, low) != _bisect_exact(cum, low + _BYTE_RANGE - 1)
-            expected.append(_trial_record(config, ones, eta_hits))
+            expected.append(_Decider(config).trial(ones, eta_hits))
         assert run_protocol(config, samplers) == expected
     assert ambiguous > 0
 
@@ -444,9 +447,9 @@ def test_joint_table_level_and_bit_frequencies(strategy):
         for bit in (0, 1)
     ]
     exact = Counter()
-    for cell, (weight, _, _) in zip(cells, _sampler_rows(samplers, strategy)):
+    for cell, (weight, _, _) in zip(cells, samplers[strategy].rows):
         exact[cell] += weight
-    table = joint_table(samplers, strategy)
+    table = samplers[strategy].table
     samples = 10**5
     draws = (CounterStream(271828, i).next_int() for i in range(samples))
     observed = Counter(cells[bisect_right(table.cuts, k)] for k in draws)
@@ -536,7 +539,7 @@ class TestRunProtocol:
         # the majority needs more than half the groups, so a tie goes to cpm
         config = ProtocolConfig(seed=1, per_group=7, groups=4, threshold=Fraction(4, 3),
                                 strategy=Strategy.SPM)
-        assert _trial_record(config, [4, 7, 3, 0], 0) == {
+        assert _Decider(config).trial([4, 7, 3, 0], 0) == {
             "per_group": [
                 {"zeros": 3, "ones": 4, "ratio": 4 / 3, "decision": "spm"},
                 {"zeros": 0, "ones": 7, "ratio": None, "decision": "spm"},
@@ -571,6 +574,19 @@ class TestDiscriminate:
             assert trial["truth"] == truth.value
             run = runs[truth][t]
             assert (trial["decision"], trial["eta_hits"]) == (run["overall_decision"], run["eta_hits"])
+
+    def test_truth_coin_hashes_no_tail(self, monkeypatch):
+        # value 0 of the truth stream is below 2^255 exactly when its lead
+        # byte is below 128, so the coin hashes each truth path (seed, 1, t)
+        # as a lead message and never one of its tail messages
+        hashed = []
+        shake_256 = hashlib.shake_256
+        monkeypatch.setattr(hashlib, "shake_256", lambda message: hashed.append(message) or shake_256(message))
+        config = ProtocolConfig(seed=12, trials=8, per_group=10, groups=4)
+        discriminate(config)
+        truth_paths = {_pack(config.seed, 1, t) for t in range(config.trials)}
+        assert truth_paths <= set(hashed)
+        assert [m for m in hashed if m not in truth_paths and m.startswith(tuple(truth_paths))] == []
 
     def test_deterministic_and_scored(self):
         config = ProtocolConfig(seed=3, trials=20, per_group=30, groups=20)
