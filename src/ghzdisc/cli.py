@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -176,11 +176,11 @@ def _census_lines(classes) -> str:
 def cmd_enumerate(args, params: PlanParams) -> int:
     """The census lines on stdout, then the table: one write per run of
     at most 2^_RUN_BITS rows, each class's fields rendered once."""
-    classes = outcome_classes(PLANS[Strategy(args.strategy)](params), params)
-    sys.stdout.write(_census_lines(classes))
     # outcomes are bit strings, so neither format quotes or escapes them; the JSON
     # bytes equal json.dumps of the `_branch_row`s of `enumerate_branches`, indent=2, + "\n"
     with _output(args.out) as handle:
+        classes = outcome_classes(PLANS[Strategy(args.strategy)](params), params)
+        sys.stdout.write(_census_lines(classes))
         if args.format == "csv":
             handle.write(",".join(_CSV_HEADER) + "\n")
             handle.writelines(_rendered(classes, "", _csv_tail))
@@ -221,11 +221,6 @@ def _config_json(config: ProtocolConfig) -> dict:
     }
 
 
-def _write_json(path: str | None, payload) -> None:
-    with _output(path) as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
-
-
 # a `simulate` group record and trial record as json.dumps(payload, indent=2)
 # writes them inside `per_trial`; every field is an int, a float, None or a
 # Strategy value, so none needs escaping
@@ -262,40 +257,40 @@ def _simulate_json(payload: dict) -> str:
 
 def cmd_simulate(args, params: PlanParams) -> int:
     config = _config_from_args(args, params)
-    samplers = build_samplers(params)
-    trials = run_protocol(config, samplers)
-    ones = sum(g["ones"] for t in trials for g in t["per_group"])
-    total = config.trials * config.groups * config.per_group
-    oracle_p1 = samplers[config.strategy].marginal[1]
-    w_values = {}
-    for l in (1, 2, 3):
-        if l < config.per_group:
-            w_values[str(l)] = float(w_statistic(l, params, config.per_group))
-    payload = {
-        "config": _config_json(config),
-        "per_trial": trials,
-        "summary": {
-            "empirical_p1": ones / total,
-            "oracle_p1": fraction_json(oracle_p1),
-            "w_values": w_values,
-        },
-    }
-    with _output(args.out) as handle:
+    with _output(args.out) as handle, (_output(args.csv) if args.csv else nullcontext()) as csv_handle:
+        samplers = build_samplers(params)
+        trials = run_protocol(config, samplers)
+        ones = sum(g["ones"] for t in trials for g in t["per_group"])
+        total = config.trials * config.groups * config.per_group
+        oracle_p1 = samplers[config.strategy].marginal[1]
+        w_values = {}
+        for l in (1, 2, 3):
+            if l < config.per_group:
+                w_values[str(l)] = float(w_statistic(l, params, config.per_group))
+        payload = {
+            "config": _config_json(config),
+            "per_trial": trials,
+            "summary": {
+                "empirical_p1": ones / total,
+                "oracle_p1": fraction_json(oracle_p1),
+                "w_values": w_values,
+            },
+        }
         handle.write(_simulate_json(payload) + "\n")
-    if args.csv:
-        with _output(args.csv) as handle:
-            handle.write("trial,group,zeros,ones,ratio,decision\n")
+        if csv_handle is not None:
+            csv_handle.write("trial,group,zeros,ones,ratio,decision\n")
             for t, trial in enumerate(trials):
                 for g, c in enumerate(trial["per_group"]):
                     ratio = "" if c["ratio"] is None else repr(c["ratio"])
-                    handle.write(f"{t},{g},{c['zeros']},{c['ones']},{ratio},{c['decision']}\n")
+                    csv_handle.write(f"{t},{g},{c['zeros']},{c['ones']},{ratio},{c['decision']}\n")
     return 0
 
 
 def cmd_discriminate(args, params: PlanParams) -> int:
     config = _config_from_args(args, params)
-    report = discriminate(config)
-    _write_json(args.out, {"config": _config_json(config), **report})
+    with _output(args.out) as handle:
+        report = discriminate(config)
+        handle.write(json.dumps({"config": _config_json(config), **report}, indent=2) + "\n")
     sys.stderr.write(f"accuracy: {report['accuracy']}\n")
     return 0
 
@@ -307,19 +302,20 @@ def cmd_marginal(args, params: PlanParams) -> int:
 
 
 def cmd_verify(args, params: PlanParams) -> int:
-    # first, so that a bad --random-plans or --seed fails before any other work
-    suite = no_signaling_suite(plans_per_n=args.random_plans, seed=args.seed)
-    checks = checkpoint_report(params) + suite
-    width = max(len(c["check_name"]) for c in checks)
-    for c in checks:
-        sys.stdout.write(
-            f"{c['status']:<4} {c['check_name']:<{width}} computed={c['computed_value']} "
-            f"expected={c['expected_value']} tol={c['tolerance']}\n"
-        )
-    failed = sum(c["status"] == "FAIL" for c in checks)
-    sys.stdout.write(f"{len(checks) - failed}/{len(checks)} checks passed\n")
-    if args.json:
-        _write_json(args.json, checks)
+    with _output(args.json) if args.json else nullcontext() as handle:
+        # first, so that a bad --random-plans or --seed fails before any other work
+        suite = no_signaling_suite(plans_per_n=args.random_plans, seed=args.seed)
+        checks = checkpoint_report(params) + suite
+        width = max(len(c["check_name"]) for c in checks)
+        for c in checks:
+            sys.stdout.write(
+                f"{c['status']:<4} {c['check_name']:<{width}} computed={c['computed_value']} "
+                f"expected={c['expected_value']} tol={c['tolerance']}\n"
+            )
+        failed = sum(c["status"] == "FAIL" for c in checks)
+        sys.stdout.write(f"{len(checks) - failed}/{len(checks)} checks passed\n")
+        if handle is not None:
+            handle.write(json.dumps(checks, indent=2) + "\n")
     return 1 if failed else 0
 
 

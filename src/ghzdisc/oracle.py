@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import partial
 
 from .amplitude import unlimited_int_digits
-from .engine import Basis, bob_distribution
+from .engine import bob_distribution
 from .plans import (
     LeafClass,
     MeasurementPlan,
@@ -48,32 +49,22 @@ def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, F
     )
 
 
-class _RandomPlan(MeasurementPlan):
-    """Adaptive plan whose step at every history comes from one SHA-256 of
-    (seed, history); its bases are built from the same steps."""
-
-    def __init__(self, stages: int, seed: int):
-        super().__init__(stages, self._basis, name=f"random-{seed}")
-        self._prefix = b"random-basis" + _pack(seed)
-
-    def _step(self, history: str) -> tuple[int, int, int]:
-        """(±k, ±(2^64 - k), 2^64), left unreduced, so that every leaf of
-        the tree has the denominator 2^(64m + 1)."""
-        digest = hashlib.sha256(self._prefix + history.encode()).digest()
-        # keep both coefficients nonzero so branches never vanish
-        k = int.from_bytes(digest[:8], "big") % (2**64 - 1) + 1
-        return (k if digest[8] & 1 else -k, 2**64 - k if digest[9] & 1 else k - 2**64, 2**64)
-
-    def _basis(self, history: str) -> Basis:
-        n0, n1, q = self._step(history)
-        return Basis(Fraction(n0, q), Fraction(n1, q))
+def _random_step(prefix: bytes, history: str) -> tuple[int, int, int]:
+    """(±k, ±(2^64 - k), 2^64) from one SHA-256 of `prefix` + `history`,
+    left unreduced, so that every leaf of the tree has the denominator
+    2^(64m + 1)."""
+    digest = hashlib.sha256(prefix + history.encode()).digest()
+    # keep both coefficients nonzero so branches never vanish
+    k = int.from_bytes(digest[:8], "big") % (2**64 - 1) + 1
+    return (k if digest[8] & 1 else -k, 2**64 - k if digest[9] & 1 else k - 2**64, 2**64)
 
 
 def random_plan(params: PlanParams, seed: int) -> MeasurementPlan:
-    """Adaptive plan whose basis at every history is a hash-derived exact
+    """Adaptive plan whose step at every history is a hash-derived exact
     orthonormal pair; deterministic in (seed, history)."""
     check_seed(seed, "random plan seed")
-    return _RandomPlan(params.m, seed)
+    step = partial(_random_step, b"random-basis" + _pack(seed))
+    return MeasurementPlan(params.m, step, name=f"random-{seed}")
 
 
 def _check(name: str, computed: str, expected: str, tolerance: str, status: str) -> dict:

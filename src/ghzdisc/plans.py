@@ -8,14 +8,16 @@ Two built-in strategies:
   every stage while "perp" outcomes persist, switching to {|+>, |->}
   after the first "plus" outcome.
 
-`constants(params)` is the one home of the cascade's closed forms: eager
-F_k^2 and T_k^2, and lazily the stage bases, the all-perp (eta) leaf and
-the class slopes.  Both strategies are spine plans: one basis per
+A plan's one rule is its integer step (n0, n1, q) at a history: the
+basis c0 = n0/q, c1 = n1/q; `basis_for` turns it into a `Basis` for
+the reference walk only.  `constants(params)` is the one home of the
+cascade's closed forms, each derived on first use: the stage steps
+(built by repeated squaring), F_k^2 and T_k^2, the all-perp (eta) leaf
+and the class slopes.  Both strategies are spine plans: one step per
 all-"1" history, {|+>, |->} after the first "0".  One walker visits
 the tree on integer numerators: a node is (a0, a1, den), its signed
 squares a0/den and a1/den, with no `Fraction`, gcd or state per node;
-a step is the plan's integer (n0, n1, q), and each step checks that the
-children's weights sum to the parent's.
+each step checks that the children's weights sum to the parent's.
 `outcome_classes` turns its output into classes (a leaf, or the
 two-state subtree below a spine plan's "0" child), each distinct state
 classified exactly against those slopes; `oracle.bob_marginal` sums
@@ -35,7 +37,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
-from .engine import PLUS_MINUS, Basis, ChainState, MeasurementError, check_fractions
+from .engine import Basis, ChainState, MeasurementError, check_fractions
 
 
 class PlanError(ValueError):
@@ -81,48 +83,41 @@ class PlanParams:
 
 
 class MeasurementPlan:
-    """Adaptive rule: outcome history (bit string) -> next basis.
+    """Adaptive rule: outcome history (bit string) -> next basis, as the
+    integer step (n0, n1, q) with c0 = n0/q and c1 = n1/q.
 
     Bit 0 means the first basis vector fired, bit 1 the second.  Defined
     for every history of length 0 .. stages-1.  A plan is given either
-    by a `chooser` over whole histories, or by a `spine`: the basis of
-    each all-"1" history, with {|+>, |->} after the first "0".
+    by a `step` over whole histories, or by a `spine`: the step of each
+    all-"1" history, with {|+>, |->} = (1, 1, 2) after the first "0".
     """
 
     def __init__(
         self,
         stages: int,
-        chooser: Callable[[str], Basis] | None = None,
+        step: Callable[[str], tuple[int, int, int]] | None = None,
         name: str = "plan",
-        spine: tuple[Basis, ...] | None = None,
+        spine: tuple[tuple[int, int, int], ...] | None = None,
     ):
-        if (chooser is None) == (spine is None):
-            raise PlanError("a plan needs exactly one of a chooser and a spine")
-        if spine is not None and len(spine) != stages:
-            raise PlanError(f"spine has {len(spine)} bases for {stages} stages")
+        if (step is None) == (spine is None):
+            raise PlanError("a plan needs exactly one of a step and a spine")
+        if spine is not None:
+            if len(spine) != stages:
+                raise PlanError(f"spine has {len(spine)} steps for {stages} stages")
+            step = lambda history: (1, 1, 2) if "0" in history else spine[len(history)]
         self.stages = stages
         self.name = name
-        self._chooser = chooser
+        self.step = step
         self.spine = spine
 
     def basis_for(self, history: str) -> Basis:
+        """The step at a valid `history` as a `Basis`: the reference for `measure_next`."""
         if len(history) >= self.stages:
             raise PlanError(f"history {history!r} already covers all {self.stages} stages")
         if any(c not in "01" for c in history):
             raise PlanError(f"history must be a bit string, got {history!r}")
-        if self.spine is None:
-            return self._chooser(history)
-        return PLUS_MINUS if "0" in history else self.spine[len(history)]
-
-    def _step(self, history: str) -> tuple[int, int, int]:
-        """The basis at `history` as integers (n0, n1, q), c0 = n0/q and
-        c1 = n1/q: a `Basis`'s coefficients must share their reduced
-        denominator q, as |c0| + |c1| = 1."""
-        basis = self.basis_for(history)
-        q = basis.c0.denominator
-        if basis.c1.denominator != q:
-            raise MeasurementError(f"basis {basis} at history {history!r} has two denominators")
-        return basis.c0.numerator, basis.c1.numerator, q
+        n0, n1, q = self.step(history)
+        return Basis(Fraction(n0, q), Fraction(n1, q))
 
     def __repr__(self) -> str:
         return f"MeasurementPlan({self.name}, stages={self.stages})"
@@ -130,23 +125,35 @@ class MeasurementPlan:
 
 @dataclass(frozen=True)
 class CascadeConstants:
-    """Squared stage normalizers F_1^2..F_m^2 and running products
-    T_1^2..T_m^2 of `params`; the other closed forms are derived on first use."""
+    """The cascade's closed forms for `params`, each derived on first use."""
 
     params: PlanParams
-    F_sq: tuple[Fraction, ...]
-    T_sq: tuple[Fraction, ...]
 
     @cached_property
-    def bases(self) -> tuple[Basis, ...]:
-        """Basis of stage k = 0..m-1 on the all-perp spine: c0^2 = s/(1+s)
-        with s = r^(2^k).  Stage 0 is {x|0>+y|1>, y|0>-x|1>}; the ladder's
-        coefficients equal (r^e, r^-e)/F_{k+1} with e = 2^(k-1)."""
+    def steps(self) -> tuple[tuple[int, int, int], ...]:
+        """Step of stage k = 0..m-1 on the all-perp spine: (u^E, v^E, u^E + v^E)
+        for r = u/v in lowest terms and E = 2^k, so c0^2 = s/(1+s) with
+        s = r^E; each triple is reduced, as gcd(u, v) = 1.  Stage 0 is
+        {x|0>+y|1>, y|0>-x|1>}; the ladder's coefficients equal
+        (r^e, r^-e)/F_{k+1} with e = 2^(k-1)."""
+        u, v = self.params.ratio.numerator, self.params.ratio.denominator
+        steps = [(u, v, u + v)]
+        for _ in range(self.params.m - 1):
+            u, v = u * u, v * v
+            steps.append((u, v, u + v))
+        return tuple(steps)
+
+    @cached_property
+    def F_sq(self) -> tuple[Fraction, ...]:
+        """Squared stage normalizers F_1^2..F_m^2: F_1^2 = 1 and
+        F_k^2 = r^e + r^-e with e = 2^(k-2)."""
         r = self.params.ratio
-        return tuple(
-            Basis(s / (1 + s), 1 / (1 + s))
-            for s in (r ** 2**k for k in range(self.params.m))
-        )
+        return (Fraction(1),) + tuple(r**e + r**-e for e in (2**j for j in range(self.params.m - 1)))
+
+    @cached_property
+    def T_sq(self) -> tuple[Fraction, ...]:
+        """Running products T_k^2 = F_1^2 ... F_k^2."""
+        return tuple(accumulate(self.F_sq, mul))
 
     @cached_property
     def eta_leaf(self) -> ChainState:
@@ -172,24 +179,19 @@ class CascadeConstants:
 
 @lru_cache(maxsize=None)
 def constants(params: PlanParams) -> CascadeConstants:
-    r = params.ratio
-    f_sqs = [Fraction(1)]
-    for k in range(2, params.m + 1):
-        e = 2 ** (k - 2)
-        f_sqs.append(r**e + r**-e)
-    return CascadeConstants(params, tuple(f_sqs), tuple(accumulate(f_sqs, mul)))
+    return CascadeConstants(params)
 
 
 def cpm_plan(params: PlanParams) -> MeasurementPlan:
     """Every sender qubit measured in {|+>, |->}."""
-    return MeasurementPlan(params.m, name="cpm", spine=(PLUS_MINUS,) * params.m)
+    return MeasurementPlan(params.m, name="cpm", spine=((1, 1, 2),) * params.m)
 
 
 def spm_plan(params: PlanParams) -> MeasurementPlan:
     """The adaptive cascade: first qubit in {x|0>+y|1>, y|0>-x|1>}; while
     outcomes stay "perp" (bit 1), the ladder bases follow; after the
     first "plus" outcome everything is {|+>, |->}."""
-    return MeasurementPlan(params.m, name="spm", spine=constants(params).bases)
+    return MeasurementPlan(params.m, name="spm", spine=constants(params).steps)
 
 
 class OutcomeClass(NamedTuple):
@@ -199,7 +201,7 @@ class OutcomeClass(NamedTuple):
     suffix after `head` (one entry when depth = 0); the two states
     differ only in amp1's sign.  `level` is 1 + the length of the
     leading run of perp outcomes (m + 1 for the all-perp leaf).  A
-    chooser plan's walk builds one of depth 0 per leaf, and a named tuple
+    step plan's walk builds one of depth 0 per leaf, and a named tuple
     is the cheapest immutable record to build."""
 
     head: str
@@ -245,16 +247,16 @@ def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tupl
     a0, a1, den): the signed squares a0/den and a1/den of the state at
     `head`, before its {|+>, |->} tail of `depth` stages.
 
-    A step is the plan's (n0, n1, q) at a node, c0 = n0/q and c1 = n1/q
-    with |n0| + |n1| = q, and q need not be reduced; a `Basis` step checks
-    that its coefficients share q.  One step is four integer products and
+    A step is the plan's (n0, n1, q) at a node, c0 = n0/q and c1 = n1/q,
+    and q need not be reduced.  One step is four integer products and
     both children get den * q; nothing is reduced.  Each step checks that
     both children keep a nonzero norm and that their norms sum to the
-    parent's, exactly."""
+    parent's, exactly: the children's weights sum to
+    (|a0| + |a1|)(|n0| + |n1|), so this also forces |n0| + |n1| = q."""
     if plan.stages != params.m:
         raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
     spine = plan.spine is not None
-    step = plan._step
+    step = plan.step
     m = params.m
     stack = [("", 1, 1, 2)]  # the GHZ state: both signed squares are 1/2
     while stack:
@@ -280,7 +282,7 @@ def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeCl
     is {|+>, |->}, which scales both amplitudes by sqrt(1/2) and negates
     amp1 on a "1", so the tail's even leaf is the head's state over den
     * 2^d and the odd one is it with amp1 negated: m + 1 classes in all.
-    The same rule as a chooser is walked node by node: the reference."""
+    The same rule as a step plan is walked node by node: the reference."""
     cascade = constants(params)
     classes: list[OutcomeClass] = []
     for head, depth, a0, a1, den in _walk_numerators(plan, params):
@@ -296,7 +298,7 @@ def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeCl
 
 def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeClass]:
     """All 2^m leaves as classes of depth 0, in lexicographic order: the
-    walk of the same rule given as a chooser, and the per-leaf test oracle."""
+    walk of the same rule given as a step plan, and the per-leaf test oracle."""
     return [
         OutcomeClass(outcomes, 0, c.level, c.probability, (c.states[parity],), (c.leaf_classes[parity],))
         for c in outcome_classes(plan, params)

@@ -501,12 +501,15 @@ class TestOutputErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         error_lines = [line for line in err.splitlines() if line.startswith("ghzdisc: error:")]
         assert len(error_lines) == 1
         assert "No such file or directory" in error_lines[0] and str(missing) in error_lines[0]
         assert "Traceback" not in err
-        assert not missing.exists()
+        # every output is opened before any work: nothing is printed and no other output is written
+        assert out == ""
+        assert not missing.exists() and not ok.exists()
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_failed_write_keeps_previous_file(self, fmt, tmp_path, capsys, monkeypatch):

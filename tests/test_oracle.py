@@ -120,7 +120,7 @@ class TestRandomPlan:
         for seed in (0, 5, 2**64 - 1):
             plan = random_plan(params, seed)
             for history in histories:
-                n0, n1, q = plan._step(history)
+                n0, n1, q = plan.step(history)
                 assert q == 2**64 and n0 and n1 and abs(n0) + abs(n1) == q
                 basis = plan.basis_for(history)
                 assert (Fraction(n0, q), Fraction(n1, q)) == (basis.c0, basis.c1)

@@ -1,6 +1,7 @@
 import re
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -109,23 +110,44 @@ def test_telescoping_identity_general(x_sq, n):
 
 class TestSpmBasis:
     def test_stage_one(self):
-        basis = constants(P8).bases[1]
+        basis = spm_plan(P8).basis_for("1")
         assert basis.c0 == Fraction(4, 5)
         assert basis.c1 == Fraction(1, 5)
 
     def test_stage_two(self):
-        assert constants(P8).bases[2].c0 == Fraction(16, 17)
+        assert spm_plan(P8).basis_for("11").c0 == Fraction(16, 17)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_orthonormal(self, k):
-        basis = constants(P8).bases[k]
+        basis = spm_plan(P8).basis_for("1" * k)
         assert abs(basis.c0) + abs(basis.c1) == 1
 
     def test_matches_normalizer_definition(self):
         # c0^2 = r^(2^(k-1)) / F_{k+1}^2
         for k in range(1, 7):
             e = 2 ** (k - 1)
-            assert constants(P8).bases[k].c0 == P8.ratio**e / f_sq(k + 1)
+            assert spm_plan(P8).basis_for("1" * k).c0 == P8.ratio**e / f_sq(k + 1)
+
+
+# the spine's integer steps against the closed form they replace, c0^2 = s/(1+s) with s = r^(2^k)
+@pytest.mark.parametrize("n", range(3, 17))
+def test_spine_steps_match_closed_form(n):
+    for x_sq in X_GRID:
+        params = PlanParams(n, x_sq)
+        steps = constants(params).steps
+        assert len(steps) == params.m
+        for k, (n0, n1, q) in enumerate(steps):
+            s = params.ratio ** 2**k
+            assert n0 + n1 == q and gcd(n0, n1) == 1
+            assert Fraction(n0, q) == s / (1 + s) and Fraction(n1, q) == 1 / (1 + s)
+
+
+def test_marginal_builds_no_normalizer():
+    constants.cache_clear()  # other tests may have derived these params' normalizers already
+    for x_sq in X_GRID:
+        params = PlanParams(12, x_sq)
+        assert bob_marginal(spm_plan(params), params) == (Fraction(1, 2), Fraction(1, 2))
+        assert "T_sq" not in vars(constants(params)) and "F_sq" not in vars(constants(params))
 
 
 class TestCpmPlan:
@@ -151,9 +173,9 @@ class TestSpmPlan:
         assert basis.c1 == Y_SQ
 
     def test_perp_history_uses_ladder(self):
-        bases = constants(P8).bases
-        assert spm_plan(P8).basis_for("1") == bases[1]
-        assert spm_plan(P8).basis_for("11111") == bases[5]
+        for k in (1, 5):
+            n0, n1, q = constants(P8).steps[k]
+            assert spm_plan(P8).basis_for("1" * k) == Basis(Fraction(n0, q), Fraction(n1, q))
 
     def test_plus_switches_to_hadamard(self):
         plan = spm_plan(P8)
@@ -260,7 +282,7 @@ class TestEtaState:
                 records = enumerate_branches(plan, params)
                 assert records[-1].head == "1" * params.m
                 assert records[-1].states[0] == cascade.eta_leaf
-                assert cascade.bases == tuple(plan.basis_for("1" * k) for k in range(params.m))
+                assert cascade.steps == tuple(plan.step("1" * k) for k in range(params.m))
 
     def test_symmetric_case(self):
         eta = constants(PlanParams(8, Fraction(1, 2))).eta_leaf
@@ -341,9 +363,9 @@ def assert_spine_walk_matches_leaf_walk(params):
         sampler = LeafSampler(plan, params)
         classes = sampler.classes
         assert len(classes) == (params.m + 1 if plan.spine is not None else 2**params.m)
-        # the same rule as a chooser has no spine, so it is walked node by node; its
+        # the same rule as a step plan has no spine, so it is walked node by node; its
         # classes, one per leaf, give plain per-leaf sums and counts
-        chooser = MeasurementPlan(params.m, plan.basis_for)
+        chooser = MeasurementPlan(params.m, plan.step)
         records = outcome_classes(chooser, params)
         assert enumerate_branches(plan, params) == records
         assert enumerate_branches(chooser, params) == records
@@ -423,23 +445,18 @@ def test_integer_walk_matches_measure_next(x_sq, n, kind, seed):
 
 
 @pytest.mark.parametrize(
-    "c0,c1,where",
+    "bad_step,where",
     [
-        (Fraction(3, 4), Fraction(3, 4), ("01",)),
-        (Fraction(1, 4), Fraction(-1, 4), ("01",)),
-        (Fraction(1, 2), Fraction(1, 4), ("01",)),  # the coefficients' denominators differ
-        (Fraction(0), Fraction(1), ("", "0")),  # a valid basis twice: the second child at "0" has zero norm
+        ((3, 3, 4), ("01",)),
+        ((1, -1, 4), ("01",)),
+        ((0, 1, 1), ("", "0")),  # a valid step twice: the second child at "0" has zero norm
     ],
-    ids=["weight-over-one", "weight-under-one", "two-denominators", "vanishing-branch"],
+    ids=["weight-over-one", "weight-under-one", "vanishing-branch"],
 )
-def test_walk_checks_every_step(c0, c1, where):
-    # a Basis altered past its own validation, at the histories `where`: the
-    # walk's local check stops at the last of them
+def test_walk_checks_every_step(bad_step, where):
+    # an invalid step at the histories `where`: the walk's local check stops at the last of them
     params = PlanParams(4)
-    basis = Basis(Fraction(1, 2), Fraction(1, 2))
-    object.__setattr__(basis, "c0", c0)
-    object.__setattr__(basis, "c1", c1)
-    plan = MeasurementPlan(params.m, lambda h: basis if h in where else PLUS_MINUS)
+    plan = MeasurementPlan(params.m, lambda h: bad_step if h in where else (1, 1, 2))
     for walk in (outcome_classes, bob_marginal):
         with pytest.raises(MeasurementError, match=f"history {where[-1]!r}"):
             walk(plan, params)
@@ -474,8 +491,8 @@ class TestPlanForm:
         with pytest.raises(PlanError):
             MeasurementPlan(3)
         with pytest.raises(PlanError):
-            MeasurementPlan(3, lambda history: PLUS_MINUS, spine=(PLUS_MINUS,) * 3)
+            MeasurementPlan(3, lambda history: (1, 1, 2), spine=((1, 1, 2),) * 3)
 
     def test_spine_length(self):
         with pytest.raises(PlanError):
-            MeasurementPlan(3, spine=(PLUS_MINUS,) * 2)
+            MeasurementPlan(3, spine=((1, 1, 2),) * 2)

@@ -9,8 +9,6 @@ from fractions import Fraction
 import pytest
 
 from ghzdisc import (
-    PLUS_MINUS,
-    Basis,
     CounterStream,
     LeafClass,
     LeafSampler,
@@ -201,8 +199,7 @@ class TestLeafSampler:
     def test_rejects_class_split_on_eta(self):
         # this first basis puts the even leaf below "0" on the eta direction and the odd one off it
         params = PlanParams(4)
-        first = Basis(Fraction(1, 129), Fraction(-128, 129))
-        plan = MeasurementPlan(3, spine=(first, PLUS_MINUS, PLUS_MINUS))
+        plan = MeasurementPlan(3, spine=((1, -128, 129), (1, 1, 2), (1, 1, 2)))
         assert outcome_classes(plan, params)[0].leaf_classes == (LeafClass.ETA, LeafClass.OTHER)
         with pytest.raises(PlanError, match="mixes eta and non-eta leaves"):
             LeafSampler(plan, params)
@@ -271,8 +268,8 @@ def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
     params = PlanParams(n, x_sq)
     plan = plan_for(params)
     sampler = LeafSampler(plan, params)
-    # the same rule as a chooser is walked node by node, one class per leaf
-    chooser = MeasurementPlan(params.m, plan.basis_for)
+    # the same rule as a step plan is walked node by node, one class per leaf
+    chooser = MeasurementPlan(params.m, plan.step)
     records = outcome_classes(chooser, params)
     assert enumerate_branches(plan, params) == records
     assert enumerate_branches(chooser, params) == records
