@@ -48,26 +48,29 @@ def _is_stdout(path: str) -> bool:
         return False
 
 
-@contextmanager
-def _output(path: str | None):
-    """Text handle for an output: stdout when `path` is None or names
-    the file stdout is open on (so `--out /dev/stdout > f` keeps the
-    census lines); a device, FIFO or /dev/fd/N is written through; a
-    regular file (a symlink's target, not the link) is written to a
-    temporary file beside it that replaces it only on success."""
+def _destination(path: str | None) -> tuple[str | None, str | None]:
+    """`path` (under $GHZDISC_OUT_DIR if relative and that is set), and the regular
+    file `_output` replaces on success (a symlink's target), or None if it writes through."""
     base = os.environ.get(OUT_DIR_ENV)
     if base and path is not None and not os.path.isabs(path):
         path = os.path.join(base, path)
-    if path is None or _is_stdout(path):
+    through = path is None or _is_stdout(path) or os.path.exists(path) and not os.path.isfile(path)
+    return path, None if through else os.path.realpath(path)
+
+
+@contextmanager
+def _output(path: str | None):
+    """Text handle for an output: stdout when `path` is None or names the
+    file stdout is open on (so `--out /dev/stdout > f` keeps the census
+    lines); a device, FIFO or /dev/fd/N is written through; a regular file
+    is written to a temporary file beside it that replaces it on success."""
+    path, target = _destination(path)
+    if target is None and (path is None or _is_stdout(path)):
         yield sys.stdout
         return
-    if os.path.exists(path) and not os.path.isfile(path):
-        target, tmp = path, None
-    else:
-        target = os.path.realpath(path)
-        tmp = f"{target}.{os.getpid()}.tmp"
+    tmp = target and f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp or target, "w") as handle:
+        with open(tmp or path, "w") as handle:
             yield handle
         if tmp:
             os.replace(tmp, target)
@@ -169,7 +172,7 @@ def _census_lines(classes) -> str:
         f"branches: {sum(levels.values())}\n"
         f"level census: {level_text}\n"
         f"class census: {class_text}\n"
-        f"total probability: {sum(probability.values())} (exact)\n"
+        f"total probability: {probability.value()} (exact)\n"
     )
 
 
@@ -257,6 +260,9 @@ def _simulate_json(payload: dict) -> str:
 
 def cmd_simulate(args, params: PlanParams) -> int:
     config = _config_from_args(args, params)
+    target = _destination(args.out)[1]
+    if target is not None and target == _destination(args.csv)[1]:  # both would write one temporary file
+        raise ValueError(f"--out and --csv name the same file: {target!r}")
     with _output(args.out) as handle, (_output(args.csv) if args.csv else nullcontext()) as csv_handle:
         samplers = build_samplers(params)
         trials = run_protocol(config, samplers)

@@ -2,10 +2,10 @@
 
 `bob_marginal` sums the receiver's outcome weights over a plan's
 outcome classes (m + 1 for cpm and spm; one per leaf for a random plan)
-as the walker's integer numerators, one sum per distinct denominator,
-giving the marginal as an exact rational; it builds no state and
-classifies no leaf.  A random plan's steps come straight from its
-hash over the unreduced 2^64, so all its leaves share one denominator.
+as the walker's integer numerators over one common denominator, by
+Horner's rule along a spine; it builds no state and classifies no leaf.
+A random plan's steps come straight from its hash over the unreduced
+2^64, so all its leaves share one denominator.
 `checkpoint_report` regenerates the reference quantities of the paper's
 instance (`ProtocolConfig`'s defaults) from first principles and
 compares each against its expected value at a stated tolerance; its
@@ -17,10 +17,12 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from functools import partial
+from itertools import chain, repeat
 
 from .amplitude import unlimited_int_digits
 from .engine import bob_distribution
 from .plans import (
+    CommonSums,
     LeafClass,
     MeasurementPlan,
     PlanParams,
@@ -34,19 +36,21 @@ from .protocol import LeafSampler, ProtocolConfig, _pack, check_seed, w_statisti
 
 
 def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
-    """Receiver's exact marginal, summed over the plan's outcome classes
-    on integer numerators: a class's 2^depth leaves sum to |a_b| / den,
-    so |a0| and |a1| are added per distinct den and divided once.  No
-    state is built and none is classified."""
-    sums: dict[int, list[int]] = {}
+    """Receiver's exact marginal: a class's leaves sum to |a_b| / den, added per
+    distinct den, then over one common den; a spine plan's distinct dens are
+    each the last one times the next step's q, so its sums are scaled by q."""
+    per_den: dict[int, list[int]] = {}
     for _head, _depth, a0, a1, den in _walk_numerators(plan, params):
-        pair = sums.setdefault(den, [0, 0])
+        pair = per_den.setdefault(den, [0, 0])
         pair[0] += abs(a0)
         pair[1] += abs(a1)
-    return (
-        sum((Fraction(s0, den) for den, (s0, _) in sums.items()), Fraction(0)),
-        sum((Fraction(s1, den) for den, (_, s1) in sums.items()), Fraction(0)),
-    )
+    factors = chain((1,), (q for _, _, q in plan.spine[1:])) if plan.spine else repeat(1)
+    sums = CommonSums()
+    for (den, (s0, s1)), factor in zip(per_den.items(), factors):
+        sums.scale(factor)
+        sums.add(0, s0, den)
+        sums.add(1, s1, den)
+    return sums.value(0), sums.value(1)
 
 
 def _random_step(prefix: bytes, history: str) -> tuple[int, int, int]:
@@ -90,14 +94,8 @@ def _approx(name: str, computed: Fraction, expected: str, tolerance: str) -> dic
 
 _REFERENCE = ProtocolConfig.params
 
-_F_SQ_EXPECTED = {
-    2: Fraction(5, 2),
-    3: Fraction(17, 4),
-    4: Fraction(257, 16),
-    5: Fraction(65537, 256),
-    6: Fraction(2**32 + 1, 2**16),
-    7: Fraction(2**64 + 1, 2**32),
-}
+# F_k^2 = 2^e + 2^-e at r = 2, e = 2^(k-2): 5/2, 17/4, 257/16, ..., (2^64 + 1)/2^32
+_F_SQ_EXPECTED = {k: Fraction(2 ** 2 ** (k - 1) + 1, 2 ** 2 ** (k - 2)) for k in range(2, 8)}
 
 
 _HALVES = (Fraction(1, 2), Fraction(1, 2))  # the receiver's marginal under every plan
@@ -127,7 +125,7 @@ def checkpoint_report(params: PlanParams) -> list[dict]:
             "/".join(str(2 ** (m - level)) for level in range(1, m + 1)) + "/1",
         )
     )
-    checks.append(_exact("probability_total", sum(probability.values()), 1))
+    checks.append(_exact("probability_total", probability.value(), 1))
 
     mu = (LeafClass.MU_PLUS, LeafClass.MU_MINUS)
     # the all-perp leaf (level m + 1) has no stage prefactor, though at x^2 = 1/2 it is mu
@@ -139,8 +137,8 @@ def checkpoint_report(params: PlanParams) -> list[dict]:
     checks.append(_exact("mu_leaf_prefactors", prefactors_ok, True))
 
     if params == _REFERENCE:
-        checks.append(_approx("mu_probability", sum(probability[lc] for lc in mu), "0.75", "1e-37"))
-        checks.append(_approx("eta_probability", probability[LeafClass.ETA], "0.25", "1e-37"))
+        checks.append(_approx("mu_probability", probability.value(*mu), "0.75", "1e-37"))
+        checks.append(_approx("eta_probability", probability.value(LeafClass.ETA), "0.25", "1e-37"))
 
         # the spine walk ends at the all-perp leaf, a class of depth 0
         checks.append(_exact("eta_leaf_matches_enumeration", classes[-1].states[0], cascade.eta_leaf))

@@ -1,29 +1,20 @@
 """Measurement strategies over a shared GHZ chain.
 
-Two built-in strategies:
-
-* uniform plan: every sender qubit measured in the Hadamard basis
-  {|+>, |->};
-* cascade plan: an adaptive ladder whose basis exponents double at
-  every stage while "perp" outcomes persist, switching to {|+>, |->}
-  after the first "plus" outcome.
+Two built-in strategies: the uniform plan measures every sender qubit
+in the Hadamard basis {|+>, |->}; the cascade plan is an adaptive ladder
+whose basis exponents double at every stage while "perp" outcomes
+persist, switching to {|+>, |->} after the first "plus" outcome.
 
 A plan's one rule is its integer step (n0, n1, q) at a history: the
-basis c0 = n0/q, c1 = n1/q; `basis_for` turns it into a `Basis` for
-the reference walk only.  `constants(params)` is the one home of the
-cascade's closed forms, each derived on first use: the stage steps
-(built by repeated squaring), F_k^2 and T_k^2, the all-perp (eta) leaf
-and the class slopes.  Both strategies are spine plans: one step per
-all-"1" history, {|+>, |->} after the first "0".  One walker visits
-the tree on integer numerators: a node is (a0, a1, den), its signed
-squares a0/den and a1/den, with no `Fraction`, gcd or state per node;
-each step checks that the children's weights sum to the parent's.
-`outcome_classes` turns its output into classes (a leaf, or the
-two-state subtree below a spine plan's "0" child), each distinct state
-classified exactly against those slopes; `oracle.bob_marginal` sums
-the receiver's weights from it without classifying; and
-`enumerate_branches` expands the classes into one class of depth 0 per
-leaf.
+basis c0 = n0/q, c1 = n1/q (`basis_for` builds the `Basis`, for the
+reference walk only).  Both strategies are spine plans: one step per
+all-"1" history, {|+>, |->} after the first "0".  One walker visits the
+tree on integer numerators: a node is (a0, a1, den), its signed squares
+a0/den and a1/den.  `outcome_classes` keeps them as classes (a leaf, or
+the two-state subtree below a spine plan's "0" child), classified by
+cross-multiplication against the integer slopes of `constants(params)`;
+`census`, the sampler and `oracle.bob_marginal` sum them over one common
+denominator (`CommonSums`), and `Fraction`s are built only where printed.
 """
 
 from __future__ import annotations
@@ -34,6 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from math import gcd
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
@@ -125,7 +117,7 @@ class MeasurementPlan:
 
 @dataclass(frozen=True)
 class CascadeConstants:
-    """The cascade's closed forms for `params`, each derived on first use."""
+    """The cascade's values for `params`, each derived on first use; `verify` alone reads the closed forms."""
 
     params: PlanParams
 
@@ -144,6 +136,23 @@ class CascadeConstants:
         return tuple(steps)
 
     @cached_property
+    def eta_node(self) -> tuple[int, int, int]:
+        """The all-perp (eta) leaf as the walker's (a0, a1, den): the all-"1" node of `steps`."""
+        a0, a1, den = 1, 1, 2
+        for n0, n1, q in self.steps:
+            a0, a1, den = a0 * n1, -a1 * n0, den * q
+        return a0, a1, den
+
+    @cached_property
+    def slopes(self) -> tuple[tuple[int, int, LeafClass], ...]:
+        """Slopes p/q of mu+, mu- and eta, in that order, as integer pairs:
+        +-y^2/x^2 = +-v/u for r = u/v, and a1/a0 of `eta_node`.  At x^2 = 1/2
+        the eta direction equals one of mu+ and mu-, and the mu class wins."""
+        u, v = self.params.ratio.numerator, self.params.ratio.denominator
+        a0, a1, _ = self.eta_node
+        return (v, u, LeafClass.MU_PLUS), (-v, u, LeafClass.MU_MINUS), (a1, a0, LeafClass.ETA)
+
+    @cached_property
     def F_sq(self) -> tuple[Fraction, ...]:
         """Squared stage normalizers F_1^2..F_m^2: F_1^2 = 1 and
         F_k^2 = r^e + r^-e with e = 2^(k-2)."""
@@ -157,24 +166,13 @@ class CascadeConstants:
 
     @cached_property
     def eta_leaf(self) -> ChainState:
-        """Unnormalized all-perp leaf of the cascade."""
+        """Unnormalized all-perp leaf of the cascade, from its closed form."""
         m, x_sq, y_sq = self.params.m, self.params.x_sq, self.params.y_sq
         e = 2 ** (m - 1)
         two_t_sq = 2 * self.T_sq[-1]
         # the relative sign of the all-perp leaf alternates with the stage count
         amp1 = x_sq**e / (y_sq ** (e - 1) * two_t_sq)
         return ChainState(1, y_sq**e / (x_sq ** (e - 1) * two_t_sq), -amp1 if m % 2 else amp1)
-
-    @cached_property
-    def slopes(self) -> tuple[tuple[Fraction, LeafClass], ...]:
-        """Exact slopes of mu+, mu- and eta, in that order: at x^2 = 1/2 the
-        eta direction equals one of mu+ and mu-, and the mu class wins."""
-        mu = self.params.y_sq / self.params.x_sq
-        return (
-            (mu, LeafClass.MU_PLUS),
-            (-mu, LeafClass.MU_MINUS),
-            (_slope(self.eta_leaf), LeafClass.ETA),
-        )
 
 
 @lru_cache(maxsize=None)
@@ -195,63 +193,47 @@ def spm_plan(params: PlanParams) -> MeasurementPlan:
 
 
 class OutcomeClass(NamedTuple):
-    """The 2^depth leaves below the history `head`, at one `level` and
-    with one `probability` each.  `states` and `leaf_classes` hold the
-    receiver state and its class for each parity of the 1s in the
-    suffix after `head` (one entry when depth = 0); the two states
-    differ only in amp1's sign.  `level` is 1 + the length of the
-    leading run of perp outcomes (m + 1 for the all-perp leaf).  A
-    step plan's walk builds one of depth 0 per leaf, and a named tuple
-    is the cheapest immutable record to build."""
+    """The 2^depth leaves below `head` at one `level` (1 + the length of
+    the leading run of perp outcomes): each leaf's receiver state has the
+    signed squares a0/den and a1/den, a1 negated for an odd suffix after
+    `head`, and class `leaf_classes[parity]`.  `probability` and `states`
+    are built where read; a named tuple is the cheapest record to build."""
 
     head: str
     depth: int
     level: int
-    probability: Fraction
-    states: tuple[ChainState, ...]
+    a0: int
+    a1: int
+    den: int
     leaf_classes: tuple[LeafClass, ...]
 
-    def outcomes(self) -> Iterator[tuple[str, int]]:
-        """Each leaf's outcome string and parity, in lexicographic order:
-        the per-leaf reference for the CLI's table, which is written in runs."""
-        for i in range(2**self.depth):
-            # bin(2^depth + i) is "0b1" and then the suffix, padded to `depth` bits
-            yield self.head + bin(i | 1 << self.depth)[3:], i.bit_count() & 1
+    @property
+    def probability(self) -> Fraction:
+        return Fraction(abs(self.a0) + abs(self.a1), self.den)
 
-    def summed(self, value: Fraction) -> Fraction:
-        """`value` added over the class's 2^depth leaves."""
-        return value * 2**self.depth if self.depth else value
+    @property
+    def states(self) -> tuple[ChainState, ...]:
+        state = ChainState(1, Fraction(self.a0, self.den), Fraction(self.a1, self.den))
+        return (state, ChainState(1, state.amp0, -state.amp1)) if self.depth else (state,)
 
 
-def _slope(state: ChainState) -> Fraction | None:
-    """Signed a1/a0 of a single-qubit state, squared (amp1 / amp0): equal
-    slopes mean equal directions up to global sign; None when a0 = 0."""
-    if state.amp0 == 0:
-        return None
-    return state.amp1 / state.amp0
-
-
-def classify(state: ChainState, cascade: CascadeConstants) -> LeafClass:
-    """Exact direction test for a single-qubit leaf, global sign ignored:
-    one exact slope, compared with those of mu+, mu- and the exceptional
-    leaf (which float comparison could not tell from mu-)."""
-    slope = _slope(state)
-    for class_slope, leaf_class in cascade.slopes:
-        if slope == class_slope:
+def classify(a0, a1, cascade: CascadeConstants) -> LeafClass:
+    """Exact direction test, global sign ignored, of signed squares a0, a1
+    (ints over one den, or `Fraction`s): a1/a0 equals a slope p/q of mu+,
+    mu- or eta (which floats could not tell from mu-) when a1*q == p*a0."""
+    for p, q, leaf_class in cascade.slopes:
+        if a1 * q == p * a0:
             return leaf_class
     return LeafClass.OTHER
 
 
 def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tuple[str, int, int, int, int]]:
     """The outcome tree's classes in lexicographic order, as (head, depth,
-    a0, a1, den): the signed squares a0/den and a1/den of the state at
-    `head`, before its {|+>, |->} tail of `depth` stages.
-
-    A step is the plan's (n0, n1, q) at a node, c0 = n0/q and c1 = n1/q,
-    and q need not be reduced.  One step is four integer products and
-    both children get den * q; nothing is reduced.  Each step checks that
-    both children keep a nonzero norm and that their norms sum to the
-    parent's, exactly: the children's weights sum to
+    a0, a1, den): the state at `head`, before its {|+>, |->} tail of
+    `depth` stages.  A step (n0, n1, q), with q not necessarily reduced,
+    is four integer products, and both children get den * q.  Each step
+    checks that both children keep a nonzero norm and that their norms
+    sum to the parent's: the children's weights sum to
     (|a0| + |a1|)(|n0| + |n1|), so this also forces |n0| + |n1| = q."""
     if plan.stages != params.m:
         raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
@@ -279,43 +261,66 @@ def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tupl
 def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeClass]:
     """The outcome tree as classes in lexicographic order: one per leaf,
     but a spine plan's walk stops at each "0" child.  Below it every basis
-    is {|+>, |->}, which scales both amplitudes by sqrt(1/2) and negates
-    amp1 on a "1", so the tail's even leaf is the head's state over den
-    * 2^d and the odd one is it with amp1 negated: m + 1 classes in all.
-    The same rule as a step plan is walked node by node: the reference."""
+    is {|+>, |->}, so the tail's even leaf is the head's state over
+    den * 2^depth and the odd one that with amp1 negated: m + 1 classes."""
     cascade = constants(params)
     classes: list[OutcomeClass] = []
     for head, depth, a0, a1, den in _walk_numerators(plan, params):
-        den <<= depth
-        state = ChainState(1, Fraction(a0, den), Fraction(a1, den))
-        states = (state, ChainState(1, state.amp0, -state.amp1)) if depth else (state,)
         level = head.find("0") + 1 or params.m + 1
-        leaf_classes = tuple([classify(leaf, cascade) for leaf in states])
-        probability = Fraction(abs(a0) + abs(a1), den)
-        classes.append(OutcomeClass(head, depth, level, probability, states, leaf_classes))
+        leaf_classes = tuple([classify(a0, amp1, cascade) for amp1 in ((a1, -a1) if depth else (a1,))])
+        classes.append(OutcomeClass(head, depth, level, a0, a1, den << depth, leaf_classes))
     return classes
 
 
 def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeClass]:
-    """All 2^m leaves as classes of depth 0, in lexicographic order: the
-    walk of the same rule given as a step plan, and the per-leaf test oracle."""
-    return [
-        OutcomeClass(outcomes, 0, c.level, c.probability, (c.states[parity],), (c.leaf_classes[parity],))
-        for c in outcome_classes(plan, params)
-        for outcomes, parity in c.outcomes()
-    ]
+    """All 2^m leaves as classes of depth 0, in lexicographic order: the walk
+    of the same rule as a step plan, and the per-leaf oracle for the CLI's table."""
+    leaves = []
+    for c in outcome_classes(plan, params):
+        for i in range(2**c.depth):
+            parity = i.bit_count() & 1  # bin(2^depth + i) is "0b1" and then the suffix, padded to depth bits
+            outcomes, a1 = c.head + bin(i | 1 << c.depth)[3:], -c.a1 if parity else c.a1
+            leaves.append(OutcomeClass(outcomes, 0, c.level, c.a0, a1, c.den, (c.leaf_classes[parity],)))
+    return leaves
 
 
-def census(classes: list[OutcomeClass]) -> tuple[Counter[int], Counter[LeafClass], Counter[LeafClass]]:
-    """Leaves per level, and leaves and total probability per leaf class:
-    a class's parities split its 2^depth leaves evenly between its states."""
+class CommonSums(Counter):
+    """Exact sums of num/den per key over one common `den`, never reduced:
+    a spine plan's class dens are nested and a random plan's leaves share
+    one, so only a den that neither divides nor is divided by it takes a gcd."""
+
+    den = 1
+
+    def add(self, key, num: int, den: int) -> None:
+        if den != self.den:
+            factor, rest = divmod(den, self.den)
+            if rest:  # den is not a multiple of the common one: widen to their lcm
+                g = den if self.den % den == 0 else gcd(self.den, den)
+                factor, num = den // g, num * (self.den // g)
+            self.scale(factor)
+        self[key] += num
+
+    def scale(self, factor: int) -> None:  # a Horner step
+        self.den *= factor
+        for key in self:
+            self[key] *= factor
+
+    def value(self, *keys) -> Fraction:
+        """The sum over `keys`, or over every key when none is given, as a `Fraction`."""
+        return Fraction(sum(map(self.__getitem__, keys)) if keys else self.total(), self.den)
+
+
+def census(classes: list[OutcomeClass]) -> tuple[Counter[int], Counter[LeafClass], CommonSums]:
+    """Leaves per level, and leaves and total probability per leaf class: a
+    class's states split its leaves and its weight (|a0| + |a1|) / (den >> depth),
+    summed over 2 * (den >> depth) so that the classes' dens stay nested."""
     levels: Counter[int] = Counter()
     leaves: Counter[LeafClass] = Counter()
-    probability: Counter[LeafClass] = Counter()
+    probability = CommonSums()
     for c in classes:
         levels[c.level] += 2**c.depth
-        share = 2**c.depth // len(c.states)
+        states = len(c.leaf_classes)
         for leaf_class in c.leaf_classes:
-            leaves[leaf_class] += share
-            probability[leaf_class] += c.probability * share
+            leaves[leaf_class] += 2**c.depth // states
+            probability.add(leaf_class, (abs(c.a0) + abs(c.a1)) * (2 // states), 2 * (c.den >> c.depth))
     return levels, leaves, probability

@@ -3,16 +3,15 @@
 Sampling is driven by counter-based streams keyed by their path, so
 parallel or re-ordered execution would reproduce serial results bit for
 bit.  A draw is a uniform 256-bit integer k: the rarest branch
-probabilities are far below 64-bit resolution, so all 256 bits are
-kept.  The stream layout: value c of the stream at a path is byte c of
-SHAKE-256 over the packed path (its lead message) times 2**248, plus as
-its low 248 bits 31 bytes of SHAKE-256 over a tail message: the packed
-path, c, and a marker byte.  A packed path is 8j bytes long and a tail
-message 8j + 9, so no tail message is any stream's lead message.  For
-integer k and rational p, k < p * 2**256 exactly when
-k < ceil(p * 2**256), so every threshold is stored as that exact integer
-cut point and each inverse-CDF decision is one comparison of ints of at
-most 257 bits.
+probabilities are far below 64-bit resolution.  The stream layout:
+value c of the stream at a path is byte c of SHAKE-256 over the packed
+path (its lead message) times 2**248, plus as its low 248 bits 31 bytes
+of SHAKE-256 over a tail message: the packed path, c, and a marker
+byte.  A packed path is 8j bytes long and a tail message 8j + 9, so no
+tail message is any stream's lead message.  k < p * 2**256 exactly when
+k < ceil(p * 2**256), so every threshold is that exact integer cut, from
+integer sums over one common denominator, and each inverse-CDF decision
+is one comparison of ints of at most 257 bits.
 
 The protocol loop decides state s of group g in trial t by one draw,
 value s mod B of the stream at (seed, domain, t, g, s // B), B = `_BLOCK`:
@@ -44,6 +43,7 @@ from typing import NamedTuple
 
 from .engine import MeasurementError, check_fractions
 from .plans import (
+    CommonSums,
     LeafClass,
     MeasurementPlan,
     OutcomeClass,
@@ -70,9 +70,9 @@ class Strategy(Enum):
     RANDOM_PER_STATE = "random"
 
 
-def _cut(p: Fraction) -> int:
-    """ceil(p * 2**RESOLUTION_BITS): a draw k is below p exactly when k < _cut(p)."""
-    return -((-p.numerator << RESOLUTION_BITS) // p.denominator)
+def _cut(num, den: int = 1) -> int:
+    """ceil(num/den * 2**RESOLUTION_BITS): a draw k is below num/den exactly when k < _cut(num, den)."""
+    return -(-num * (1 << RESOLUTION_BITS) // den)
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
@@ -120,12 +120,10 @@ class CounterStream:
 
 
 class LeafSampler:
-    """The exact law of one strategy over its plan's outcome classes.
-    Built on first use: `rows`, one (2^depth * |amp_bit|, eta, bit) =
-    (p(class) * p(bit | class), eta, bit) per class and bit; `table`,
-    the one-draw inverse CDF over them; and `marginal`, the receiver's
-    exact p0 and p1.  A draw feeds an output only through the bit and
-    eta-ness, which a class's leaves share."""
+    """The exact law of one strategy over its plan's outcome classes,
+    built on first use: `rows`, one (num, den, eta, bit) per class and
+    bit, num/den = p(class) * p(bit | class) unreduced; `table`, the
+    one-draw inverse CDF over them; and `marginal`, the exact p0 and p1."""
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
         self.classes = outcome_classes(plan, params)
@@ -134,13 +132,9 @@ class LeafSampler:
                 raise PlanError(f"cannot sample class {c.head!r}: it mixes eta and non-eta leaves")
 
     @cached_property
-    def rows(self) -> list[tuple[Fraction, bool, int]]:
-        rows = []
-        for c in self.classes:
-            eta = c.leaf_classes[0] is LeafClass.ETA
-            state = c.states[0]  # a class's states differ only in amp1's sign
-            rows += ((c.summed(abs(amp)), eta, bit) for bit, amp in enumerate((state.amp0, state.amp1)))
-        return rows
+    def rows(self) -> list[tuple[int, int, bool, int]]:
+        return [(abs(amp), c.den >> c.depth, c.leaf_classes[0] is LeafClass.ETA, bit)
+                for c in self.classes for bit, amp in enumerate((c.a0, c.a1))]
 
     @cached_property
     def table(self) -> JointTable:
@@ -148,7 +142,19 @@ class LeafSampler:
 
     @cached_property
     def marginal(self) -> tuple[Fraction, Fraction]:
-        return sum(w for w, _, _ in self.rows[0::2]), sum(w for w, _, _ in self.rows[1::2])
+        sums = CommonSums()
+        for num, den, _, bit in self.rows:
+            sums.add(bit, num, den)
+        return sums.value(0), sums.value(1)
+
+    @classmethod
+    def mixture(cls, *parts: LeafSampler) -> LeafSampler:
+        """The law drawing each state from one of `parts` at equal weight:
+        it walks no plan; its classes and rows are the parts' in order."""
+        sampler = cls.__new__(cls)
+        sampler.classes = [c for part in parts for c in part.classes]
+        sampler.rows = [(num, len(parts) * den, eta, bit) for part in parts for num, den, eta, bit in part.rows]
+        return sampler
 
     def sample(self, stream: CounterStream) -> tuple[OutcomeClass, int]:
         """Draw one outcome class and the receiver's computational-basis
@@ -157,31 +163,15 @@ class LeafSampler:
         return self.classes[row // 2], self.table.codes[row] & 1
 
 
-class MixtureSampler(LeafSampler):
-    """The exact law of `random`, under which each state is spm's or
-    cpm's at half weight.  It walks no plan: its classes are spm's, then
-    cpm's, and its rows theirs at half weight; `table`, `marginal` and
-    `sample` are a `LeafSampler`'s."""
-
-    def __init__(self, spm: LeafSampler, cpm: LeafSampler):
-        self.parts = spm, cpm
-        self.classes = spm.classes + cpm.classes
-
-    @cached_property
-    def rows(self) -> list[tuple[Fraction, bool, int]]:
-        return [(w / 2, eta, bit) for part in self.parts for w, eta, bit in part.rows]
-
-
 def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
-    """Ratio statistic for l exceptional leaves among per_group states:
-    l times the all-perp leaf weight over (per_group - l) times the
-    level-1 leaf weight, as an exact rational."""
+    """Ratio statistic for l exceptional leaves among per_group states: l times the
+    eta node's weight |a1| / den over (per_group - l) times the level-1 x^2 / 2^m."""
     if not 0 <= l <= per_group:
         raise ValueError(f"count must be in 0..{per_group}, got {l}")
     if l == per_group:
         raise ZeroDivisionError("every state hit the exceptional leaf; the ratio is infinite")
-    eta_weight = abs(constants(params).eta_leaf.amp1)
-    return l * eta_weight / ((per_group - l) * params.x_sq / 2**params.m)
+    _, a1, den = constants(params).eta_node
+    return Fraction(l * abs(a1) << params.m, (per_group - l) * den) / params.x_sq
 
 
 @dataclass(frozen=True)
@@ -215,9 +205,9 @@ PLANS = {Strategy.CPM: cpm_plan, Strategy.SPM: spm_plan}
 
 def build_samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
     """The exact law of every strategy, built once per run: cpm's and
-    spm's from their plans, and `random`'s from those two."""
+    spm's from their plans, and `random`'s, spm's or cpm's at half weight."""
     samplers = {strategy: LeafSampler(plan(params), params) for strategy, plan in PLANS.items()}
-    samplers[Strategy.RANDOM_PER_STATE] = MixtureSampler(samplers[Strategy.SPM], samplers[Strategy.CPM])
+    samplers[Strategy.RANDOM_PER_STATE] = LeafSampler.mixture(samplers[Strategy.SPM], samplers[Strategy.CPM])
     return samplers
 
 
@@ -233,18 +223,18 @@ class JointTable(NamedTuple):
     guide: bytes
 
 
-def _table(rows: list[tuple[Fraction, bool, int]]) -> JointTable:
-    """The one-draw table over (weight, eta, bit) rows, cut at each row's
-    exact cumulative weight; a byte's guide code compares the rows of its
-    lowest and highest draw."""
+def _table(rows: list[tuple[int, int, bool, int]]) -> JointTable:
+    """The one-draw table over (num, den, eta, bit) rows, cut at each
+    row's exact cumulative weight; a byte's guide code compares the rows
+    of its lowest and highest draw."""
     cuts, codes = [], []
-    cumulative = Fraction(0)
-    for weight, eta, bit in rows:
-        cumulative += weight
-        cuts.append(_cut(cumulative))
+    cumulative = CommonSums()
+    for num, den, eta, bit in rows:
+        cumulative.add(0, num, den)
+        cuts.append(_cut(cumulative[0], cumulative.den))
         codes.append(2 * eta + bit)
-    if cumulative != 1:
-        raise MeasurementError(f"the rows' weights sum to {cumulative}, not 1")
+    if cumulative[0] != cumulative.den:
+        raise MeasurementError(f"the rows' weights sum to {cumulative.value()}, not 1")
     span = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
     ends = [(bisect_right(cuts, b * span), bisect_right(cuts, (b + 1) * span - 1)) for b in range(256)]
     return JointTable(cuts, codes, bytes(codes[lo] if lo == hi else AMBIGUOUS for lo, hi in ends))

@@ -226,7 +226,7 @@ def test_criterion_9_sampler_oracle_agreement(capsys):
         observed[drawn.level] += 1
     exact = Counter()
     for c in sampler.classes:
-        exact[c.level] += c.summed(c.probability)
+        exact[c.level] += c.probability * 2**c.depth
     # pool levels 4..7 so every bin has expected count >= 5
     def pool(counter):
         return [

@@ -511,6 +511,27 @@ class TestOutputErrors:
         assert not missing.exists() and not ok.exists()
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("form", ["same-path", "out-dir", "symlink"])
+    def test_one_file_for_json_and_csv(self, form, tmp_path, capsys, monkeypatch):
+        # both outputs would replace one file from one temporary path, so the pair is refused
+        target = tmp_path / "run.out"
+        out, csv_out = str(target), str(target)
+        if form == "out-dir":
+            monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+            out = "run.out"
+        elif form == "symlink":
+            (tmp_path / "link.out").symlink_to(target)
+            out = str(tmp_path / "link.out")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "7", "--groups", "2", "--per-group", "3", "--out", out, "--csv", csv_out])
+        assert exc.value.code == 2
+        out_text, err = capsys.readouterr()
+        error_lines = [line for line in err.splitlines() if line.startswith("ghzdisc: error:")]
+        assert error_lines == [f"ghzdisc: error: --out and --csv name the same file: {str(target)!r}"]
+        assert "Traceback" not in err and out_text == ""
+        assert not target.exists()
+        assert sorted(os.listdir(tmp_path)) == (["link.out"] if form == "symlink" else [])
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_failed_write_keeps_previous_file(self, fmt, tmp_path, capsys, monkeypatch):
         out = tmp_path / "table.out"

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from ghzdisc import oracle
+from ghzdisc.plans import MeasurementPlan
 from ghzdisc import (
     Basis,
     LeafSampler,
@@ -70,10 +72,13 @@ class TestBobMarginal:
 _X_SQ = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40)
 
 
-# the sampler's Fraction sums over its rows are the oracle for the walker's integer sums
+# two integer sums of the same weights: the sampler's over its rows, per class
+# and bit, and the walker's per distinct denominator, by Horner's rule on a spine
 @settings(max_examples=30, deadline=None)
-@given(_X_SQ, st.integers(min_value=3, max_value=12), st.sampled_from([cpm_plan, spm_plan]))
+@given(_X_SQ, st.integers(min_value=3, max_value=14), st.sampled_from([cpm_plan, spm_plan]))
 @example(Fraction(1, 2), 12, spm_plan)
+@example(Fraction(2, 3), 14, spm_plan)
+@example(Fraction(3, 7), 14, cpm_plan)
 def test_sampler_marginal_matches_bob_marginal(x_sq, n, plan_for):
     params = PlanParams(n, x_sq)
     plan = plan_for(params)
@@ -86,6 +91,22 @@ def test_sampler_marginal_matches_bob_marginal_random_plans(x_sq, n, seed):
     params = PlanParams(n, x_sq)
     plan = random_plan(params, seed)
     assert LeafSampler(plan, params).marginal == bob_marginal(plan, params)
+
+
+# Horner's rule along a spine, and one common denominator for a step plan,
+# against one `Fraction` per distinct denominator, added
+@pytest.mark.parametrize("plan_for", [
+    cpm_plan,
+    spm_plan,
+    lambda params: MeasurementPlan(params.m, spm_plan(params).step),
+    lambda params: random_plan(params, params.n),
+], ids=["cpm", "spm", "spm-steps", "random"])
+@pytest.mark.parametrize("x_sq", [Fraction(2, 3), Fraction(1, 2), Fraction(3, 7), Fraction(9, 10), Fraction(1, 20)])
+def test_bob_marginal_matches_per_denominator_reference(plan_for, x_sq):
+    for n in (3, 4, 7, 10):
+        params = PlanParams(n, x_sq)
+        plan = plan_for(params)
+        assert bob_marginal(plan, params) == reference.bob_marginal(plan, params) == HALF
 
 
 # at x^2 = 1/2 the all-perp leaf, at level m + 1, is classified mu+ or mu-

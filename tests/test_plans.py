@@ -294,11 +294,12 @@ class TestClassify:
     def test_eta_distinct_from_mu_minus(self):
         records = enumerate_branches(spm_plan(P8), P8)
         assert records[-1].leaf_classes[0] is LeafClass.ETA
-        assert classify(records[-1].states[0], constants(P8)) is LeafClass.ETA
+        eta = records[-1].states[0]
+        assert classify(eta.amp0, eta.amp1, constants(P8)) is LeafClass.ETA
 
     def test_global_sign_ignored(self):
         flipped = ChainState(1, -X_SQ / 4, -Y_SQ / 4)
-        assert classify(flipped, constants(P8)) is LeafClass.MU_PLUS
+        assert classify(flipped.amp0, flipped.amp1, constants(P8)) is LeafClass.MU_PLUS
 
     def test_hadamard_leaf_is_other(self):
         records = enumerate_branches(cpm_plan(P8), P8)
@@ -333,7 +334,8 @@ def assert_classify_matches_reference(params, seed):
         for record in enumerate_branches(plan, params):
             flipped = ChainState(1, -record.states[0].amp0, -record.states[0].amp1)
             assert record.leaf_classes[0] is _classify_reference(record.states[0], params)
-            assert classify(flipped, constants(params)) is record.leaf_classes[0]
+            assert classify(flipped.amp0, flipped.amp1, constants(params)) is record.leaf_classes[0]
+            assert classify(-record.a0, -record.a1, constants(params)) is record.leaf_classes[0]
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -378,7 +380,9 @@ def assert_spine_walk_matches_leaf_walk(params):
         probability: Counter = Counter()
         for r in records:
             probability[r.leaf_classes[0]] += r.probability
-        assert census(classes) == (levels, Counter(r.leaf_classes[0] for r in records), probability)
+        class_levels, class_leaves, class_probability = census(classes)
+        assert (class_levels, class_leaves) == (levels, Counter(r.leaf_classes[0] for r in records))
+        assert {lc: class_probability.value(lc) for lc in class_probability} == probability
         counts = Counter(r.leaf_classes[0].value for r in records)
         assert _census_lines(classes) == (
             f"branches: {len(records)}\n"
@@ -435,7 +439,7 @@ def test_integer_walk_matches_measure_next(x_sq, n, kind, seed):
     cascade = constants(params)
     records = enumerate_branches(plan, params)
     assert [(r.head, r.states, r.probability, r.level, r.leaf_classes) for r in records] == [
-        (head, (state,), state.norm_sq(), head.find("0") + 1 or params.m + 1, (classify(state, cascade),))
+        (head, (state,), state.norm_sq(), head.find("0") + 1 or params.m + 1, (classify(state.amp0, state.amp1, cascade),))
         for head, state in leaves
     ]
     assert bob_marginal(plan, params) == (

@@ -180,14 +180,13 @@ class TestLeafSampler:
     def test_marginal_sums_rows_per_bit(self):
         # every plan's marginal is (1/2, 1/2), so uneven rows stand in to tell the bits apart
         sampler = LeafSampler(spm_plan(P8), P8)
-        sampler.rows = [(Fraction(1, 8), False, 0), (Fraction(1, 4), False, 1),
-                        (Fraction(1, 2), True, 0), (Fraction(1, 8), True, 1)]
+        sampler.rows = [(1, 8, False, 0), (1, 4, False, 1), (1, 2, True, 0), (1, 8, True, 1)]
         assert sampler.marginal == (Fraction(5, 8), Fraction(3, 8))
 
     def test_outcome_distribution_smoke(self):
         sampler = LeafSampler(spm_plan(P8), P8)
         # level 1 has exact probability 1/2
-        assert sum(c.summed(c.probability) for c in sampler.classes if c.level == 1) == Fraction(1, 2)
+        assert sum(c.probability * 2**c.depth for c in sampler.classes if c.level == 1) == Fraction(1, 2)
         hits = 0
         n = 4000
         for i in range(n):
@@ -238,6 +237,11 @@ def _bisect_exact(cum, k):
     return lo
 
 
+def _weights(rows):
+    """A sampler's (num, den, eta, bit) rows as (Fraction weight, eta, bit)."""
+    return [(Fraction(num, den), eta, bit) for num, den, eta, bit in rows]
+
+
 def _scaled_cumulative(rows):
     """Scaled (numerator, denominator) thresholds of the rows' cumulative weight."""
     cumulative, cum = Fraction(0), []
@@ -282,7 +286,7 @@ def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
         for bit in (0, 1):
             weight = sum(r.probability * bob_distribution(r.states[0])[bit] for r in leaves)
             reference.append((weight, eta, bit))
-    assert sampler.rows == reference
+    assert _weights(sampler.rows) == reference
     cum = _scaled_cumulative(reference)
     for k in _cut_draws(cum):
         row = _bisect_exact(cum, k)
@@ -297,7 +301,7 @@ def _reference_rows(samplers, strategy):
     share = Fraction(1, len(chosen))
     return [
         (
-            share * c.summed(c.probability) * bob_distribution(c.states[0])[bit],
+            share * c.probability * 2**c.depth * bob_distribution(c.states[0])[bit],
             LeafClass.ETA in c.leaf_classes,
             bit,
         )
@@ -325,7 +329,7 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
         samplers[strategy] = LeafSampler(plan_for(params), params)
     reference = _reference_rows(samplers, strategy)
     sampler = samplers[strategy]
-    assert sampler.rows == reference
+    assert _weights(sampler.rows) == reference
     table = sampler.table
     if plan_for is None:
         assert len(table.cuts) == (4 if strategy is Strategy.RANDOM_PER_STATE else 2) * (params.m + 1)
@@ -353,7 +357,7 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
 # an `if`, not an `assert`, so that `python -O` keeps the check
 @pytest.mark.parametrize("total", [Fraction(3, 4), Fraction(5, 4)])
 def test_table_rejects_rows_not_summing_to_one(total):
-    rows = [(total / 3, False, 0), (2 * total / 3, True, 1)]
+    rows = [(total.numerator, 3 * total.denominator, False, 0), (2 * total.numerator, 3 * total.denominator, True, 1)]
     with pytest.raises(MeasurementError, match=f"^the rows' weights sum to {total}, not 1$"):
         _table(rows)
 
@@ -444,7 +448,7 @@ def test_joint_table_level_and_bit_frequencies(strategy):
         for bit in (0, 1)
     ]
     exact = Counter()
-    for cell, (weight, _, _) in zip(cells, samplers[strategy].rows):
+    for cell, (weight, _, _) in zip(cells, _weights(samplers[strategy].rows)):
         exact[cell] += weight
     table = samplers[strategy].table
     samples = 10**5
