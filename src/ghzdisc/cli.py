@@ -137,7 +137,7 @@ def _parity_rows(c) -> list[dict]:
     """The `_branch_row` of each state of class `c`, rendered once: the odd
     state differs only in amp1's sign, so its row flips amp1's sign and
     float (sign * root, as `amplitude_json` forms it) and takes its class."""
-    row = _branch_row(c.head, c.probability, c.states[0], c.leaf_classes[0], c.level)
+    row = _branch_row(c.head, c.probability, c.state, c.leaf_classes[0], c.level)
     if not c.depth:
         return [row]
     amp1 = row["bob_amp1"]

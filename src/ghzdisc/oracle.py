@@ -2,10 +2,10 @@
 
 `bob_marginal` sums the receiver's outcome weights over a plan's
 outcome classes (m + 1 for cpm and spm; one per leaf for a random plan)
-as the walker's integer numerators over one common denominator, by
-Horner's rule along a spine; it builds no state and classifies no leaf.
-A random plan's steps come straight from its hash over the unreduced
-2^64, so all its leaves share one denominator.
+as the walker's integer numerators over one common denominator
+(`CommonSums`: Horner's rule by each step's q along a spine); it builds
+no state and classifies no leaf.  A random plan's steps come straight
+from its hash over the unreduced 2^64, so all its leaves share one den.
 `checkpoint_report` regenerates the reference quantities of the paper's
 instance (`ProtocolConfig`'s defaults) from first principles and
 compares each against its expected value at a stated tolerance; its
@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
 
 from .amplitude import unlimited_int_digits
 from .engine import bob_distribution
@@ -36,20 +35,18 @@ from .protocol import LeafSampler, ProtocolConfig, _pack, check_seed, w_statisti
 
 
 def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
-    """Receiver's exact marginal: a class's leaves sum to |a_b| / den, added per
-    distinct den, then over one common den; a spine plan's distinct dens are
-    each the last one times the next step's q, so its sums are scaled by q."""
-    per_den: dict[int, list[int]] = {}
-    for _head, _depth, a0, a1, den in _walk_numerators(plan, params):
-        pair = per_den.setdefault(den, [0, 0])
-        pair[0] += abs(a0)
-        pair[1] += abs(a1)
-    factors = chain((1,), (q for _, _, q in plan.spine[1:])) if plan.spine else repeat(1)
-    sums = CommonSums()
-    for (den, (s0, s1)), factor in zip(per_den.items(), factors):
-        sums.scale(factor)
-        sums.add(0, s0, den)
-        sums.add(1, s1, den)
+    """Receiver's exact marginal: a class's leaves sum to |a_b| / den, summed
+    per run of equal dens (a random plan's one run), then added by den and q."""
+    sums, run, s0, s1 = CommonSums(), (1, 1), 0, 0
+    for _head, _depth, a0, a1, den, q in _walk_numerators(plan, params):
+        if den != run[0]:
+            sums.add(0, s0, *run)
+            sums.add(1, s1, *run)
+            run, s0, s1 = (den, q), 0, 0
+        s0 += abs(a0)
+        s1 += abs(a1)
+    sums.add(0, s0, *run)
+    sums.add(1, s1, *run)
     return sums.value(0), sums.value(1)
 
 
@@ -141,7 +138,7 @@ def checkpoint_report(params: PlanParams) -> list[dict]:
         checks.append(_approx("eta_probability", probability.value(LeafClass.ETA), "0.25", "1e-37"))
 
         # the spine walk ends at the all-perp leaf, a class of depth 0
-        checks.append(_exact("eta_leaf_matches_enumeration", classes[-1].states[0], cascade.eta_leaf))
+        checks.append(_exact("eta_leaf_matches_enumeration", classes[-1].state, cascade.eta_leaf))
         p0, p1 = bob_distribution(cascade.eta_leaf)
         checks.append(_approx("eta_bias_u", p1 / p0, "1.7e38", "1.7e36"))
 

@@ -10,11 +10,13 @@ basis c0 = n0/q, c1 = n1/q (`basis_for` builds the `Basis`, for the
 reference walk only).  Both strategies are spine plans: one step per
 all-"1" history, {|+>, |->} after the first "0".  One walker visits the
 tree on integer numerators: a node is (a0, a1, den), its signed squares
-a0/den and a1/den.  `outcome_classes` keeps them as classes (a leaf, or
-the two-state subtree below a spine plan's "0" child), classified by
+a0/den and a1/den, and den is its parent's times the step's q.
+`outcome_classes` keeps them as classes (a leaf, or the two-state
+subtree below a spine plan's "0" child), classified by
 cross-multiplication against the integer slopes of `constants(params)`;
 `census`, the sampler and `oracle.bob_marginal` sum them over one common
-denominator (`CommonSums`), and `Fraction`s are built only where printed.
+denominator (`CommonSums`) that each node's q widens, Horner's rule along
+a spine, and `Fraction`s are built only where printed.
 """
 
 from __future__ import annotations
@@ -196,8 +198,9 @@ class OutcomeClass(NamedTuple):
     """The 2^depth leaves below `head` at one `level` (1 + the length of
     the leading run of perp outcomes): each leaf's receiver state has the
     signed squares a0/den and a1/den, a1 negated for an odd suffix after
-    `head`, and class `leaf_classes[parity]`.  `probability` and `states`
-    are built where read; a named tuple is the cheapest record to build."""
+    `head`, and class `leaf_classes[parity]`; den >> depth is the walk's
+    den, its parent's times q.  `probability` and the even `state` are
+    built where read; a named tuple is the cheapest record to build."""
 
     head: str
     depth: int
@@ -205,6 +208,7 @@ class OutcomeClass(NamedTuple):
     a0: int
     a1: int
     den: int
+    q: int
     leaf_classes: tuple[LeafClass, ...]
 
     @property
@@ -212,9 +216,8 @@ class OutcomeClass(NamedTuple):
         return Fraction(abs(self.a0) + abs(self.a1), self.den)
 
     @property
-    def states(self) -> tuple[ChainState, ...]:
-        state = ChainState(1, Fraction(self.a0, self.den), Fraction(self.a1, self.den))
-        return (state, ChainState(1, state.amp0, -state.amp1)) if self.depth else (state,)
+    def state(self) -> ChainState:
+        return ChainState(1, Fraction(self.a0, self.den), Fraction(self.a1, self.den))
 
 
 def classify(a0, a1, cascade: CascadeConstants) -> LeafClass:
@@ -227,25 +230,25 @@ def classify(a0, a1, cascade: CascadeConstants) -> LeafClass:
     return LeafClass.OTHER
 
 
-def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tuple[str, int, int, int, int]]:
+def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tuple[str, int, int, int, int, int]]:
     """The outcome tree's classes in lexicographic order, as (head, depth,
-    a0, a1, den): the state at `head`, before its {|+>, |->} tail of
+    a0, a1, den, q): the state at `head`, before its {|+>, |->} tail of
     `depth` stages.  A step (n0, n1, q), with q not necessarily reduced,
-    is four integer products, and both children get den * q.  Each step
-    checks that both children keep a nonzero norm and that their norms
-    sum to the parent's: the children's weights sum to
+    is four integer products; both children get den * q, and that q.
+    Each step checks that both children keep a nonzero norm and that
+    their norms sum to the parent's: the children's weights sum to
     (|a0| + |a1|)(|n0| + |n1|), so this also forces |n0| + |n1| = q."""
     if plan.stages != params.m:
         raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
     spine = plan.spine is not None
     step = plan.step
     m = params.m
-    stack = [("", 1, 1, 2)]  # the GHZ state: both signed squares are 1/2
+    stack = [("", 1, 1, 2, 2)]  # the GHZ state: both signed squares are 1/2
     while stack:
-        history, a0, a1, den = stack.pop()
+        history, a0, a1, den, q = stack.pop()
         depth = m - len(history)
         if not depth or spine and history.endswith("0"):
-            yield history, depth, a0, a1, den
+            yield history, depth, a0, a1, den, q
             continue
         n0, n1, q = step(history)
         f0, f1, g0, g1 = a0 * n0, a1 * n1, a0 * n1, -a1 * n0
@@ -254,8 +257,8 @@ def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tupl
                 f"basis ({n0}/{q}, {n1}/{q}) at history {history!r} does not split the branch's weight"
             )
         den *= q
-        stack.append((history + "1", g0, g1, den))
-        stack.append((history + "0", f0, f1, den))
+        stack.append((history + "1", g0, g1, den, q))
+        stack.append((history + "0", f0, f1, den, q))
 
 
 def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeClass]:
@@ -265,10 +268,10 @@ def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeCl
     den * 2^depth and the odd one that with amp1 negated: m + 1 classes."""
     cascade = constants(params)
     classes: list[OutcomeClass] = []
-    for head, depth, a0, a1, den in _walk_numerators(plan, params):
+    for head, depth, a0, a1, den, q in _walk_numerators(plan, params):
         level = head.find("0") + 1 or params.m + 1
         leaf_classes = tuple([classify(a0, amp1, cascade) for amp1 in ((a1, -a1) if depth else (a1,))])
-        classes.append(OutcomeClass(head, depth, level, a0, a1, den << depth, leaf_classes))
+        classes.append(OutcomeClass(head, depth, level, a0, a1, den << depth, q, leaf_classes))
     return classes
 
 
@@ -277,33 +280,32 @@ def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[Outcom
     of the same rule as a step plan, and the per-leaf oracle for the CLI's table."""
     leaves = []
     for c in outcome_classes(plan, params):
+        q = 2 if c.depth else c.q  # a tail's leaves come of its {|+>, |->} steps
         for i in range(2**c.depth):
             parity = i.bit_count() & 1  # bin(2^depth + i) is "0b1" and then the suffix, padded to depth bits
             outcomes, a1 = c.head + bin(i | 1 << c.depth)[3:], -c.a1 if parity else c.a1
-            leaves.append(OutcomeClass(outcomes, 0, c.level, c.a0, a1, c.den, (c.leaf_classes[parity],)))
+            leaves.append(OutcomeClass(outcomes, 0, c.level, c.a0, a1, c.den, q, (c.leaf_classes[parity],)))
     return leaves
 
 
 class CommonSums(Counter):
-    """Exact sums of num/den per key over one common `den`, never reduced:
-    a spine plan's class dens are nested and a random plan's leaves share
-    one, so only a den that neither divides nor is divided by it takes a gcd."""
+    """Exact sums of num/den per key over one common `den`, never reduced.
+    A term's q hints that den is the common den times q, as a spine plan's
+    nodes nest: a true hint is one Horner step, with no division, and any
+    other den widens to the lcm, so a wrong hint never changes a value."""
 
     den = 1
 
-    def add(self, key, num: int, den: int) -> None:
+    def add(self, key, num: int, den: int, q: int = 1) -> None:
         if den != self.den:
-            factor, rest = divmod(den, self.den)
-            if rest:  # den is not a multiple of the common one: widen to their lcm
-                g = den if self.den % den == 0 else gcd(self.den, den)
+            factor = den if self.den == 1 else q  # the first term takes its own den
+            if den != self.den * factor:
+                g = gcd(self.den, den)
                 factor, num = den // g, num * (self.den // g)
-            self.scale(factor)
+            self.den *= factor
+            for other in self:
+                self[other] *= factor
         self[key] += num
-
-    def scale(self, factor: int) -> None:  # a Horner step
-        self.den *= factor
-        for key in self:
-            self[key] *= factor
 
     def value(self, *keys) -> Fraction:
         """The sum over `keys`, or over every key when none is given, as a `Fraction`."""
@@ -313,7 +315,7 @@ class CommonSums(Counter):
 def census(classes: list[OutcomeClass]) -> tuple[Counter[int], Counter[LeafClass], CommonSums]:
     """Leaves per level, and leaves and total probability per leaf class: a
     class's states split its leaves and its weight (|a0| + |a1|) / (den >> depth),
-    summed over 2 * (den >> depth) so that the classes' dens stay nested."""
+    summed over 2 * (den >> depth) so that the classes' dens nest by their q."""
     levels: Counter[int] = Counter()
     leaves: Counter[LeafClass] = Counter()
     probability = CommonSums()
@@ -322,5 +324,5 @@ def census(classes: list[OutcomeClass]) -> tuple[Counter[int], Counter[LeafClass
         states = len(c.leaf_classes)
         for leaf_class in c.leaf_classes:
             leaves[leaf_class] += 2**c.depth // states
-            probability.add(leaf_class, (abs(c.a0) + abs(c.a1)) * (2 // states), 2 * (c.den >> c.depth))
+            probability.add(leaf_class, (abs(c.a0) + abs(c.a1)) * (2 // states), 2 * (c.den >> c.depth), c.q)
     return levels, leaves, probability

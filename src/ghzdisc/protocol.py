@@ -121,9 +121,10 @@ class CounterStream:
 
 class LeafSampler:
     """The exact law of one strategy over its plan's outcome classes,
-    built on first use: `rows`, one (num, den, eta, bit) per class and
-    bit, num/den = p(class) * p(bit | class) unreduced; `table`, the
-    one-draw inverse CDF over them; and `marginal`, the exact p0 and p1."""
+    built on first use: `rows`, one (num, den, q, eta, bit) per class and
+    bit, num/den = p(class) * p(bit | class) unreduced, q the class's step q;
+    `table`, the one-draw inverse CDF over them; and `marginal`, the exact
+    p0 and p1."""
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
         self.classes = outcome_classes(plan, params)
@@ -132,8 +133,8 @@ class LeafSampler:
                 raise PlanError(f"cannot sample class {c.head!r}: it mixes eta and non-eta leaves")
 
     @cached_property
-    def rows(self) -> list[tuple[int, int, bool, int]]:
-        return [(abs(amp), c.den >> c.depth, c.leaf_classes[0] is LeafClass.ETA, bit)
+    def rows(self) -> list[tuple[int, int, int, bool, int]]:
+        return [(abs(amp), c.den >> c.depth, c.q, c.leaf_classes[0] is LeafClass.ETA, bit)
                 for c in self.classes for bit, amp in enumerate((c.a0, c.a1))]
 
     @cached_property
@@ -143,8 +144,8 @@ class LeafSampler:
     @cached_property
     def marginal(self) -> tuple[Fraction, Fraction]:
         sums = CommonSums()
-        for num, den, _, bit in self.rows:
-            sums.add(bit, num, den)
+        for num, den, q, _, bit in self.rows:
+            sums.add(bit, num, den, q)
         return sums.value(0), sums.value(1)
 
     @classmethod
@@ -153,7 +154,7 @@ class LeafSampler:
         it walks no plan; its classes and rows are the parts' in order."""
         sampler = cls.__new__(cls)
         sampler.classes = [c for part in parts for c in part.classes]
-        sampler.rows = [(num, len(parts) * den, eta, bit) for part in parts for num, den, eta, bit in part.rows]
+        sampler.rows = [(num, len(parts) * den, *row) for part in parts for num, den, *row in part.rows]
         return sampler
 
     def sample(self, stream: CounterStream) -> tuple[OutcomeClass, int]:
@@ -223,14 +224,14 @@ class JointTable(NamedTuple):
     guide: bytes
 
 
-def _table(rows: list[tuple[int, int, bool, int]]) -> JointTable:
-    """The one-draw table over (num, den, eta, bit) rows, cut at each
+def _table(rows: list[tuple[int, int, int, bool, int]]) -> JointTable:
+    """The one-draw table over (num, den, q, eta, bit) rows, cut at each
     row's exact cumulative weight; a byte's guide code compares the rows
     of its lowest and highest draw."""
     cuts, codes = [], []
     cumulative = CommonSums()
-    for num, den, eta, bit in rows:
-        cumulative.add(0, num, den)
+    for num, den, q, eta, bit in rows:
+        cumulative.add(0, num, den, q)
         cuts.append(_cut(cumulative[0], cumulative.den))
         codes.append(2 * eta + bit)
     if cumulative[0] != cumulative.den:

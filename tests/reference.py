@@ -65,7 +65,7 @@ def classify(state: ChainState, params) -> LeafClass:
 
 def outcome_classes(plan, params) -> list[OutcomeClass]:
     classes = []
-    for head, depth, a0, a1, den in _walk_numerators(plan, params):
+    for head, depth, a0, a1, den, _q in _walk_numerators(plan, params):
         den <<= depth
         state = ChainState(1, Fraction(a0, den), Fraction(a1, den))
         states = (state, ChainState(1, state.amp0, -state.amp1)) if depth else (state,)
@@ -147,7 +147,7 @@ def bob_marginal(plan, params) -> tuple[Fraction, Fraction]:
     """|a0| and |a1| summed per distinct denominator, then one `Fraction` per
     denominator, added."""
     sums: dict[int, list[int]] = {}
-    for _head, _depth, a0, a1, den in _walk_numerators(plan, params):
+    for _head, _depth, a0, a1, den, _q in _walk_numerators(plan, params):
         pair = sums.setdefault(den, [0, 0])
         pair[0] += abs(a0)
         pair[1] += abs(a1)

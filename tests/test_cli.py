@@ -129,7 +129,7 @@ def _assert_rows_rendered(strategy, n, x_sq, tmp_path):
     each rendered on its own by `_branch_row` and `_csv_row`."""
     params = PlanParams(n, Fraction(x_sq))
     rows = [
-        _branch_row(r.head, r.probability, r.states[0], r.leaf_classes[0], r.level)
+        _branch_row(r.head, r.probability, r.state, r.leaf_classes[0], r.level)
         for r in enumerate_branches(PLANS[Strategy(strategy)](params), params)
     ]
     argv = ["enumerate", "--strategy", strategy, "--qubits", str(n), "--x-sq", x_sq]

@@ -162,8 +162,8 @@ class TestCpmPlan:
         sixteenth_sq = Fraction(1, 256)
         for record in records:
             assert record.probability == Fraction(1, 128)
-            assert abs(record.states[0].amp0) == sixteenth_sq
-            assert abs(record.states[0].amp1) == sixteenth_sq
+            assert abs(record.state.amp0) == sixteenth_sq
+            assert abs(record.state.amp1) == sixteenth_sq
 
 
 class TestSpmPlan:
@@ -281,7 +281,7 @@ class TestEtaState:
                 plan = spm_plan(params)
                 records = enumerate_branches(plan, params)
                 assert records[-1].head == "1" * params.m
-                assert records[-1].states[0] == cascade.eta_leaf
+                assert records[-1].state == cascade.eta_leaf
                 assert cascade.steps == tuple(plan.step("1" * k) for k in range(params.m))
 
     def test_symmetric_case(self):
@@ -294,7 +294,7 @@ class TestClassify:
     def test_eta_distinct_from_mu_minus(self):
         records = enumerate_branches(spm_plan(P8), P8)
         assert records[-1].leaf_classes[0] is LeafClass.ETA
-        eta = records[-1].states[0]
+        eta = records[-1].state
         assert classify(eta.amp0, eta.amp1, constants(P8)) is LeafClass.ETA
 
     def test_global_sign_ignored(self):
@@ -332,8 +332,8 @@ def _classify_reference(state, params):
 def assert_classify_matches_reference(params, seed):
     for plan in (cpm_plan(params), spm_plan(params), random_plan(params, seed)):
         for record in enumerate_branches(plan, params):
-            flipped = ChainState(1, -record.states[0].amp0, -record.states[0].amp1)
-            assert record.leaf_classes[0] is _classify_reference(record.states[0], params)
+            flipped = ChainState(1, -record.state.amp0, -record.state.amp1)
+            assert record.leaf_classes[0] is _classify_reference(record.state, params)
             assert classify(flipped.amp0, flipped.amp1, constants(params)) is record.leaf_classes[0]
             assert classify(-record.a0, -record.a1, constants(params)) is record.leaf_classes[0]
 
@@ -372,8 +372,8 @@ def assert_spine_walk_matches_leaf_walk(params):
         assert enumerate_branches(plan, params) == records
         assert enumerate_branches(chooser, params) == records
         marginal = (
-            sum(abs(r.states[0].amp0) for r in records),
-            sum(abs(r.states[0].amp1) for r in records),
+            sum(abs(r.state.amp0) for r in records),
+            sum(abs(r.state.amp1) for r in records),
         )
         assert sampler.marginal == marginal
         levels = Counter(r.level for r in records)
@@ -438,8 +438,8 @@ def test_integer_walk_matches_measure_next(x_sq, n, kind, seed):
     leaves = _leaf_walk(plan, params)
     cascade = constants(params)
     records = enumerate_branches(plan, params)
-    assert [(r.head, r.states, r.probability, r.level, r.leaf_classes) for r in records] == [
-        (head, (state,), state.norm_sq(), head.find("0") + 1 or params.m + 1, (classify(state.amp0, state.amp1, cascade),))
+    assert [(r.head, r.state, r.probability, r.level, r.leaf_classes) for r in records] == [
+        (head, state, state.norm_sq(), head.find("0") + 1 or params.m + 1, (classify(state.amp0, state.amp1, cascade),))
         for head, state in leaves
     ]
     assert bob_marginal(plan, params) == (

@@ -180,7 +180,11 @@ class TestLeafSampler:
     def test_marginal_sums_rows_per_bit(self):
         # every plan's marginal is (1/2, 1/2), so uneven rows stand in to tell the bits apart
         sampler = LeafSampler(spm_plan(P8), P8)
-        sampler.rows = [(1, 8, False, 0), (1, 4, False, 1), (1, 2, True, 0), (1, 8, True, 1)]
+        sampler.rows = [(1, 8, 1, False, 0), (1, 4, 1, False, 1), (1, 2, 1, True, 0), (1, 8, 1, True, 1)]
+        assert sampler.marginal == (Fraction(5, 8), Fraction(3, 8))
+        # a q that does not nest its row's den is a wrong hint: the sum widens to the lcm instead
+        sampler = LeafSampler(spm_plan(P8), P8)
+        sampler.rows = [(1, 2, 5, True, 0), (1, 8, 2, False, 0), (1, 4, 2, False, 1), (1, 8, 2, True, 1)]
         assert sampler.marginal == (Fraction(5, 8), Fraction(3, 8))
 
     def test_outcome_distribution_smoke(self):
@@ -238,8 +242,8 @@ def _bisect_exact(cum, k):
 
 
 def _weights(rows):
-    """A sampler's (num, den, eta, bit) rows as (Fraction weight, eta, bit)."""
-    return [(Fraction(num, den), eta, bit) for num, den, eta, bit in rows]
+    """A sampler's (num, den, q, eta, bit) rows as (Fraction weight, eta, bit)."""
+    return [(Fraction(num, den), eta, bit) for num, den, _, eta, bit in rows]
 
 
 def _scaled_cumulative(rows):
@@ -284,7 +288,7 @@ def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
         assert len(leaves) == 2**c.depth and {r.level for r in leaves} == {c.level}
         (eta,) = {r.leaf_classes[0] is LeafClass.ETA for r in leaves}
         for bit in (0, 1):
-            weight = sum(r.probability * bob_distribution(r.states[0])[bit] for r in leaves)
+            weight = sum(r.probability * bob_distribution(r.state)[bit] for r in leaves)
             reference.append((weight, eta, bit))
     assert _weights(sampler.rows) == reference
     cum = _scaled_cumulative(reference)
@@ -301,7 +305,7 @@ def _reference_rows(samplers, strategy):
     share = Fraction(1, len(chosen))
     return [
         (
-            share * c.probability * 2**c.depth * bob_distribution(c.states[0])[bit],
+            share * c.probability * 2**c.depth * bob_distribution(c.state)[bit],
             LeafClass.ETA in c.leaf_classes,
             bit,
         )
@@ -357,7 +361,8 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
 # an `if`, not an `assert`, so that `python -O` keeps the check
 @pytest.mark.parametrize("total", [Fraction(3, 4), Fraction(5, 4)])
 def test_table_rejects_rows_not_summing_to_one(total):
-    rows = [(total.numerator, 3 * total.denominator, False, 0), (2 * total.numerator, 3 * total.denominator, True, 1)]
+    den = 3 * total.denominator
+    rows = [(total.numerator, den, 1, False, 0), (2 * total.numerator, den, 1, True, 1)]
     with pytest.raises(MeasurementError, match=f"^the rows' weights sum to {total}, not 1$"):
         _table(rows)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import reference
 from ghzdisc import LeafSampler, PlanParams, bob_marginal, build_samplers, cpm_plan, random_plan, spm_plan
 from ghzdisc.cli import _branch_row, _parity_rows, main
+from ghzdisc.engine import ChainState
 from ghzdisc.plans import CascadeConstants, MeasurementPlan, census, constants
 from ghzdisc.protocol import Strategy
 
@@ -35,14 +36,15 @@ def assert_matches_reference(kind, params, seed=0):
     assert len(sampler.classes) == len(expected.classes)
     for c, r in zip(sampler.classes, expected.classes):
         assert (c.head, c.depth, c.level) == (r.head, r.depth, r.level)
-        assert (c.probability, c.states, c.leaf_classes) == (r.probability, r.states, r.leaf_classes), c.head
+        odd = (ChainState(1, c.state.amp0, -c.state.amp1),) if c.depth else ()
+        assert (c.probability, (c.state, *odd), c.leaf_classes) == (r.probability, r.states, r.leaf_classes), c.head
         assert _parity_rows(c) == _reference_rows(r), c.head
     levels, leaves, probability = census(sampler.classes)
     expected_levels, expected_leaves, expected_probability = reference.census(expected.classes)
     assert (levels, leaves) == (expected_levels, expected_leaves)
     assert {lc: probability.value(lc) for lc in probability} == expected_probability
     assert probability.value() == sum(expected_probability.values()) == 1
-    assert [(Fraction(num, den), eta, bit) for num, den, eta, bit in sampler.rows] == expected.rows
+    assert [(Fraction(num, den), eta, bit) for num, den, _, eta, bit in sampler.rows] == expected.rows
     assert sampler.table == expected.table
     assert sampler.marginal == expected.marginal == reference.bob_marginal(plan, params)
     assert bob_marginal(plan, params) == expected.marginal
@@ -75,15 +77,16 @@ def test_mixture_table_matches_reference(n, x_sq):
     expected = reference.MixtureSampler(
         reference.LeafSampler(spm_plan(params), params), reference.LeafSampler(cpm_plan(params), params)
     )
-    assert [(Fraction(num, den), eta, bit) for num, den, eta, bit in mixture.rows] == expected.rows
+    assert [(Fraction(num, den), eta, bit) for num, den, _, eta, bit in mixture.rows] == expected.rows
     assert mixture.table == expected.table
     assert mixture.marginal == expected.marginal
 
 
-# nested and shared denominators take no gcd: a spine plan's census, table
-# and marginal, and the marginal of every built-in or random plan
+# nested and shared denominators take no gcd and no division: a spine plan's
+# census, table and marginal, and the marginal of every built-in or random plan
 def test_spine_and_random_sums_take_no_gcd(monkeypatch):
     monkeypatch.setattr("ghzdisc.plans.gcd", lambda *args: pytest.fail("a gcd was taken"))
+    monkeypatch.setattr("ghzdisc.plans.divmod", lambda *args: pytest.fail("a division was made"), raising=False)
     for x_sq in (Fraction(2, 3), Fraction(3, 7), Fraction(1, 2)):
         params = PlanParams(12, x_sq)
         for plan in (cpm_plan(params), spm_plan(params)):

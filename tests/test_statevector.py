@@ -66,7 +66,7 @@ def test_leaves_match_state_vector(n, x_sq, kind):
         probability = psi[0] ** 2 + psi[1] ** 2
         exact = float(r.probability)
         assert abs(probability - exact) <= 1e-12 * exact, outcomes
-        state = r.states[0]
+        state = r.state
         for amplitude, signed_square in zip(psi, (state.amp0, state.amp1)):
             assert abs(amplitude - _root(signed_square)) <= 1e-12 * math.sqrt(exact), outcomes
         for i in (0, 1):
