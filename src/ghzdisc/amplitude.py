@@ -14,16 +14,16 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .engine import Record
 
 
 class AmplitudeError(ValueError):
     """Argument outside the sign * sqrt(rational) domain."""
 
 
-@dataclass(frozen=True)
-class ExactAmplitude:
+class ExactAmplitude(Record):
     """Value sign * sqrt(mag_sq) with mag_sq a nonnegative rational: the
     reference form of the signed rational sign * mag_sq.
 
@@ -31,14 +31,12 @@ class ExactAmplitude:
     eagerly), and sign is 0 exactly when the value is 0.
     """
 
-    sign: int
-    mag_sq: Fraction
+    __slots__ = _fields = ("sign", "mag_sq")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise AmplitudeError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if not isinstance(self.mag_sq, Fraction):
-            object.__setattr__(self, "mag_sq", Fraction(self.mag_sq))
+    def __init__(self, sign: int, mag_sq: Fraction) -> None:
+        if sign not in (-1, 0, 1):
+            raise AmplitudeError(f"sign must be -1, 0 or +1, got {sign!r}")
+        super().__init__(sign, mag_sq if isinstance(mag_sq, Fraction) else Fraction(mag_sq))
         if self.mag_sq < 0:
             raise AmplitudeError(f"squared magnitude must be nonnegative, got {self.mag_sq}")
         if (self.sign == 0) != (self.mag_sq == 0):

@@ -10,13 +10,41 @@ probability of the outcome history that produced it.
 carry each node as integer numerators over one denominator (the
 product of the basis denominators along its history) and build states
 only for the classes they emit; the tests compare them against
-`measure_next` node by node.
+`measure_next` node by node.  `Record` is the one rule of the package's value records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+
+class Record:
+    """Immutable fields `_fields`, set in order by `__init__` (a subclass's validates them after):
+    equal, and hashed, by class and field values, and shown as `Class(field=value, ...)`."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields, self._values())])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
 class MeasurementError(ValueError):
@@ -30,14 +58,13 @@ def check_fractions(record, error: type[ValueError], *fields: str) -> None:
             raise error(f"{field} must be a Fraction, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Record):
     """Orthonormal pair c0|0> + c1|1>, c1|0> - c0|1> (as signed squares)."""
 
-    c0: Fraction
-    c1: Fraction
+    __slots__ = _fields = ("c0", "c1")
 
-    def __post_init__(self) -> None:
+    def __init__(self, c0: Fraction, c1: Fraction) -> None:
+        super().__init__(c0, c1)
         check_fractions(self, MeasurementError, "c0", "c1")
         norm = abs(self.c0) + abs(self.c1)
         if norm != 1:
@@ -47,15 +74,13 @@ class Basis:
 PLUS_MINUS = Basis(Fraction(1, 2), Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(Record):
     """Unnormalized amp0|0...0> + amp1|1...1> over `remaining` qubits."""
 
-    remaining: int
-    amp0: Fraction
-    amp1: Fraction
+    __slots__ = _fields = ("remaining", "amp0", "amp1")
 
-    def __post_init__(self) -> None:
+    def __init__(self, remaining: int, amp0: Fraction, amp1: Fraction) -> None:
+        super().__init__(remaining, amp0, amp1)
         if self.remaining < 1:
             raise MeasurementError(f"need at least one qubit, got {self.remaining}")
         check_fractions(self, MeasurementError, "amp0", "amp1")

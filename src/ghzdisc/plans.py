@@ -22,7 +22,6 @@ a spine, and `Fraction`s are built only where printed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -31,7 +30,7 @@ from math import gcd
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
-from .engine import Basis, ChainState, MeasurementError, check_fractions
+from .engine import Basis, ChainState, MeasurementError, Record, check_fractions
 
 
 class PlanError(ValueError):
@@ -45,14 +44,13 @@ class LeafClass(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class PlanParams:
+class PlanParams(Record):
     """Chain length and the squared first-stage coefficient."""
 
-    n: int
-    x_sq: Fraction = Fraction(2, 3)
+    __slots__ = _fields = ("n", "x_sq")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, x_sq: Fraction = Fraction(2, 3)) -> None:
+        super().__init__(n, x_sq)
         if not isinstance(self.n, int):
             raise PlanError(f"the chain length must be an int, got n={self.n!r}")
         if self.n < 3:
@@ -117,11 +115,10 @@ class MeasurementPlan:
         return f"MeasurementPlan({self.name}, stages={self.stages})"
 
 
-@dataclass(frozen=True)
-class CascadeConstants:
+class CascadeConstants(Record):
     """The cascade's values for `params`, each derived on first use; `verify` alone reads the closed forms."""
 
-    params: PlanParams
+    _fields = ("params",)  # and no __slots__: each cached_property is kept in the instance __dict__
 
     @cached_property
     def steps(self) -> tuple[tuple[int, int, int], ...]:

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import NamedTuple
 
-from .engine import MeasurementError, check_fractions
+from .engine import MeasurementError, Record, check_fractions
 from .plans import (
     CommonSums,
     LeafClass,
@@ -71,8 +70,17 @@ class Strategy(Enum):
 
 
 def _cut(num, den: int = 1) -> int:
-    """ceil(num/den * 2**RESOLUTION_BITS): a draw k is below num/den exactly when k < _cut(num, den)."""
-    return -(-num * (1 << RESOLUTION_BITS) // den)
+    """ceil(num/den * 2**RESOLUTION_BITS): a draw k is below num/den exactly when k < _cut(num, den).
+    Past 320 bits, num/den lies in (n/(d + 1), (n + 1)/d) for d and n the leading 320 bits of den
+    and as many of num; their cuts are equal or one apart, and then one product with den decides."""
+    if (shift := den.bit_length() - 320) <= 0:
+        return -(-num * (1 << RESOLUTION_BITS) // den)
+    n, d = num >> shift, den >> shift
+    cut = -((-n << RESOLUTION_BITS) // (d + 1))
+    if cut == -((-(n + 1) << RESOLUTION_BITS) // d):
+        return cut
+    zeros = ((cut & -cut) or 1 << RESOLUTION_BITS).bit_length() - 1  # a round cut's zeros become a shift
+    return cut + ((num << (RESOLUTION_BITS - zeros)) > (cut >> zeros) * den)
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
@@ -175,19 +183,20 @@ def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
     return Fraction(l * abs(a1) << params.m, (per_group - l) * den) / params.x_sq
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """One run's settings; the field defaults are the paper's instance and the CLI's defaults."""
+class ProtocolConfig(Record):
+    """One run's settings; the defaults, read on the class too, are the paper's instance and the CLI's."""
 
-    seed: int
-    params: PlanParams = PlanParams(8)
-    per_group: int = 30
-    groups: int = 20
-    strategy: Strategy = Strategy.SPM
-    trials: int = 1
-    threshold: Fraction = Fraction(133, 100)
+    _fields = ("seed", "params", "per_group", "groups", "strategy", "trials", "threshold")
+    params = PlanParams(8)
+    per_group = 30
+    groups = 20
+    strategy = Strategy.SPM
+    trials = 1
+    threshold = Fraction(133, 100)
 
-    def __post_init__(self) -> None:
+    def __init__(self, seed: int, params: PlanParams = params, per_group: int = per_group, groups: int = groups,
+                 strategy: Strategy = strategy, trials: int = trials, threshold: Fraction = threshold) -> None:
+        super().__init__(seed, params, per_group, groups, strategy, trials, threshold)
         counts = (self.per_group, self.groups, self.trials)
         if not all(isinstance(k, int) and not isinstance(k, bool) for k in counts):
             raise ValueError(f"per_group, groups and trials must be ints, got {counts!r}")

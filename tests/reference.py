@@ -87,8 +87,9 @@ def census(classes) -> tuple[Counter, Counter, Counter]:
     return levels, leaves, probability
 
 
-def _cut(p: Fraction) -> int:
-    return -((-p.numerator << RESOLUTION_BITS) // p.denominator)
+def _cut(num: int, den: int = 1) -> int:
+    """ceil(num/den * 2**RESOLUTION_BITS) by one exact division, whatever the length of den."""
+    return -((-num << RESOLUTION_BITS) // den)
 
 
 def _table(rows) -> JointTable:
@@ -98,7 +99,7 @@ def _table(rows) -> JointTable:
     cumulative = Fraction(0)
     for weight, eta, bit in rows:
         cumulative += weight
-        cuts.append(_cut(cumulative))
+        cuts.append(_cut(cumulative.numerator, cumulative.denominator))
         codes.append(2 * eta + bit)
     if cumulative != 1:
         raise MeasurementError(f"the rows' weights sum to {cumulative}, not 1")

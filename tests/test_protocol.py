@@ -3,7 +3,6 @@ import math
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -570,10 +569,11 @@ class TestDiscriminate:
     def test_truth_coin_and_trials(self):
         # each trial's truth is the fair coin of its own truth stream, and its
         # states are those of the same trial under that fixed strategy
-        config = ProtocolConfig(seed=12, trials=8, per_group=10, groups=4)
+        settings = dict(seed=12, trials=8, per_group=10, groups=4)
+        config = ProtocolConfig(**settings)
         report = discriminate(config)
         samplers = build_samplers(config.params)
-        runs = {s: run_protocol(replace(config, strategy=s), samplers) for s in (Strategy.CPM, Strategy.SPM)}
+        runs = {s: run_protocol(ProtocolConfig(**settings, strategy=s), samplers) for s in (Strategy.CPM, Strategy.SPM)}
         for t, trial in enumerate(report["trials"]):
             coin = CounterStream(config.seed, 1, t).next_int()
             truth = Strategy.SPM if coin < _cut(Fraction(1, 2)) else Strategy.CPM

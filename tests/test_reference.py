@@ -11,7 +11,7 @@ from ghzdisc import LeafSampler, PlanParams, bob_marginal, build_samplers, cpm_p
 from ghzdisc.cli import _branch_row, _parity_rows, main
 from ghzdisc.engine import ChainState
 from ghzdisc.plans import CascadeConstants, MeasurementPlan, census, constants
-from ghzdisc.protocol import Strategy
+from ghzdisc.protocol import RESOLUTION_BITS, Strategy, _cut
 
 _X_SQ = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=40)
 
@@ -80,6 +80,39 @@ def test_mixture_table_matches_reference(n, x_sq):
     assert [(Fraction(num, den), eta, bit) for num, den, _, eta, bit in mixture.rows] == expected.rows
     assert mixture.table == expected.table
     assert mixture.marginal == expected.marginal
+
+
+@st.composite
+def _cut_pairs(draw):
+    """(num, den), 0 <= num <= den, den up to 3000 bits: a random pair; one whose cut
+    num/den * 2**256 is an exact integer (num/den = p/q with q a power of 2, both times g);
+    or one a unit of num off such a pair, within 2**256/den of an integer cut."""
+    kind = draw(st.sampled_from(["random", "exact", "near"]))
+    bits = draw(st.integers(min_value=1, max_value=2700))  # half of them past 320 bits in den
+    if kind == "random":
+        den = draw(st.integers(min_value=1 << bits, max_value=2 << bits))
+        return draw(st.integers(min_value=0, max_value=den)), den
+    p = Fraction(draw(st.integers(min_value=0, max_value=1 << RESOLUTION_BITS)), 1 << RESOLUTION_BITS)
+    g = draw(st.integers(min_value=1 << bits, max_value=2 << bits))
+    num, den = p.numerator * g, p.denominator * g
+    if kind == "near":
+        num = min(max(num + draw(st.sampled_from([-1, 1])), 0), den)
+    return num, den
+
+
+# the cut from leading bits, with its exactness check, equals the exact division
+@settings(max_examples=300, deadline=None)
+@given(_cut_pairs())
+@example((3**700, 2 * 3**700))  # the mixture's half-way cut, 2**255
+@example((3**700, 3**700))  # the last cut, 2**256
+@example((3 * 3**700 - 1, 4 * 3**700))  # just below 3 * 2**254, as a cascade's deep rows
+@example((3 * 3**700 + 1, 4 * 3**700))
+@example((3 * 7**350 - 1, 4 * 7**350))  # its 320-bit n/d is above 3/4: (n + 1)/d is no lower bound
+@example((1, 2**400))  # a cut of 1 from a lower bound of 0
+@example((0, 2**400))
+@example((2**400 - 1, 2**400 - 1))  # d + 1 overflows to 321 bits
+def test_cut_matches_exact_division(pair):
+    assert _cut(*pair) == reference._cut(*pair)
 
 
 # nested and shared denominators take no gcd and no division: a spine plan's
