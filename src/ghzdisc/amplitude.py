@@ -12,8 +12,6 @@ A rational's float is `float(q)`, correctly rounded at every exponent;
 from __future__ import annotations
 
 import math
-import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 from .engine import Record
@@ -61,26 +59,28 @@ class ExactAmplitude(Record):
         return ExactAmplitude(-self.sign, self.mag_sq)
 
 
-@contextmanager
-def unlimited_int_digits():
-    """Lift the int-to-str digit limit (4300 by default; exact rationals of
-    deep trees have more digits) until exit, on Pythons that have one."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+def decimal_str(n: int) -> str:
+    """str(n) with every digit under any int-to-str limit: str below 2**2000 (603 digits,
+    the lowest limit being 640), else its halves by 10**k, k under half its digits, joined."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20
+    hi, lo = divmod(abs(n), 10**k)
+    return "-" * (n < 0) + decimal_str(hi) + decimal_str(lo).zfill(k)
 
 
-@unlimited_int_digits()  # a caller outside the CLI gets every digit too
+def fraction_str(value: Fraction | tuple[Fraction, ...]) -> str:
+    """str(value) with every digit: a Fraction's num/den, or num alone when den
+    is 1; a tuple of Fractions as str writes it, from each one's repr."""
+    if isinstance(value, tuple):
+        return "(" + ", ".join(f"Fraction({decimal_str(q.numerator)}, {decimal_str(q.denominator)})" for q in value) + ")"
+    return decimal_str(value.numerator) + ("" if value.denominator == 1 else "/" + decimal_str(value.denominator))
+
+
 def fraction_json(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator), "float": float(value)}
+    return {"num": decimal_str(value.numerator), "den": decimal_str(value.denominator), "float": float(value)}
 
 
-@unlimited_int_digits()
 def amplitude_json(sigma: Fraction) -> dict:
     """The amplitude sign(sigma) * sqrt(|sigma|); the float is a convenience.
 
@@ -98,7 +98,7 @@ def amplitude_json(sigma: Fraction) -> dict:
     scaled = n / (den << e) if e >= 0 else (n << -e) / den
     return {
         "sign": sign,
-        "num": str(n),
-        "den": str(den),
+        "num": decimal_str(n),
+        "den": decimal_str(den),
         "float": sign * math.ldexp(math.sqrt(scaled), e // 2),
     }

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from typing import Iterator
 
-from .amplitude import amplitude_json, fraction_json, unlimited_int_digits
+from .amplitude import amplitude_json, decimal_str, fraction_json, fraction_str
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite
 from .plans import PlanParams, census, outcome_classes
 from .protocol import (
@@ -172,7 +172,7 @@ def _census_lines(classes) -> str:
         f"branches: {sum(levels.values())}\n"
         f"level census: {level_text}\n"
         f"class census: {class_text}\n"
-        f"total probability: {probability.value()} (exact)\n"
+        f"total probability: {fraction_str(probability.value())} (exact)\n"
     )
 
 
@@ -208,7 +208,7 @@ def _config_from_args(args, params: PlanParams) -> ProtocolConfig:
 
 
 def _num_den(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+    return {"num": decimal_str(q.numerator), "den": decimal_str(q.denominator)}
 
 
 def _config_json(config: ProtocolConfig) -> dict:
@@ -303,7 +303,7 @@ def cmd_discriminate(args, params: PlanParams) -> int:
 
 def cmd_marginal(args, params: PlanParams) -> int:
     p0, p1 = bob_marginal(PLANS[Strategy(args.strategy)](params), params)
-    sys.stdout.write(f"p0 = {p0}\np1 = {p1}\n")
+    sys.stdout.write(f"p0 = {fraction_str(p0)}\np1 = {fraction_str(p1)}\n")
     return 0
 
 
@@ -389,9 +389,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with unlimited_int_digits():
-            code = args.func(args, PlanParams(args.qubits, args.x_sq))  # a bad chain is reported first
-            sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        code = args.func(args, PlanParams(args.qubits, args.x_sq))  # a bad chain is reported first
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
         return code
     except ValueError as exc:  # PlanError included
         parser.error(str(exc))

@@ -18,7 +18,7 @@ import hashlib
 from fractions import Fraction
 from functools import partial
 
-from .amplitude import unlimited_int_digits
+from .amplitude import fraction_str
 from .engine import bob_distribution
 from .plans import (
     CommonSums,
@@ -81,7 +81,8 @@ def _check(name: str, computed: str, expected: str, tolerance: str, status: str)
 
 def _exact(name: str, computed, expected) -> dict:
     status = "PASS" if computed == expected else "FAIL"
-    return _check(name, str(computed), str(expected), "exact", status)
+    computed, expected = (fraction_str(v) if isinstance(v, (Fraction, tuple)) else str(v) for v in (computed, expected))
+    return _check(name, computed, expected, "exact", status)
 
 
 def _approx(name: str, computed: Fraction, expected: str, tolerance: str) -> dict:
@@ -98,7 +99,6 @@ _F_SQ_EXPECTED = {k: Fraction(2 ** 2 ** (k - 1) + 1, 2 ** 2 ** (k - 2)) for k in
 _HALVES = (Fraction(1, 2), Fraction(1, 2))  # the receiver's marginal under every plan
 
 
-@unlimited_int_digits()  # the exact fields of deep trees outgrow the int-to-str limit
 def checkpoint_report(params: PlanParams) -> list[dict]:
     checks: list[dict] = []
     cascade = constants(params)

@@ -30,6 +30,7 @@ from math import gcd
 from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
+from .amplitude import fraction_str
 from .engine import Basis, ChainState, MeasurementError, Record, check_fractions
 
 
@@ -57,7 +58,7 @@ class PlanParams(Record):
             raise PlanError(f"the cascade needs at least 2 sender qubits (n >= 3), got n={self.n}")
         check_fractions(self, PlanError, "x_sq")
         if not 0 < self.x_sq < 1:
-            raise PlanError(f"x_sq must lie strictly between 0 and 1, got {self.x_sq}")
+            raise PlanError(f"x_sq must lie strictly between 0 and 1, got {fraction_str(self.x_sq)}")
 
     @property
     def y_sq(self) -> Fraction:

@@ -18,8 +18,9 @@ from ghzdisc.amplitude import (
     AmplitudeError,
     ExactAmplitude,
     amplitude_json,
+    decimal_str,
     fraction_json,
-    unlimited_int_digits,
+    fraction_str,
 )
 
 X = ExactAmplitude(1, Fraction(2, 3))
@@ -168,9 +169,59 @@ def test_json_keeps_digits_under_lowest_limit():
         assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(saved)
-    with unlimited_int_digits():
-        assert [r["den"] for r in rendered] == [str(2**2127)] * 2
+    assert [r["den"] for r in rendered] == [decimal_str(2**2127)] * 2
     assert rendered[0]["num"] == "-1" and rendered[1]["num"] == "1"
+
+
+def _at_limit(limit: int, render, value) -> str:
+    """render(value) under the int-to-str digit limit `limit` (0: none), restored after."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(limit)
+        return render(value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@example(0)
+@example(1)
+@example(-1)
+@example(2**2000 - 1)
+@example(2**2000)
+@example(-(2**2000))
+@given(st.integers(0, 40_000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
+def test_decimal_str_matches_str(n):
+    # rendered under the lowest limit; the reference under none
+    assert _at_limit(640, decimal_str, n) == _at_limit(0, str, n)
+
+
+# 10**602 is below 2**2000 and 10**603 above it; 4300 digits is the default limit
+@pytest.mark.parametrize("k", [602, 603, 4299, 4300, 4301, 10_000])
+def test_decimal_str_at_powers_of_ten(k):
+    assert decimal_str(10**k - 1) == "9" * k
+    assert decimal_str(10**k) == "1" + "0" * k
+    assert decimal_str(-(10**k)) == "-1" + "0" * k
+
+
+def test_decimal_str_of_a_2_to_the_20_bit_int():
+    # 123456789 repeated 35,074 times, built without str
+    k = 35_074
+    n = 123456789 * (10 ** (9 * k) - 1) // (10**9 - 1)
+    assert n.bit_length() > 2**20
+    assert decimal_str(-n) == "-" + "123456789" * k
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@example(Fraction(-7, 3))
+@example(Fraction(-5))
+@example(Fraction(0))
+@example(Fraction(-1, 3**1300))  # a 621-digit den: the split, with digits a repr still prints
+@given(st.fractions())
+def test_fraction_str_matches_str(q):
+    # a Fraction prints num/den, or num alone when den is 1; a tuple prints each one's repr
+    assert fraction_str(q) == _at_limit(0, str, q)
+    assert fraction_str((q, -q)) == _at_limit(0, str, (q, -q))
 
 
 @given(amps(), amps())

@@ -389,6 +389,9 @@ def test_sampling_seed_out_of_range_fails_fast(argv, monkeypatch, capsys):
     (["--qubits", "2"], "the cascade needs at least 2 sender qubits (n >= 3), got n=2"),
     (["--x-sq", "1"], "x_sq must lie strictly between 0 and 1, got 1"),
     (["--x-sq", "0"], "x_sq must lie strictly between 0 and 1, got 0"),
+    # 5001 digits, past the default int-to-str limit, every one quoted
+    pytest.param(["--x-sq", "1e5000"], "x_sq must lie strictly between 0 and 1, got 1" + "0" * 5000,
+                 id="x-sq-of-5001-digits"),
 ])
 @pytest.mark.parametrize("argv", [
     pytest.param(["enumerate", "--strategy", "spm", "--out", "out.json"], id="enumerate"),
@@ -411,6 +414,44 @@ def test_bad_chain_is_usage_error(argv, chain, message, tmp_path, monkeypatch, c
     assert captured.err.endswith(f"ghzdisc: error: {message}\n")
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+def test_commands_never_change_the_digit_limit(tmp_path, capsys, monkeypatch):
+    # spm n=16 ints have up to 9865 digits; each command prints every one of them
+    # at the lowest limit, and the limit is neither lifted nor restored on the way
+    commands = [
+        ["enumerate", "--strategy", "spm", "--qubits", "16", "--format", "csv", "--out"],
+        ["enumerate", "--strategy", "spm", "--qubits", "16", "--out"],
+        ["verify", "--qubits", "16", "--random-plans", "0", "--json"],
+        ["marginal", "--strategy", "spm", "--qubits", "16"],
+        ["simulate", "--seed", "1", "--out"],
+    ]
+
+    def outputs(tag):
+        results = []
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"{tag}{i}"
+            code = main(argv + [str(out)] if argv[-1].startswith("--") else argv)
+            results.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        return results
+
+    def refuse(limit):
+        raise AssertionError(f"the int-to-str digit limit was set to {limit}")
+
+    set_limit, saved = sys.set_int_max_str_digits, sys.get_int_max_str_digits()
+    try:
+        set_limit(0)
+        lifted = outputs("lifted")
+        set_limit(640)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "set_int_max_str_digits", refuse)
+            limited = outputs("limited")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        set_limit(saved)
+    assert [code for code, _, _ in limited] == [0] * len(commands)
+    assert limited == lifted
 
 
 class TestDeterminism:

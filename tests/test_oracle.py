@@ -168,8 +168,8 @@ class TestCheckpointReport:
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
     def test_deep_tree_under_default_digit_limit(self):
-        # T^2 at n=16 has more than 4300 decimal digits: the report lifts the limit
-        # for its own exact fields and restores it, with no help from the CLI
+        # T^2 at n=16 has more than 4300 decimal digits: the report prints every
+        # one under the limit and leaves the limit as it was, with no help from the CLI
         saved = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(4300)
@@ -178,6 +178,26 @@ class TestCheckpointReport:
         finally:
             sys.set_int_max_str_digits(saved)
         assert [c["check_name"] for c in checks if c["status"] == "FAIL"] == []
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_failing_exact_check_prints_every_digit(self):
+        # a marginal pair as `str` writes it, with a 4772-digit den, under the default limit
+        computed = (Fraction(1, 3**10000), Fraction(1, 2))
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            check = oracle._exact("x", computed, oracle._HALVES)
+            sys.set_int_max_str_digits(0)
+            text = str(computed)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert check == {
+            "check_name": "x",
+            "computed_value": text,
+            "expected_value": "(Fraction(1, 2), Fraction(1, 2))",
+            "tolerance": "exact",
+            "status": "FAIL",
+        }
 
     def test_other_instance_subset(self):
         checks = checkpoint_report(PlanParams(6))
