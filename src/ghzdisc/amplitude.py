@@ -36,7 +36,7 @@ class ExactAmplitude(Record):
             raise AmplitudeError(f"sign must be -1, 0 or +1, got {sign!r}")
         super().__init__(sign, mag_sq if isinstance(mag_sq, Fraction) else Fraction(mag_sq))
         if self.mag_sq < 0:
-            raise AmplitudeError(f"squared magnitude must be nonnegative, got {self.mag_sq}")
+            raise AmplitudeError(f"squared magnitude must be nonnegative, got {fraction_str(self.mag_sq)}")
         if (self.sign == 0) != (self.mag_sq == 0):
             raise AmplitudeError("sign must be 0 exactly when the magnitude is 0")
 

@@ -22,7 +22,7 @@ from .amplitude import amplitude_json, decimal_str, fraction_json, fraction_str
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite
 from .plans import PlanParams, census, outcome_classes
 from .protocol import (
-    PLANS, ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_statistic,
+    PLANS, ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_terms,
 )
 
 OUT_DIR_ENV = "GHZDISC_OUT_DIR"
@@ -272,7 +272,8 @@ def cmd_simulate(args, params: PlanParams) -> int:
         w_values = {}
         for l in (1, 2, 3):
             if l < config.per_group:
-                w_values[str(l)] = float(w_statistic(l, params, config.per_group))
+                num, den = w_terms(l, params, config.per_group)
+                w_values[str(l)] = num / den
         payload = {
             "config": _config_json(config),
             "per_trial": trials,

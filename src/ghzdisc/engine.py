@@ -55,7 +55,16 @@ def check_fractions(record, error: type[ValueError], *fields: str) -> None:
     """The one rule for exact fields: each holds a Fraction, or `error` names it; nothing is converted."""
     for field in fields:
         if not isinstance(value := getattr(record, field), Fraction):
-            raise error(f"{field} must be a Fraction, got {value!r}")
+            raise error(f"{field} must be a Fraction, got {_text(value)}")
+
+
+def _text(value) -> str:
+    """An error message's value: an int or Fraction as str writes it, with every digit, else its repr."""
+    from .amplitude import decimal_str, fraction_str  # not at the top: amplitude's records build on this module
+
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    return decimal_str(value) if isinstance(value, int) else repr(value)
 
 
 class Basis(Record):
@@ -68,7 +77,7 @@ class Basis(Record):
         check_fractions(self, MeasurementError, "c0", "c1")
         norm = abs(self.c0) + abs(self.c1)
         if norm != 1:
-            raise MeasurementError(f"basis is not normalized: c0^2 + c1^2 = {norm}")
+            raise MeasurementError(f"basis is not normalized: c0^2 + c1^2 = {_text(norm)}")
 
 
 PLUS_MINUS = Basis(Fraction(1, 2), Fraction(1, 2))
@@ -86,7 +95,7 @@ class ChainState(Record):
         check_fractions(self, MeasurementError, "amp0", "amp1")
         norm = self.norm_sq()
         if not 0 < norm <= 1:
-            raise MeasurementError(f"squared norm must be in (0, 1], got {norm}")
+            raise MeasurementError(f"squared norm must be in (0, 1], got {_text(norm)}")
 
     def norm_sq(self) -> Fraction:
         return abs(self.amp0) + abs(self.amp1)

@@ -9,9 +9,9 @@ path (its lead message) times 2**248, plus as its low 248 bits 31 bytes
 of SHAKE-256 over a tail message: the packed path, c, and a marker
 byte.  A packed path is 8j bytes long and a tail message 8j + 9, so no
 tail message is any stream's lead message.  k < p * 2**256 exactly when
-k < ceil(p * 2**256), so every threshold is that exact integer cut, from
-integer sums over one common denominator, and each inverse-CDF decision
-is one comparison of ints of at most 257 bits.
+k < ceil(p * 2**256), so every threshold is that exact integer cut, one
+exact division of integer sums (of a part's own cut under `random`), and
+each inverse-CDF decision is one comparison of ints of at most 257 bits.
 
 The protocol loop decides state s of group g in trial t by one draw,
 value s mod B of the stream at (seed, domain, t, g, s // B), B = `_BLOCK`:
@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import NamedTuple
 
+from .amplitude import fraction_str
 from .engine import MeasurementError, Record, check_fractions
 from .plans import (
     CommonSums,
@@ -70,17 +71,8 @@ class Strategy(Enum):
 
 
 def _cut(num, den: int = 1) -> int:
-    """ceil(num/den * 2**RESOLUTION_BITS): a draw k is below num/den exactly when k < _cut(num, den).
-    Past 320 bits, num/den lies in (n/(d + 1), (n + 1)/d) for d and n the leading 320 bits of den
-    and as many of num; their cuts are equal or one apart, and then one product with den decides."""
-    if (shift := den.bit_length() - 320) <= 0:
-        return -(-num * (1 << RESOLUTION_BITS) // den)
-    n, d = num >> shift, den >> shift
-    cut = -((-n << RESOLUTION_BITS) // (d + 1))
-    if cut == -((-(n + 1) << RESOLUTION_BITS) // d):
-        return cut
-    zeros = ((cut & -cut) or 1 << RESOLUTION_BITS).bit_length() - 1  # a round cut's zeros become a shift
-    return cut + ((num << (RESOLUTION_BITS - zeros)) > (cut >> zeros) * den)
+    """ceil(num/den * 2**RESOLUTION_BITS): a draw k is below num/den exactly when k < _cut(num, den)."""
+    return -(-num * (1 << RESOLUTION_BITS) // den)
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
@@ -131,8 +123,8 @@ class LeafSampler:
     """The exact law of one strategy over its plan's outcome classes,
     built on first use: `rows`, one (num, den, q, eta, bit) per class and
     bit, num/den = p(class) * p(bit | class) unreduced, q the class's step q;
-    `table`, the one-draw inverse CDF over them; and `marginal`, the exact
-    p0 and p1."""
+    `cuts`, the `_cut` of each row's exact cumulative weight; `table`, the
+    one-draw inverse CDF over them; and `marginal`, the exact p0 and p1."""
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
         self.classes = outcome_classes(plan, params)
@@ -146,8 +138,21 @@ class LeafSampler:
                 for c in self.classes for bit, amp in enumerate((c.a0, c.a1))]
 
     @cached_property
+    def cuts(self) -> list[int]:
+        cuts, cumulative = [], CommonSums()
+        for num, den, q, _, _ in self.rows:
+            cumulative.add(0, num, den, q)
+            cuts.append(_cut(cumulative[0], cumulative.den))
+        if cumulative[0] != cumulative.den:
+            raise MeasurementError(f"the rows' weights sum to {fraction_str(cumulative.value())}, not 1")
+        return cuts
+
+    @cached_property
     def table(self) -> JointTable:
-        return _table(self.rows)
+        cuts, codes = self.cuts, [2 * eta + bit for *_, eta, bit in self.rows]
+        span = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
+        ends = [(bisect_right(cuts, b * span), bisect_right(cuts, (b + 1) * span - 1)) for b in range(256)]
+        return JointTable(cuts, codes, bytes(codes[lo] if lo == hi else AMBIGUOUS for lo, hi in ends))
 
     @cached_property
     def marginal(self) -> tuple[Fraction, Fraction]:
@@ -156,15 +161,6 @@ class LeafSampler:
             sums.add(bit, num, den, q)
         return sums.value(0), sums.value(1)
 
-    @classmethod
-    def mixture(cls, *parts: LeafSampler) -> LeafSampler:
-        """The law drawing each state from one of `parts` at equal weight:
-        it walks no plan; its classes and rows are the parts' in order."""
-        sampler = cls.__new__(cls)
-        sampler.classes = [c for part in parts for c in part.classes]
-        sampler.rows = [(num, len(parts) * den, *row) for part in parts for num, den, *row in part.rows]
-        return sampler
-
     def sample(self, stream: CounterStream) -> tuple[OutcomeClass, int]:
         """Draw one outcome class and the receiver's computational-basis
         bit by one draw through `table`, as the protocol loop does."""
@@ -172,15 +168,41 @@ class LeafSampler:
         return self.classes[row // 2], self.table.codes[row] & 1
 
 
-def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
-    """Ratio statistic for l exceptional leaves among per_group states: l times the
-    eta node's weight |a1| / den over (per_group - l) times the level-1 x^2 / 2^m."""
+class MixtureSampler(LeafSampler):
+    """The law drawing each state from one of k `parts` at equal weight: their classes
+    and rows in order, each den times k.  Part i's cut c is ceil((i * 2**RESOLUTION_BITS + c) / k),
+    as ceil((A + y) / k) = ceil((A + ceil(y)) / k) for integer A; the marginal is the parts' mean."""
+
+    def __init__(self, *parts: LeafSampler):
+        self.parts = parts
+        self.classes = [c for part in parts for c in part.classes]
+        self.rows = [(num, len(parts) * den, *row) for part in parts for num, den, *row in part.rows]
+
+    @cached_property
+    def cuts(self) -> list[int]:
+        k = len(self.parts)
+        return [-((-(i << RESOLUTION_BITS) - c) // k) for i, part in enumerate(self.parts) for c in part.cuts]
+
+    @cached_property
+    def marginal(self) -> tuple[Fraction, Fraction]:
+        return tuple(sum(p) / len(self.parts) for p in zip(*(part.marginal for part in self.parts)))
+
+
+def w_terms(l: int, params: PlanParams, per_group: int) -> tuple[int, int]:
+    """Ratio statistic for l exceptional leaves among per_group states, as an unreduced
+    num, den: l times the eta node's weight |a1| / den over (per_group - l) times the
+    level-1 x^2 / 2^m.  num / den is its correctly rounded float, with no gcd."""
     if not 0 <= l <= per_group:
         raise ValueError(f"count must be in 0..{per_group}, got {l}")
     if l == per_group:
         raise ZeroDivisionError("every state hit the exceptional leaf; the ratio is infinite")
     _, a1, den = constants(params).eta_node
-    return Fraction(l * abs(a1) << params.m, (per_group - l) * den) / params.x_sq
+    return (l * abs(a1) << params.m) * params.x_sq.denominator, (per_group - l) * den * params.x_sq.numerator
+
+
+def w_statistic(l: int, params: PlanParams, per_group: int) -> Fraction:
+    """The ratio statistic of `w_terms`, exactly."""
+    return Fraction(*w_terms(l, params, per_group))
 
 
 class ProtocolConfig(Record):
@@ -214,10 +236,10 @@ PLANS = {Strategy.CPM: cpm_plan, Strategy.SPM: spm_plan}
 
 
 def build_samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
-    """The exact law of every strategy, built once per run: cpm's and
-    spm's from their plans, and `random`'s, spm's or cpm's at half weight."""
+    """The exact law of every strategy, built once per run: cpm's and spm's
+    from their plans, and `random`'s from theirs, spm's or cpm's at half weight."""
     samplers = {strategy: LeafSampler(plan(params), params) for strategy, plan in PLANS.items()}
-    samplers[Strategy.RANDOM_PER_STATE] = LeafSampler.mixture(samplers[Strategy.SPM], samplers[Strategy.CPM])
+    samplers[Strategy.RANDOM_PER_STATE] = MixtureSampler(samplers[Strategy.SPM], samplers[Strategy.CPM])
     return samplers
 
 
@@ -231,23 +253,6 @@ class JointTable(NamedTuple):
     cuts: list[int]
     codes: list[int]
     guide: bytes
-
-
-def _table(rows: list[tuple[int, int, int, bool, int]]) -> JointTable:
-    """The one-draw table over (num, den, q, eta, bit) rows, cut at each
-    row's exact cumulative weight; a byte's guide code compares the rows
-    of its lowest and highest draw."""
-    cuts, codes = [], []
-    cumulative = CommonSums()
-    for num, den, q, eta, bit in rows:
-        cumulative.add(0, num, den, q)
-        cuts.append(_cut(cumulative[0], cumulative.den))
-        codes.append(2 * eta + bit)
-    if cumulative[0] != cumulative.den:
-        raise MeasurementError(f"the rows' weights sum to {cumulative.value()}, not 1")
-    span = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
-    ends = [(bisect_right(cuts, b * span), bisect_right(cuts, (b + 1) * span - 1)) for b in range(256)]
-    return JointTable(cuts, codes, bytes(codes[lo] if lo == hi else AMBIGUOUS for lo, hi in ends))
 
 
 class _Decider:

@@ -7,6 +7,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ghzdisc import (
+    Basis,
+    ChainState,
+    LeafSampler,
+    MeasurementError,
+    PlanError,
     PlanParams,
     cpm_plan,
     ghz_state,
@@ -280,3 +285,35 @@ def test_signed_squares_match_reference_walk(n):
 
     for plan in (cpm_plan(params), spm_plan(params), random_plan(params, n)):
         walk(plan, "", ghz_state(n), half, half)
+
+
+def _weights_sum_to(total):
+    sampler = LeafSampler(spm_plan(PlanParams(4)), PlanParams(4))
+    sampler.rows = [(total.numerator, total.denominator, 1, False, 0)]
+    return sampler.table
+
+
+_BIG = 10**5000  # 5001 digits, past the default int-to-str limit of 4300
+_BIG_TEXT = "1" + "0" * 5000
+
+
+# each message keeps its own text, every digit, where str would raise past the limit
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: PlanParams(8, _BIG), PlanError, f"x_sq must be a Fraction, got {_BIG_TEXT}"),
+        (lambda: Basis(Fraction(_BIG, 3), Fraction(1, 3)), MeasurementError,
+         f"basis is not normalized: c0^2 + c1^2 = {_BIG_TEXT[:-1]}1/3"),
+        (lambda: ChainState(1, Fraction(_BIG + 1, _BIG), Fraction(0)), MeasurementError,
+         f"squared norm must be in (0, 1], got {_BIG_TEXT[:-1]}1/{_BIG_TEXT}"),
+        (lambda: ExactAmplitude(-1, Fraction(-1, _BIG)), AmplitudeError,
+         f"squared magnitude must be nonnegative, got -1/{_BIG_TEXT}"),
+        (lambda: _weights_sum_to(Fraction(_BIG + 1, _BIG)), MeasurementError,
+         f"the rows' weights sum to {_BIG_TEXT[:-1]}1/{_BIG_TEXT}, not 1"),
+    ],
+    ids=["check_fractions", "basis-norm", "state-norm", "amplitude-magnitude", "rows-total"],
+)
+def test_error_messages_print_every_digit(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message

@@ -28,7 +28,7 @@ from ghzdisc import (
 )
 from ghzdisc.plans import MeasurementPlan, enumerate_branches, outcome_classes
 from ghzdisc.protocol import (
-    AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, _table,
+    AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, w_terms,
 )
 
 P8 = PlanParams(8)
@@ -163,6 +163,9 @@ def test_w_statistic_matches_closed_form(n, x_sq):
     params = PlanParams(n, x_sq)
     for l in (0, 1, 2, 29):
         assert w_statistic(l, params, 30) == _w_reference(l, params, 30)
+        # the unreduced terms' int division is correctly rounded: `simulate`'s float, with no gcd
+        num, den = w_terms(l, params, 30)
+        assert num / den == float(_w_reference(l, params, 30))
 
 
 class TestLeafSampler:
@@ -361,9 +364,10 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
 @pytest.mark.parametrize("total", [Fraction(3, 4), Fraction(5, 4)])
 def test_table_rejects_rows_not_summing_to_one(total):
     den = 3 * total.denominator
-    rows = [(total.numerator, den, 1, False, 0), (2 * total.numerator, den, 1, True, 1)]
+    sampler = LeafSampler(spm_plan(P8), P8)
+    sampler.rows = [(total.numerator, den, 1, False, 0), (2 * total.numerator, den, 1, True, 1)]
     with pytest.raises(MeasurementError, match=f"^the rows' weights sum to {total}, not 1$"):
-        _table(rows)
+        sampler.table
 
 
 _BYTE_RANGE = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte

@@ -116,7 +116,8 @@ def test_cut_matches_exact_division(pair):
 
 
 # nested and shared denominators take no gcd and no division: a spine plan's
-# census, table and marginal, and the marginal of every built-in or random plan
+# census, table and marginal, the `random` law's table and marginal, built from
+# its parts', and the marginal of every built-in or random plan
 def test_spine_and_random_sums_take_no_gcd(monkeypatch):
     monkeypatch.setattr("ghzdisc.plans.gcd", lambda *args: pytest.fail("a gcd was taken"))
     monkeypatch.setattr("ghzdisc.plans.divmod", lambda *args: pytest.fail("a division was made"), raising=False)
@@ -126,6 +127,8 @@ def test_spine_and_random_sums_take_no_gcd(monkeypatch):
             sampler = LeafSampler(plan, params)
             assert census(sampler.classes)[2].value() == 1
             assert sampler.table.cuts[-1] == 1 << 256 and sampler.marginal == (Fraction(1, 2), Fraction(1, 2))
+        mixture = build_samplers(params)[Strategy.RANDOM_PER_STATE]
+        assert mixture.table.cuts[-1] == 1 << 256 and mixture.marginal == (Fraction(1, 2), Fraction(1, 2))
         for plan in (cpm_plan(params), spm_plan(params), random_plan(params, 3)):
             assert bob_marginal(plan, params) == (Fraction(1, 2), Fraction(1, 2))
 
