@@ -91,7 +91,7 @@ class ChainState(Record):
     def __init__(self, remaining: int, amp0: Fraction, amp1: Fraction) -> None:
         super().__init__(remaining, amp0, amp1)
         if self.remaining < 1:
-            raise MeasurementError(f"need at least one qubit, got {self.remaining}")
+            raise MeasurementError(f"need at least one qubit, got {_text(self.remaining)}")
         check_fractions(self, MeasurementError, "amp0", "amp1")
         norm = self.norm_sq()
         if not 0 < norm <= 1:
@@ -104,7 +104,7 @@ class ChainState(Record):
 def ghz_state(n: int) -> ChainState:
     """(|0...0> + |1...1>)/sqrt(2) over n qubits."""
     if n < 2:
-        raise MeasurementError(f"a shared chain needs at least 2 qubits, got {n}")
+        raise MeasurementError(f"a shared chain needs at least 2 qubits, got {_text(n)}")
     return ChainState(n, Fraction(1, 2), Fraction(1, 2))
 
 
@@ -123,6 +123,6 @@ def measure_next(state: ChainState, basis: Basis) -> tuple[ChainState, ChainStat
 def bob_distribution(state: ChainState) -> tuple[Fraction, Fraction]:
     """Computational-basis outcome probabilities for the last qubit."""
     if state.remaining != 1:
-        raise MeasurementError(f"expected a single remaining qubit, got {state.remaining}")
+        raise MeasurementError(f"expected a single remaining qubit, got {_text(state.remaining)}")
     norm = state.norm_sq()
     return abs(state.amp0) / norm, abs(state.amp1) / norm

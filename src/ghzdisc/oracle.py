@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from .amplitude import fraction_str
-from .engine import bob_distribution
+from .engine import _text, bob_distribution
 from .plans import (
     CommonSums,
     LeafClass,
@@ -168,7 +168,7 @@ def no_signaling_suite(plans_per_n: int, seed: int) -> list[dict]:
     adaptive plans at chain lengths 3..8.  Random plan i at length n
     takes its seed from a SHA-256 of (seed, n, i)."""
     if plans_per_n < 0:
-        raise ValueError(f"random plans per chain length must be nonnegative, got {plans_per_n}")
+        raise ValueError(f"random plans per chain length must be nonnegative, got {_text(plans_per_n)}")
     check_seed(seed, "random plan seed")
     checks = []
     for n in range(3, 9):

@@ -31,7 +31,7 @@ from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
 from .amplitude import fraction_str
-from .engine import Basis, ChainState, MeasurementError, Record, check_fractions
+from .engine import Basis, ChainState, MeasurementError, Record, _text, check_fractions
 
 
 class PlanError(ValueError):
@@ -55,7 +55,7 @@ class PlanParams(Record):
         if not isinstance(self.n, int):
             raise PlanError(f"the chain length must be an int, got n={self.n!r}")
         if self.n < 3:
-            raise PlanError(f"the cascade needs at least 2 sender qubits (n >= 3), got n={self.n}")
+            raise PlanError(f"the cascade needs at least 2 sender qubits (n >= 3), got n={_text(self.n)}")
         check_fractions(self, PlanError, "x_sq")
         if not 0 < self.x_sq < 1:
             raise PlanError(f"x_sq must lie strictly between 0 and 1, got {fraction_str(self.x_sq)}")

@@ -18,10 +18,13 @@ value s mod B of the stream at (seed, domain, t, g, s // B), B = `_BLOCK`:
 one SHAKE-256 call reads a block's lead bytes, one byte per state.  A
 draw picks a row (outcome class, receiver bit) of the table of the
 strategy's `LeafSampler`: 2(m + 1) rows for a built-in strategy, and
-4(m + 1) under `random`, both strategies' rows at half weight.  The
-table's guide decides each draw whose leading byte's range holds no
-cut, by `bytes.translate` and `bytes.count`; only the rest hash their
-tail message and are bisected over all 256 bits.  A group's vote and
+4(m + 1) under `random`, both strategies' rows at half weight.  A pass
+of the loop joins the lead bytes of block b of up to 64 groups and
+translates them through the table's guide, to each draw's code, and its
+bit guide, to the receiver's bit: one bounded `bytes.count` per group
+counts its ones, and two the pass's eta hits.  That decides each draw
+whose leading byte's range holds no cut; only the rest hash their tail
+message and are bisected over all 256 bits.  A group's vote and
 record depend only on its count of ones, so each distinct count is
 decided once per run.  `discriminate`'s truth coin for trial t is the
 lead byte of value 0 of the stream at (seed, truth domain, t): that
@@ -41,7 +44,7 @@ from functools import cache, cached_property
 from typing import NamedTuple
 
 from .amplitude import fraction_str
-from .engine import MeasurementError, Record, check_fractions
+from .engine import MeasurementError, Record, _text, check_fractions
 from .plans import (
     CommonSums,
     LeafClass,
@@ -57,6 +60,7 @@ from .plans import (
 
 RESOLUTION_BITS = 256
 _BLOCK = 1024  # states per stream in the protocol loop
+_PASS_GROUPS = 64  # groups per pass of the protocol loop: at most 64 blocks of lead bytes held at once
 AMBIGUOUS = 4  # a guide code: the draw's row needs its 256-bit bisection
 
 # Stream domains keep independent uses of the same seed disjoint.
@@ -80,7 +84,7 @@ def check_seed(seed: int, name: str = "seed") -> None:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"{name} must be an int, got {seed!r}")
     if not 0 <= seed < 2**64:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got seed {seed}, not in [0, 2**64)")
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got seed {_text(seed)}, not in [0, 2**64)")
 
 
 def _pack(*values: int) -> bytes:
@@ -92,11 +96,11 @@ _TAIL_BITS = RESOLUTION_BITS - 8  # the bits of a draw below its leading byte
 _TAIL_MARK = b"\x01"  # ends every tail message
 
 
-def _draw(message: bytes, leads: bytes, c: int) -> int:
+def _draw(message: bytes, lead: int, c: int) -> int:
     """Value c of the stream over the packed path `message`, whose lead
-    bytes read so far are `leads`; the layout is the module docstring's."""
+    byte c is `lead`; the layout is the module docstring's."""
     tail = hashlib.shake_256(message + c.to_bytes(8, "big") + _TAIL_MARK).digest(_TAIL_BITS // 8)
-    return leads[c] << _TAIL_BITS | int.from_bytes(tail, "big")
+    return lead << _TAIL_BITS | int.from_bytes(tail, "big")
 
 
 class CounterStream:
@@ -116,7 +120,7 @@ class CounterStream:
         if c == len(self._leads):
             self._leads = self._xof.digest(2 * c + 2)
         self._counter = c + 1
-        return _draw(self._message, self._leads, c)
+        return _draw(self._message, self._leads[c], c)
 
 
 class LeafSampler:
@@ -152,7 +156,8 @@ class LeafSampler:
         cuts, codes = self.cuts, [2 * eta + bit for *_, eta, bit in self.rows]
         span = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
         ends = [(bisect_right(cuts, b * span), bisect_right(cuts, (b + 1) * span - 1)) for b in range(256)]
-        return JointTable(cuts, codes, bytes(codes[lo] if lo == hi else AMBIGUOUS for lo, hi in ends))
+        guide = bytes(codes[lo] if lo == hi else AMBIGUOUS for lo, hi in ends)
+        return JointTable(cuts, codes, guide, bytes(c if c == AMBIGUOUS else c & 1 for c in guide))
 
     @cached_property
     def marginal(self) -> tuple[Fraction, Fraction]:
@@ -193,7 +198,7 @@ def w_terms(l: int, params: PlanParams, per_group: int) -> tuple[int, int]:
     num, den: l times the eta node's weight |a1| / den over (per_group - l) times the
     level-1 x^2 / 2^m.  num / den is its correctly rounded float, with no gcd."""
     if not 0 <= l <= per_group:
-        raise ValueError(f"count must be in 0..{per_group}, got {l}")
+        raise ValueError(f"count must be in 0..{_text(per_group)}, got {_text(l)}")
     if l == per_group:
         raise ZeroDivisionError("every state hit the exceptional leaf; the ratio is infinite")
     _, a1, den = constants(params).eta_node
@@ -248,11 +253,13 @@ class JointTable(NamedTuple):
     draw k picks row `bisect_right(cuts, k)`, and the outputs read only
     that row's code, 2 * eta + bit.  `guide[b]` is the code of the row
     that every draw with leading byte b picks, or AMBIGUOUS where a cut
-    falls inside that byte's range."""
+    falls inside that byte's range; `bits[b]` is that code's receiver
+    bit, or AMBIGUOUS."""
 
     cuts: list[int]
     codes: list[int]
     guide: bytes
+    bits: bytes
 
 
 class _Decider:
@@ -304,27 +311,30 @@ def _run_trial(
     config: ProtocolConfig, table: JointTable, trial: int, group_paths: list[bytes]
 ) -> tuple[list[int], int]:
     """One trial's ones per group and its eta hits, given each group's
-    packed path part (packed once per run), drawn block by block as the
-    module docstring describes."""
-    cuts, row_codes, guide = table
-    prefix = _pack(config.seed, _DOMAIN_SAMPLE, trial)
+    packed path part (packed once per run), drawn in passes of one block
+    of up to `_PASS_GROUPS` groups as the module docstring describes."""
+    cuts, row_codes, guide, bit_guide = table
+    prefix, shake = _pack(config.seed, _DOMAIN_SAMPLE, trial), hashlib.shake_256
     eta_hits = 0
     ones_per_group: list[int] = []
-    for group_path in group_paths:
-        ones = 0
+    for first in range(0, len(group_paths), _PASS_GROUPS):
+        paths = group_paths[first:first + _PASS_GROUPS]
+        ones = [0] * len(paths)
         for block, start in enumerate(range(0, config.per_group, _BLOCK)):
-            message = prefix + group_path + block.to_bytes(8, "big")
-            leads = hashlib.shake_256(message).digest(min(_BLOCK, config.per_group - start))
-            codes = leads.translate(guide)
-            ones += codes.count(1) + codes.count(3)
+            size, packed = min(_BLOCK, config.per_group - start), block.to_bytes(8, "big")
+            messages = [prefix + path + packed for path in paths]
+            leads = b"".join([shake(m).digest(size) for m in messages])
+            codes, bits = leads.translate(guide), leads.translate(bit_guide)
+            ones = [n + bits.count(1, a, a + size) for n, a in zip(ones, range(0, len(leads), size))]
             eta_hits += codes.count(2) + codes.count(3)
             i = codes.find(AMBIGUOUS)
             while i >= 0:
-                code = row_codes[bisect_right(cuts, _draw(message, leads, i))]
+                group, c = divmod(i, size)
+                code = row_codes[bisect_right(cuts, _draw(messages[group], leads[i], c))]
                 eta_hits += code >> 1
-                ones += code & 1
+                ones[group] += code & 1
                 i = codes.find(AMBIGUOUS, i + 1)
-        ones_per_group.append(ones)
+        ones_per_group += ones
     return ones_per_group, eta_hits
 
 

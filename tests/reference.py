@@ -105,7 +105,8 @@ def _table(rows) -> JointTable:
         raise MeasurementError(f"the rows' weights sum to {cumulative}, not 1")
     span = 1 << (RESOLUTION_BITS - 8)
     ends = [(bisect_right(cuts, b * span), bisect_right(cuts, (b + 1) * span - 1)) for b in range(256)]
-    return JointTable(cuts, codes, bytes(codes[lo] if lo == hi else AMBIGUOUS for lo, hi in ends))
+    guide = bytes(codes[lo] if lo == hi else AMBIGUOUS for lo, hi in ends)
+    return JointTable(cuts, codes, guide, bytes(c if c == AMBIGUOUS else c & 1 for c in guide))
 
 
 class LeafSampler:

@@ -13,9 +13,12 @@ from ghzdisc import (
     MeasurementError,
     PlanError,
     PlanParams,
+    ProtocolConfig,
+    bob_distribution,
     cpm_plan,
     ghz_state,
     measure_next,
+    no_signaling_suite,
     random_plan,
     spm_plan,
 )
@@ -27,6 +30,7 @@ from ghzdisc.amplitude import (
     fraction_json,
     fraction_str,
 )
+from ghzdisc.protocol import check_seed, w_terms
 
 X = ExactAmplitude(1, Fraction(2, 3))
 Y = ExactAmplitude(1, Fraction(1, 3))
@@ -310,8 +314,24 @@ _BIG_TEXT = "1" + "0" * 5000
          f"squared magnitude must be nonnegative, got -1/{_BIG_TEXT}"),
         (lambda: _weights_sum_to(Fraction(_BIG + 1, _BIG)), MeasurementError,
          f"the rows' weights sum to {_BIG_TEXT[:-1]}1/{_BIG_TEXT}, not 1"),
+        (lambda: PlanParams(-_BIG), PlanError,
+         f"the cascade needs at least 2 sender qubits (n >= 3), got n=-{_BIG_TEXT}"),
+        (lambda: check_seed(_BIG), ValueError,
+         f"seed must be an unsigned 64-bit integer, got seed {_BIG_TEXT}, not in [0, 2**64)"),
+        (lambda: ProtocolConfig(seed=-_BIG), ValueError,
+         f"seed must be an unsigned 64-bit integer, got seed -{_BIG_TEXT}, not in [0, 2**64)"),
+        (lambda: w_terms(_BIG, PlanParams(8), _BIG - 1), ValueError,
+         f"count must be in 0..{'9' * 5000}, got {_BIG_TEXT}"),
+        (lambda: ghz_state(-_BIG), MeasurementError, f"a shared chain needs at least 2 qubits, got -{_BIG_TEXT}"),
+        (lambda: ChainState(-_BIG, Fraction(1, 2), Fraction(1, 2)), MeasurementError,
+         f"need at least one qubit, got -{_BIG_TEXT}"),
+        (lambda: bob_distribution(ChainState(_BIG, Fraction(1, 2), Fraction(1, 2))), MeasurementError,
+         f"expected a single remaining qubit, got {_BIG_TEXT}"),
+        (lambda: no_signaling_suite(-_BIG, 1), ValueError,
+         f"random plans per chain length must be nonnegative, got -{_BIG_TEXT}"),
     ],
-    ids=["check_fractions", "basis-norm", "state-norm", "amplitude-magnitude", "rows-total"],
+    ids=["check_fractions", "basis-norm", "state-norm", "amplitude-magnitude", "rows-total", "chain-length",
+         "seed", "config-seed", "w-count", "ghz-length", "state-remaining", "receiver-remaining", "plans-per-n"],
 )
 def test_error_messages_print_every_digit(build, error, message):
     with pytest.raises(error) as raised:

@@ -79,6 +79,21 @@ GOLDEN = {
          "--per-group", "10", "--out", "@disc.json"],
         {"@disc.json": "7caa496b62a95f41b17f8064184e6dc0c2c942d42cdc22a1e07dc3bbae828d6a"},
     ),
+    # two blocks per group, the last of 76 states; more groups than one pass
+    # of the protocol loop holds; draws that hash their tail in many groups
+    "simulate-random-multi-block-csv": (
+        ["simulate", "--strategy", "random", "--qubits", "14", "--seed", "5", "--groups", "70",
+         "--per-group", "1100", "--trials", "2", "--out", "@multi.json", "--csv", "@multi.csv"],
+        {
+            "@multi.json": "d9d2e4a421beac64f8e74b676d87785d6e3a4bcacd83f8ccf60484a866b79dc1",
+            "@multi.csv": "cf9175be1845c0b1c86e66dea56b0dc083005566f39fed47e31e56ceac24e207",
+        },
+    ),
+    "discriminate-multi-block-json": (
+        ["discriminate", "--seed", "5", "--trials", "3", "--groups", "66", "--per-group", "1100",
+         "--qubits", "14", "--out", "@disc1100.json"],
+        {"@disc1100.json": "ec86915c97a8e951d929082bf75ffba5b24c0a86b56e85a6829208e246e90313"},
+    ),
     "marginal-spm": (
         ["marginal", "--strategy", "spm"],
         {"stdout": "aab688d1d9920783fcf34360228f824f551759cc8e44d5038f8565090d3b2548"},

@@ -4,6 +4,7 @@ import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -28,7 +29,7 @@ from ghzdisc import (
 )
 from ghzdisc.plans import MeasurementPlan, enumerate_branches, outcome_classes
 from ghzdisc.protocol import (
-    AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, w_terms,
+    _BLOCK, AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, w_terms,
 )
 
 P8 = PlanParams(8)
@@ -391,6 +392,63 @@ def test_guide_matches_exact_rows_at_both_ends_of_every_byte(n):
                     assert code == 2 * eta + bit, (strategy, b)
 
 
+_SEED = 2**64 - 1  # every seed byte set
+_STATES = 1100  # two blocks, the second of 76 states
+
+
+@cache
+def _samplers(n):
+    return build_samplers(PlanParams(n))
+
+
+@cache
+def _reference_law(n, strategy):
+    """The reference rows at n, their exact scaled cumulative thresholds, and
+    the leading bytes whose range holds a cut."""
+    reference = _reference_rows(_samplers(n), strategy)
+    cum = _scaled_cumulative(reference)
+    ends = [(_bisect_exact(cum, b * _BYTE_RANGE), _bisect_exact(cum, (b + 1) * _BYTE_RANGE - 1)) for b in range(256)]
+    cut_bytes = {b for b, (low, high) in enumerate(ends) if low != high}
+    return reference, cum, cut_bytes
+
+
+@cache
+def _draws(trial, group):
+    """The draws of the first `_STATES` states of `group` in `trial` under
+    `_SEED`: state s is value s % 1024 of the stream (_SEED, 0, trial, group, s // 1024)."""
+    streams = [CounterStream(_SEED, 0, trial, group, block) for block in range(2)]
+    return [streams[s // 1024].next_int() for s in range(_STATES)]
+
+
+@cache
+def _reference_codes(n, strategy, trial, group):
+    """The code 2 * eta + bit of each of `_draws(trial, group)`, picked by
+    exact comparison against the reference rows; and per draw whether it
+    falls in a byte whose range holds a cut."""
+    reference, cum, cut_bytes = _reference_law(n, strategy)
+    draws = _draws(trial, group)
+    codes = bytes(2 * eta + bit for _, eta, bit in (reference[_bisect_exact(cum, k)] for k in draws))
+    return codes, bytes(k >> 248 in cut_bytes for k in draws)
+
+
+def _check_loop_against_reference(config):
+    """`run_protocol` at `config` (seed `_SEED`, at most `_STATES` states per
+    group) gives the records of the reference draws; returns how many of
+    the groups' draws fall in a byte whose range holds a cut."""
+    ambiguous, expected = 0, []
+    for t in range(config.trials):
+        eta_hits, ones = 0, []
+        for g in range(config.groups):
+            columns = _reference_codes(config.params.n, config.strategy, t, g)
+            codes, cut = (column[:config.per_group] for column in columns)
+            eta_hits += sum(code >> 1 for code in codes)
+            ones.append(sum(code & 1 for code in codes))
+            ambiguous += sum(cut)
+        expected.append(_Decider(config).trial(ones, eta_hits))
+    assert run_protocol(config, _samplers(config.params.n)) == expected
+    return ambiguous
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_loop_draws_each_state_from_its_stream(strategy):
     # state s of group g in trial t is decided by value s % 1024 of the stream
@@ -398,29 +456,27 @@ def test_loop_draws_each_state_from_its_stream(strategy):
     # reference rows; 1100 states per group take two blocks, and some draws
     # fall in a byte whose range holds a cut, so the loop's bisection runs
     # (at n = 14 for cpm, whose n = 8 cuts all lie on byte boundaries)
-    seed = 2**64 - 1  # every seed byte set
     ambiguous = 0
     for n in (8, 14):
-        config = ProtocolConfig(seed=seed, params=PlanParams(n), per_group=1100, groups=2, trials=2,
+        config = ProtocolConfig(seed=_SEED, params=PlanParams(n), per_group=_STATES, groups=2, trials=2,
                                 strategy=strategy)
-        samplers = build_samplers(config.params)
-        reference = _reference_rows(samplers, strategy)
-        cum = _scaled_cumulative(reference)
-        expected = []
-        for t in range(config.trials):
-            eta_hits, ones = 0, []
-            for g in range(config.groups):
-                streams = [CounterStream(seed, 0, t, g, block) for block in range(2)]
-                draws = [streams[s // 1024].next_int() for s in range(config.per_group)]
-                picked = [reference[_bisect_exact(cum, k)] for k in draws]
-                eta_hits += sum(eta for _, eta, _ in picked)
-                ones.append(sum(bit for _, _, bit in picked))
-                for k in draws:
-                    low = k - k % _BYTE_RANGE  # the lowest draw with k's leading byte
-                    ambiguous += _bisect_exact(cum, low) != _bisect_exact(cum, low + _BYTE_RANGE - 1)
-            expected.append(_Decider(config).trial(ones, eta_hits))
-        assert run_protocol(config, samplers) == expected
+        ambiguous += _check_loop_against_reference(config)
     assert ambiguous > 0
+
+
+@pytest.mark.parametrize("per_group", [1, 1023, 1024, 1025])
+@pytest.mark.parametrize("groups", [1, 63, 64, 65])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_loop_passes_match_the_one_draw_reference(strategy, groups, per_group):
+    # a pass reads one block of up to 64 groups: at and either side of the
+    # edges of a pass and of a block, every state is still its own draw, and
+    # from 1023 states per group some draws hash their tail
+    ambiguous = 0
+    for n in (8, 14):
+        config = ProtocolConfig(seed=_SEED, params=PlanParams(n), per_group=per_group, groups=groups, trials=2,
+                                strategy=strategy)
+        ambiguous += _check_loop_against_reference(config)
+    assert ambiguous > 0 or per_group == 1
 
 
 def _chi2_critical(df, level):
@@ -505,6 +561,22 @@ class TestRunProtocol:
             tracemalloc.stop()
         assert trial["per_group"][0]["zeros"] + trial["per_group"][0]["ones"] == 10**5
         assert peak < 2**20, peak
+
+    def test_memory_bounded_in_groups(self):
+        # a pass holds one block of at most 64 groups, whatever the number
+        # of groups (about 0.5 MB here); one pass over all 2000 groups of a
+        # full block peaks at about 6.5 MB of lead bytes, codes and bits
+        # (cpm at n = 8 has no ambiguous byte, so no tail is hashed)
+        config = ProtocolConfig(seed=4, per_group=_BLOCK, groups=2000, trials=1, strategy=Strategy.CPM)
+        samplers = build_samplers(config.params)
+        tracemalloc.start()
+        try:
+            (trial,) = run_protocol(config, samplers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(group["zeros"] + group["ones"] for group in trial["per_group"]) == 2000 * _BLOCK
+        assert peak < 16 * 64 * _BLOCK, peak
 
     def test_each_count_decided_once(self, monkeypatch):
         # a group's vote and record depend only on its count of ones: each
