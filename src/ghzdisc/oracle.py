@@ -9,7 +9,8 @@ from its hash over the unreduced 2^64, so all its leaves share one den.
 `checkpoint_report` regenerates the reference quantities of the paper's
 instance (`ProtocolConfig`'s defaults) from first principles and
 compares each against its expected value at a stated tolerance; its
-cascade-plan marginal is that of the rows a `LeafSampler` draws from.
+cascade-plan marginal is that of the rows a `LeafSampler` draws from, summed
+in the pass that cuts them; its T_m^2 telescoping gives `eta_node`'s den.
 """
 
 from __future__ import annotations

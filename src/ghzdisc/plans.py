@@ -137,11 +137,11 @@ class CascadeConstants(Record):
 
     @cached_property
     def eta_node(self) -> tuple[int, int, int]:
-        """The all-perp (eta) leaf as the walker's (a0, a1, den): the all-"1" node of `steps`."""
-        a0, a1, den = 1, 1, 2
-        for n0, n1, q in self.steps:
-            a0, a1, den = a0 * n1, -a1 * n0, den * q
-        return a0, a1, den
+        """The all-perp (eta) leaf as the walker's (a0, a1, den), from the last step (u^E, v^E, q), E = 2^(m-1):
+        a0 = v^2E/v, |a1| = u^2E/u signed by (-1)^m, den = 2 prod(q) = 2(u^2E - v^2E)/(u - v), or 2^(m+1) if u = v."""
+        (u, v, _), (uE, vE, _), m = self.steps[0], self.steps[-1], self.params.m
+        a0, a1 = vE * vE // v, uE * uE // u
+        return a0, -a1 if m % 2 else a1, 2 * (u * a1 - v * a0) // (u - v) if u != v else 2 << m
 
     @cached_property
     def slopes(self) -> tuple[tuple[int, int, LeafClass], ...]:

@@ -9,9 +9,9 @@ path (its lead message) times 2**248, plus as its low 248 bits 31 bytes
 of SHAKE-256 over a tail message: the packed path, c, and a marker
 byte.  A packed path is 8j bytes long and a tail message 8j + 9, so no
 tail message is any stream's lead message.  k < p * 2**256 exactly when
-k < ceil(p * 2**256), so every threshold is that exact integer cut, one
-exact division of integer sums (of a part's own cut under `random`), and
-each inverse-CDF decision is one comparison of ints of at most 257 bits.
+k < ceil(p * 2**256), so each threshold is that exact integer cut, one exact
+division of a running total of the pass that also sums the marginal (of a
+part's own cut under `random`); a decision compares ints of at most 257 bits.
 
 The protocol loop decides state s of group g in trial t by one draw,
 value s mod B of the stream at (seed, domain, t, g, s // B), B = `_BLOCK`:
@@ -124,11 +124,11 @@ class CounterStream:
 
 
 class LeafSampler:
-    """The exact law of one strategy over its plan's outcome classes,
-    built on first use: `rows`, one (num, den, q, eta, bit) per class and
-    bit, num/den = p(class) * p(bit | class) unreduced, q the class's step q;
-    `cuts`, the `_cut` of each row's exact cumulative weight; `table`, the
-    one-draw inverse CDF over them; and `marginal`, the exact p0 and p1."""
+    """The exact law of one strategy over its plan's outcome classes, built on
+    first use: `rows`, one (num, den, q, eta, bit) per class and bit, num/den =
+    p(class) * p(bit | class) unreduced, q the class's step q; `_sums`, one pass
+    adding each row once by its bit, for `cuts`, each row's cumulative weight as
+    a `_cut`, and `marginal`, the exact p0 and p1; `table`, the cuts' inverse CDF."""
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
         self.classes = outcome_classes(plan, params)
@@ -142,14 +142,16 @@ class LeafSampler:
                 for c in self.classes for bit, amp in enumerate((c.a0, c.a1))]
 
     @cached_property
-    def cuts(self) -> list[int]:
-        cuts, cumulative = [], CommonSums()
-        for num, den, q, _, _ in self.rows:
-            cumulative.add(0, num, den, q)
-            cuts.append(_cut(cumulative[0], cumulative.den))
-        if cumulative[0] != cumulative.den:
-            raise MeasurementError(f"the rows' weights sum to {fraction_str(cumulative.value())}, not 1")
-        return cuts
+    def _sums(self) -> tuple[list[int], CommonSums]:
+        cuts, sums = [], CommonSums()
+        for num, den, q, _, bit in self.rows:
+            sums.add(bit, num, den, q)
+            cuts.append(_cut(sums.total(), sums.den))
+        if sums.total() != sums.den:
+            raise MeasurementError(f"the rows' weights sum to {fraction_str(sums.value())}, not 1")
+        return cuts, sums
+
+    cuts = property(lambda self: self._sums[0])
 
     @cached_property
     def table(self) -> JointTable:
@@ -161,10 +163,7 @@ class LeafSampler:
 
     @cached_property
     def marginal(self) -> tuple[Fraction, Fraction]:
-        sums = CommonSums()
-        for num, den, q, _, bit in self.rows:
-            sums.add(bit, num, den, q)
-        return sums.value(0), sums.value(1)
+        return self._sums[1].value(0), self._sums[1].value(1)
 
     def sample(self, stream: CounterStream) -> tuple[OutcomeClass, int]:
         """Draw one outcome class and the receiver's computational-basis

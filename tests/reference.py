@@ -7,7 +7,9 @@ as `Fraction`s, `classify` compares `Fraction` slopes with those of mu+,
 mu- and the closed-form eta leaf (`constants(params).eta_leaf`), and
 every sum is a sum of `Fraction`s, with a gcd per operation.  The
 walker, `_walk_numerators`, is shared: its own reference is
-`measure_next` (tests/test_plans.py).
+`measure_next` (tests/test_plans.py).  `eta_node` is the all-perp node
+multiplied out step by step along the spine, the reference for the
+telescoped `constants(params).eta_node`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ def _slope(state: ChainState) -> Fraction | None:
     if state.amp0 == 0:
         return None
     return state.amp1 / state.amp0
+
+
+def eta_node(params) -> tuple[int, int, int]:
+    """The all-perp leaf as the walker's (a0, a1, den): the all-"1" node, one product per spine step."""
+    a0, a1, den = 1, 1, 2
+    for n0, n1, q in constants(params).steps:
+        a0, a1, den = a0 * n1, -a1 * n0, den * q
+    return a0, a1, den
 
 
 def classify(state: ChainState, params) -> LeafClass:

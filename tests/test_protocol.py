@@ -27,7 +27,7 @@ from ghzdisc import (
     spm_plan,
     w_statistic,
 )
-from ghzdisc.plans import MeasurementPlan, enumerate_branches, outcome_classes
+from ghzdisc.plans import CommonSums, MeasurementPlan, enumerate_branches, outcome_classes
 from ghzdisc.protocol import (
     _BLOCK, AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, w_terms,
 )
@@ -173,7 +173,7 @@ class TestLeafSampler:
     def test_cdf_covers_unit_interval(self):
         sampler = LeafSampler(spm_plan(P8), P8)
         # a sampler build only classifies: the rows and the table wait for first use
-        assert not {"rows", "table", "marginal"} & set(vars(sampler))
+        assert not {"rows", "_sums", "table", "marginal"} & set(vars(sampler))
         # two cuts per outcome class, one per bit: 2(m + 1) for a spine plan, not 2^m
         cuts = sampler.table.cuts
         assert len(cuts) == 2 * (P8.m + 1)
@@ -361,14 +361,36 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
         assert sampler.marginal == tuple((a + b) / 2 for a, b in zip(cpm, spm))
 
 
-# an `if`, not an `assert`, so that `python -O` keeps the check
-@pytest.mark.parametrize("total", [Fraction(3, 4), Fraction(5, 4)])
-def test_table_rejects_rows_not_summing_to_one(total):
+# an `if`, not an `assert`, so that `python -O` keeps the check; the marginal
+# reads the same pass, so it is no sum of rows that are not a law either
+@pytest.mark.parametrize(
+    "total, read",
+    [pytest.param(total, read, id=f"total{i}" if read == "table" else f"total{i}-{read}")
+     for read in ("table", "marginal") for i, total in enumerate((Fraction(3, 4), Fraction(5, 4), Fraction(2, 3)))],
+)
+def test_table_rejects_rows_not_summing_to_one(total, read):
     den = 3 * total.denominator
     sampler = LeafSampler(spm_plan(P8), P8)
     sampler.rows = [(total.numerator, den, 1, False, 0), (2 * total.numerator, den, 1, True, 1)]
     with pytest.raises(MeasurementError, match=f"^the rows' weights sum to {total}, not 1$"):
-        sampler.table
+        getattr(sampler, read)
+
+
+# the cuts and the marginal come of one pass: each row is added once
+@pytest.mark.parametrize("n", [8, 14])
+@pytest.mark.parametrize("x_sq", [Fraction(2, 3), Fraction(3, 7)])
+@pytest.mark.parametrize("plan", [cpm_plan, spm_plan])
+def test_table_and_marginal_add_each_row_once(monkeypatch, plan, x_sq, n):
+    params, adds, add = PlanParams(n, x_sq), [], CommonSums.add
+
+    def counted(self, *args):
+        adds.append(args)
+        add(self, *args)
+
+    monkeypatch.setattr(CommonSums, "add", counted)
+    sampler = LeafSampler(plan(params), params)
+    assert sampler.table.cuts[-1] == 1 << RESOLUTION_BITS and sampler.marginal == (Fraction(1, 2), Fraction(1, 2))
+    assert len(adds) == len(sampler.rows)
 
 
 _BYTE_RANGE = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte

@@ -133,12 +133,21 @@ def test_spine_and_random_sums_take_no_gcd(monkeypatch):
             assert bob_marginal(plan, params) == (Fraction(1, 2), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("x_sq", [Fraction(2, 3), Fraction(3, 7)])
+# the telescoped node is the spine's product and the closed-form leaf, for u > v,
+# u = v (x^2 = 1/2, den 2^(m+1)) and u < v (x^2 = 1/20)
+@pytest.mark.parametrize("x_sq", [Fraction(2, 3), Fraction(3, 7), Fraction(1, 2), Fraction(1, 20)])
 def test_eta_node_is_closed_form_leaf(x_sq):
     for n in range(3, 15):
-        cascade = constants(PlanParams(n, x_sq))
+        params = PlanParams(n, x_sq)
+        cascade = constants(params)
         a0, a1, den = cascade.eta_node
+        assert (a0, a1, den) == reference.eta_node(params)
         assert (Fraction(a0, den), Fraction(a1, den)) == (cascade.eta_leaf.amp0, cascade.eta_leaf.amp1)
+
+
+def test_eta_node_is_spine_product_at_n20():
+    params = PlanParams(20, Fraction(3, 7))
+    assert constants(params).eta_node == reference.eta_node(params)
 
 
 # the commands walk, classify, sample and report without any closed form
