@@ -23,8 +23,8 @@ from .protocol import (
     LeafSampler,
     ProtocolConfig,
     Strategy,
-    build_samplers,
     discriminate,
+    law,
     run_protocol,
     w_statistic,
 )

@@ -22,7 +22,7 @@ from .amplitude import amplitude_json, decimal_str, fraction_json, fraction_str
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite
 from .plans import PlanParams, census, outcome_classes
 from .protocol import (
-    PLANS, ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol, w_terms,
+    PLANS, ProtocolConfig, Strategy, discriminate, law, run_protocol, w_terms,
 )
 
 OUT_DIR_ENV = "GHZDISC_OUT_DIR"
@@ -264,11 +264,11 @@ def cmd_simulate(args, params: PlanParams) -> int:
     if target is not None and target == _destination(args.csv)[1]:  # both would write one temporary file
         raise ValueError(f"--out and --csv name the same file: {target!r}")
     with _output(args.out) as handle, (_output(args.csv) if args.csv else nullcontext()) as csv_handle:
-        samplers = build_samplers(params)
-        trials = run_protocol(config, samplers)
+        sampler = law(config.strategy, params)
+        trials = run_protocol(config, sampler)
         ones = sum(g["ones"] for t in trials for g in t["per_group"])
         total = config.trials * config.groups * config.per_group
-        oracle_p1 = samplers[config.strategy].marginal[1]
+        oracle_p1 = sampler.marginal[1]
         w_values = {}
         for l in (1, 2, 3):
             if l < config.per_group:

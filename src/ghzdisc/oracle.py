@@ -32,7 +32,7 @@ from .plans import (
     cpm_plan,
     spm_plan,
 )
-from .protocol import LeafSampler, ProtocolConfig, _pack, check_seed, w_statistic
+from .protocol import ProtocolConfig, Strategy, _pack, check_seed, law, w_statistic
 
 
 def bob_marginal(plan: MeasurementPlan, params: PlanParams) -> tuple[Fraction, Fraction]:
@@ -103,7 +103,7 @@ _HALVES = (Fraction(1, 2), Fraction(1, 2))  # the receiver's marginal under ever
 def checkpoint_report(params: PlanParams) -> list[dict]:
     checks: list[dict] = []
     cascade = constants(params)
-    sampler = LeafSampler(spm_plan(params), params)
+    sampler = law(Strategy.SPM, params)
     classes = sampler.classes
     m = params.m
 

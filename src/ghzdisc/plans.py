@@ -289,8 +289,8 @@ def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[Outcom
 class CommonSums(Counter):
     """Exact sums of num/den per key over one common `den`, never reduced.
     A term's q hints that den is the common den times q, as a spine plan's
-    nodes nest: a true hint is one Horner step, with no division, and any
-    other den widens to the lcm, so a wrong hint never changes a value."""
+    nodes nest: a true hint is one Horner step, one product (the new den) and
+    no division; any other den widens to the lcm, so a wrong hint never changes a value."""
 
     den = 1
 
@@ -299,8 +299,8 @@ class CommonSums(Counter):
             factor = den if self.den == 1 else q  # the first term takes its own den
             if den != self.den * factor:
                 g = gcd(self.den, den)
-                factor, num = den // g, num * (self.den // g)
-            self.den *= factor
+                factor, num, den = den // g, num * (self.den // g), self.den // g * den
+            self.den = den
             for other in self:
                 self[other] *= factor
         self[key] += num

@@ -239,12 +239,12 @@ class ProtocolConfig(Record):
 PLANS = {Strategy.CPM: cpm_plan, Strategy.SPM: spm_plan}
 
 
-def build_samplers(params: PlanParams) -> dict[Strategy, LeafSampler]:
-    """The exact law of every strategy, built once per run: cpm's and spm's
-    from their plans, and `random`'s from theirs, spm's or cpm's at half weight."""
-    samplers = {strategy: LeafSampler(plan(params), params) for strategy, plan in PLANS.items()}
-    samplers[Strategy.RANDOM_PER_STATE] = MixtureSampler(samplers[Strategy.SPM], samplers[Strategy.CPM])
-    return samplers
+def law(strategy: Strategy, params: PlanParams) -> LeafSampler:
+    """The exact law of `strategy` alone: cpm's or spm's from its plan, and
+    `random`'s from theirs, spm's or cpm's at half weight."""
+    if strategy is Strategy.RANDOM_PER_STATE:
+        return MixtureSampler(law(Strategy.SPM, params), law(Strategy.CPM, params))
+    return LeafSampler(PLANS[strategy](params), params)
 
 
 class JointTable(NamedTuple):
@@ -337,10 +337,10 @@ def _run_trial(
     return ones_per_group, eta_hits
 
 
-def run_protocol(config: ProtocolConfig, samplers: dict[Strategy, LeafSampler]) -> list[dict]:
+def run_protocol(config: ProtocolConfig, sampler: LeafSampler) -> list[dict]:
     """The `simulate` per-trial records, deterministic given the config
-    (seed included); `samplers` come from `build_samplers(config.params)`."""
-    table = samplers[config.strategy].table
+    (seed included); `sampler` is `law(config.strategy, config.params)`."""
+    table = sampler.table
     decider, group_paths = _Decider(config), [_pack(g) for g in range(config.groups)]
     return [decider.trial(*_run_trial(config, table, t, group_paths)) for t in range(config.trials)]
 
@@ -349,7 +349,7 @@ def discriminate(config: ProtocolConfig) -> dict:
     """Per trial, a fair coin picks the sender's true strategy; the
     receiver's decision rule is scored against it.  The report is the
     `discriminate` payload without its config."""
-    samplers = build_samplers(config.params)
+    laws = {strategy: law(strategy, config.params) for strategy in (Strategy.CPM, Strategy.SPM)}
     decider, group_paths = _Decider(config), [_pack(g) for g in range(config.groups)]
     trials: list[dict] = []
     confusion = {
@@ -359,7 +359,7 @@ def discriminate(config: ProtocolConfig) -> dict:
     for t in range(config.trials):
         coin = hashlib.shake_256(_pack(config.seed, _DOMAIN_TRUTH, t)).digest(1)[0]
         truth = Strategy.SPM if coin < 128 else Strategy.CPM
-        ones_per_group, eta_hits = _run_trial(config, samplers[truth].table, t, group_paths)
+        ones_per_group, eta_hits = _run_trial(config, laws[truth].table, t, group_paths)
         decision = decider.overall(ones_per_group)
         confusion[truth.value][decision] += 1
         trials.append({"truth": truth.value, "decision": decision, "eta_hits": eta_hits})

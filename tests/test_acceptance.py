@@ -15,13 +15,13 @@ from ghzdisc import (
     PlanParams,
     ProtocolConfig,
     Strategy,
-    build_samplers,
     bob_distribution,
     bob_marginal,
     constants,
     cpm_plan,
     discriminate,
     ghz_state,
+    law,
     measure_next,
     random_plan,
     run_protocol,
@@ -188,7 +188,7 @@ def test_criterion_8_claimed_skew_not_reproduced(capsys):
     # performs at chance.
     start = time.perf_counter()
     sim = ProtocolConfig(seed=20260824, per_group=50000, groups=20, strategy=Strategy.SPM)
-    (trial,) = run_protocol(sim, build_samplers(sim.params))
+    (trial,) = run_protocol(sim, law(sim.strategy, sim.params))
     ones = sum(g["ones"] for g in trial["per_group"])
     p1 = ones / 10**6
     disc = ProtocolConfig(seed=31337, trials=200, per_group=30, groups=20)

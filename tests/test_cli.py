@@ -20,7 +20,7 @@ from ghzdisc.amplitude import fraction_json
 from ghzdisc.cli import _CSV_HEADER, _branch_row, _csv_row, main
 from ghzdisc.plans import PlanParams, enumerate_branches, outcome_classes
 from ghzdisc.oracle import checkpoint_report, no_signaling_suite
-from ghzdisc.protocol import PLANS, ProtocolConfig, Strategy, build_samplers, discriminate, run_protocol
+from ghzdisc.protocol import PLANS, ProtocolConfig, Strategy, discriminate, law, run_protocol
 
 
 def run(argv, capsys):
@@ -366,11 +366,11 @@ class TestVerify:
     ids=["simulate", "discriminate"],
 )
 def test_sampling_seed_out_of_range_fails_fast(argv, monkeypatch, capsys):
-    def unreachable(params):
-        raise AssertionError("samplers built for an invalid seed")
+    def unreachable(strategy, params):
+        raise AssertionError("a law built for an invalid seed")
 
-    monkeypatch.setattr(cli, "build_samplers", unreachable)
-    monkeypatch.setattr(protocol, "build_samplers", unreachable)
+    monkeypatch.setattr(cli, "law", unreachable)
+    monkeypatch.setattr(protocol, "law", unreachable)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -478,7 +478,7 @@ class TestPayloadIsLibraryRecord:
                      "--seed", "7", "--groups", "3", "--per-group", "10", "--out", str(out)]) == 0
         config = ProtocolConfig(seed=7, params=PlanParams(6), per_group=10, groups=3,
                                 strategy=Strategy.RANDOM_PER_STATE, trials=2)
-        expected = run_protocol(config, build_samplers(config.params))
+        expected = run_protocol(config, law(config.strategy, config.params))
         assert json.loads(out.read_text())["per_trial"] == expected
 
     def test_discriminate_report(self, tmp_path, capsys):

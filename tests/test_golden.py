@@ -14,7 +14,9 @@ import hashlib
 
 import pytest
 
+from ghzdisc import protocol
 from ghzdisc.cli import main
+from ghzdisc.protocol import Strategy
 
 GOLDEN = {
     "enumerate-spm-json": (
@@ -74,6 +76,11 @@ GOLDEN = {
          "--per-group", "8", "--out", "@sim6.json"],
         {"@sim6.json": "6d653100f1693b11aa18786c509edc92223041a0530fd35016be7e022e9235ec"},
     ),
+    "simulate-cpm-x-sq-json": (
+        ["simulate", "--strategy", "cpm", "--seed", "9", "--qubits", "10", "--x-sq", "3/7", "--groups", "4",
+         "--per-group", "25", "--trials", "2", "--out", "@cpm10.json"],
+        {"@cpm10.json": "cc8ee91d964aebe34f49ff073c93c1419cc0b4bffab4669f985a67892291bfa5"},
+    ),
     "discriminate-json": (
         ["discriminate", "--seed", "12", "--trials", "5", "--groups", "4",
          "--per-group", "10", "--out", "@disc.json"],
@@ -125,3 +132,40 @@ def test_golden_fingerprint(name, tmp_path, capsys, monkeypatch):
     argv, pinned = GOLDEN[name]
     digests = run_case(argv, tmp_path, capsys)
     assert {k: digests[k] for k in pinned} == pinned
+
+
+def _unbuildable(name):
+    def fail(*args):
+        raise AssertionError(f"{name} was built")
+    return fail
+
+
+def _count_leaf_samplers(monkeypatch) -> list:
+    """Records each `LeafSampler` built from a plan (a mixture builds none of its own)."""
+    built, init = [], protocol.LeafSampler.__init__
+    monkeypatch.setattr(protocol.LeafSampler, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    return built
+
+
+# a run builds the law of its own strategy alone: the other strategy's plan is never called
+@pytest.mark.parametrize("name, unused", [("simulate-cpm-x-sq-json", Strategy.SPM), ("simulate-spm-csv", Strategy.CPM)])
+def test_simulate_builds_only_its_strategy_law(name, unused, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GHZDISC_OUT_DIR", raising=False)
+    monkeypatch.setitem(protocol.PLANS, unused, _unbuildable(f"{unused.value}'s plan"))
+    built = _count_leaf_samplers(monkeypatch)
+    argv, pinned = GOLDEN[name]
+    digests = run_case(argv, tmp_path, capsys)
+    assert {k: digests[k] for k in pinned} == pinned
+    assert len(built) == 1
+
+
+# `discriminate` draws from cpm's and spm's laws, and builds no mixture of them
+@pytest.mark.parametrize("name", ["discriminate-json", "discriminate-multi-block-json"])
+def test_discriminate_builds_no_mixture(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GHZDISC_OUT_DIR", raising=False)
+    monkeypatch.setattr(protocol, "MixtureSampler", _unbuildable("a mixture"))
+    built = _count_leaf_samplers(monkeypatch)
+    argv, pinned = GOLDEN[name]
+    digests = run_case(argv, tmp_path, capsys)
+    assert {k: digests[k] for k in pinned} == pinned
+    assert len(built) == 2

@@ -50,6 +50,16 @@ class TestBobMarginal:
         for plan in (cpm_plan(params), spm_plan(params), random_plan(params, 3)):
             assert bob_marginal(plan, params) == HALF
 
+    def test_sums_each_bit_into_its_own_marginal(self, monkeypatch):
+        # every plan's marginal is (1/2, 1/2), so hand-made nodes with uneven bits
+        # stand in: a run of equal dens, as in a random plan; a den nested by its
+        # q, as along a spine; and a den that q does not nest, summed at the lcm
+        nodes = [("0", 0, 1, -2, 8, 2), ("1", 0, -3, 1, 8, 2), ("2", 0, 5, 7, 24, 3), ("3", 0, 1, -2, 10, 7)]
+        monkeypatch.setattr(oracle, "_walk_numerators", lambda plan, params: iter(nodes))
+        p0 = Fraction(1 + 3, 8) + Fraction(5, 24) + Fraction(1, 10)
+        p1 = Fraction(2 + 1, 8) + Fraction(7, 24) + Fraction(2, 10)
+        assert bob_marginal(cpm_plan(P8), P8) == (p0, p1) == (Fraction(97, 120), Fraction(13, 15))
+
     def test_random_walk_builds_no_basis(self, monkeypatch):
         # a random plan's walk reads its integer steps straight from the hash
         params = PlanParams(6)

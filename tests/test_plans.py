@@ -28,7 +28,7 @@ from ghzdisc import (
 )
 from ghzdisc.amplitude import ExactAmplitude
 from ghzdisc.cli import _census_lines
-from ghzdisc.plans import MeasurementPlan, census, enumerate_branches, outcome_classes
+from ghzdisc.plans import CommonSums, MeasurementPlan, census, enumerate_branches, outcome_classes
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)
@@ -148,6 +148,22 @@ def test_marginal_builds_no_normalizer():
         params = PlanParams(12, x_sq)
         assert bob_marginal(spm_plan(params), params) == (Fraction(1, 2), Fraction(1, 2))
         assert "T_sq" not in vars(constants(params)) and "F_sq" not in vars(constants(params))
+
+
+def test_hinted_sum_takes_the_term_den():
+    # a true q hint's one product is the new common den, so the sums keep the
+    # term's own den object; a wrong hint widens the sums to the lcm instead
+    sums, den = CommonSums(), 3**200
+    sums.add(0, 1, den)
+    assert sums.den is den
+    for q in (5**90, 7**80):
+        den *= q
+        sums.add(1, 1, den, q)
+        assert sums.den is den
+    sums.add(0, 1, 2**10 * 3**5, 4)
+    assert sums.den == den << 10
+    assert sums.value(0) == Fraction(1, 3**200) + Fraction(1, 2**10 * 3**5)
+    assert sums.value(1) == Fraction(1, 3**200 * 5**90) + Fraction(1, den)
 
 
 class TestCpmPlan:

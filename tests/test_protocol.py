@@ -18,10 +18,10 @@ from ghzdisc import (
     ProtocolConfig,
     Strategy,
     bob_distribution,
-    build_samplers,
     constants,
     cpm_plan,
     discriminate,
+    law,
     random_plan,
     run_protocol,
     spm_plan,
@@ -96,7 +96,7 @@ class TestCounterStream:
         # cpm at n = 14 has draws whose leading byte's range holds a cut
         config = ProtocolConfig(seed=seed, params=PlanParams(14), per_group=1100, groups=2, trials=1,
                                 strategy=Strategy.CPM)
-        run_protocol(config, build_samplers(config.params))
+        run_protocol(config, law(config.strategy, config.params))
         stream = CounterStream(seed, 5)
         for _ in range(3):
             stream.next_int()
@@ -301,19 +301,24 @@ def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
         assert got is sampler.classes[row // 2] and bit == reference[row][2], k
 
 
-def _reference_rows(samplers, strategy):
-    """(weight, eta, bit) per joint row, in (strategy, class, bit) order,
+def _parts(sampler):
+    """The laws a sampler draws from at equal weight: a mixture's parts, or itself."""
+    return getattr(sampler, "parts", (sampler,))
+
+
+def _reference_rows(sampler):
+    """(weight, eta, bit) per joint row, in (part, class, bit) order,
     from the two-draw reference's factors: share * p(class) * p(bit | class)."""
-    chosen = (Strategy.SPM, Strategy.CPM) if strategy is Strategy.RANDOM_PER_STATE else (strategy,)
-    share = Fraction(1, len(chosen))
+    parts = _parts(sampler)
+    share = Fraction(1, len(parts))
     return [
         (
             share * c.probability * 2**c.depth * bob_distribution(c.state)[bit],
             LeafClass.ETA in c.leaf_classes,
             bit,
         )
-        for s in chosen
-        for c in samplers[s].classes
+        for part in parts
+        for c in part.classes
         for bit in (0, 1)
     ]
 
@@ -331,11 +336,9 @@ _JOINT_CASES = [
 @pytest.mark.parametrize("strategy, plan_for", _JOINT_CASES)
 def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for):
     params = PlanParams(n, x_sq)
-    samplers = build_samplers(params)
-    if plan_for is not None:  # the table reads a sampler's classes, whatever plan built them
-        samplers[strategy] = LeafSampler(plan_for(params), params)
-    reference = _reference_rows(samplers, strategy)
-    sampler = samplers[strategy]
+    # the table reads a sampler's classes, whatever plan built them
+    sampler = law(strategy, params) if plan_for is None else LeafSampler(plan_for(params), params)
+    reference = _reference_rows(sampler)
     assert _weights(sampler.rows) == reference
     table = sampler.table
     if plan_for is None:
@@ -352,13 +355,13 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
         # the mixture is a law like the others: it samples the reference
         # (class, bit) at every cut, spm's classes first, and its marginal is
         # exactly the mean of the two strategies'
-        classes = samplers[Strategy.SPM].classes + samplers[Strategy.CPM].classes
+        spm, cpm = sampler.parts
+        classes = spm.classes + cpm.classes
         for k in sorted(draws):
             row = _bisect_exact(cum, k)
             got, bit = sampler.sample(_Draws(k))
             assert got is classes[row // 2] and bit == reference[row][2], k
-        cpm, spm = samplers[Strategy.CPM].marginal, samplers[Strategy.SPM].marginal
-        assert sampler.marginal == tuple((a + b) / 2 for a, b in zip(cpm, spm))
+        assert sampler.marginal == tuple((a + b) / 2 for a, b in zip(cpm.marginal, spm.marginal))
 
 
 # an `if`, not an `assert`, so that `python -O` keeps the check; the marginal
@@ -400,11 +403,11 @@ _BYTE_RANGE = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
 def test_guide_matches_exact_rows_at_both_ends_of_every_byte(n):
     # a byte's code is that of the exact row at its lowest and at its highest
     # draw, and AMBIGUOUS exactly where those two rows differ
-    samplers = build_samplers(PlanParams(n))
     for strategy in Strategy:
-        reference = _reference_rows(samplers, strategy)
+        sampler = law(strategy, PlanParams(n))
+        reference = _reference_rows(sampler)
         cum = _scaled_cumulative(reference)
-        guide = samplers[strategy].table.guide
+        guide = sampler.table.guide
         assert len(guide) == 256
         for b, code in enumerate(guide):
             low, high = (_bisect_exact(cum, k) for k in (b * _BYTE_RANGE, (b + 1) * _BYTE_RANGE - 1))
@@ -419,15 +422,15 @@ _STATES = 1100  # two blocks, the second of 76 states
 
 
 @cache
-def _samplers(n):
-    return build_samplers(PlanParams(n))
+def _law(n, strategy):
+    return law(strategy, PlanParams(n))
 
 
 @cache
 def _reference_law(n, strategy):
     """The reference rows at n, their exact scaled cumulative thresholds, and
     the leading bytes whose range holds a cut."""
-    reference = _reference_rows(_samplers(n), strategy)
+    reference = _reference_rows(_law(n, strategy))
     cum = _scaled_cumulative(reference)
     ends = [(_bisect_exact(cum, b * _BYTE_RANGE), _bisect_exact(cum, (b + 1) * _BYTE_RANGE - 1)) for b in range(256)]
     cut_bytes = {b for b, (low, high) in enumerate(ends) if low != high}
@@ -467,7 +470,7 @@ def _check_loop_against_reference(config):
             ones.append(sum(code & 1 for code in codes))
             ambiguous += sum(cut)
         expected.append(_Decider(config).trial(ones, eta_hits))
-    assert run_protocol(config, _samplers(config.params.n)) == expected
+    assert run_protocol(config, _law(config.params.n, config.strategy)) == expected
     return ambiguous
 
 
@@ -522,21 +525,20 @@ def _chi2_critical(df, level):
 
 @pytest.mark.parametrize("strategy", [Strategy.SPM, Strategy.RANDOM_PER_STATE])
 def test_joint_table_level_and_bit_frequencies(strategy):
-    # like acceptance criterion 9, over (strategy, level, bit) cells; levels
+    # like acceptance criterion 9, over (part, level, bit) cells; levels
     # 4..m are pooled, and so are an eta class's two bits (p0 is about 2^-127)
     # so that every cell expects at least 5 states
-    samplers = build_samplers(P8)
-    chosen = (Strategy.SPM, Strategy.CPM) if strategy is Strategy.RANDOM_PER_STATE else (strategy,)
+    sampler = law(strategy, P8)
     cells = [
-        (s, min(c.level, 4) if c.level <= P8.m else c.level, None if LeafClass.ETA in c.leaf_classes else bit)
-        for s in chosen
-        for c in samplers[s].classes
+        (i, min(c.level, 4) if c.level <= P8.m else c.level, None if LeafClass.ETA in c.leaf_classes else bit)
+        for i, part in enumerate(_parts(sampler))
+        for c in part.classes
         for bit in (0, 1)
     ]
     exact = Counter()
-    for cell, (weight, _, _) in zip(cells, _weights(samplers[strategy].rows)):
+    for cell, (weight, _, _) in zip(cells, _weights(sampler.rows)):
         exact[cell] += weight
-    table = samplers[strategy].table
+    table = sampler.table
     samples = 10**5
     draws = (CounterStream(271828, i).next_int() for i in range(samples))
     observed = Counter(cells[bisect_right(table.cuts, k)] for k in draws)
@@ -549,11 +551,12 @@ def test_joint_table_level_and_bit_frequencies(strategy):
 class TestRunProtocol:
     def test_deterministic(self):
         config = ProtocolConfig(seed=11, trials=2, per_group=10, groups=4)
-        assert run_protocol(config, build_samplers(config.params)) == run_protocol(config, build_samplers(config.params))
+        first, again = (run_protocol(config, law(config.strategy, config.params)) for _ in range(2))
+        assert first == again
 
     def test_counts_complete(self):
         config = ProtocolConfig(seed=5, trials=1, per_group=30, groups=20, strategy=Strategy.CPM)
-        (trial,) = run_protocol(config, build_samplers(config.params))
+        (trial,) = run_protocol(config, law(config.strategy, config.params))
         assert len(trial["per_group"]) == 20
         for group in trial["per_group"]:
             assert group["zeros"] + group["ones"] == 30
@@ -561,7 +564,7 @@ class TestRunProtocol:
 
     def test_cascade_hits_exceptional_leaf(self):
         config = ProtocolConfig(seed=5, trials=1, per_group=100, groups=4, strategy=Strategy.SPM)
-        (trial,) = run_protocol(config, build_samplers(config.params))
+        (trial,) = run_protocol(config, law(config.strategy, config.params))
         # 400 states at ~1/4 each; grossly improbable to miss entirely
         assert trial["eta_hits"] > 50
 
@@ -569,15 +572,16 @@ class TestRunProtocol:
         config = ProtocolConfig(
             seed=9, trials=1, per_group=20, groups=3, strategy=Strategy.RANDOM_PER_STATE
         )
-        assert run_protocol(config, build_samplers(config.params)) == run_protocol(config, build_samplers(config.params))
+        first, again = (run_protocol(config, law(config.strategy, config.params)) for _ in range(2))
+        assert first == again
 
     def test_memory_bounded_in_per_group(self):
         # one block of draws is held at a time, whatever the group's size
         config = ProtocolConfig(seed=4, per_group=10**5, groups=1, trials=1)
-        samplers = build_samplers(config.params)
+        sampler = law(config.strategy, config.params)
         tracemalloc.start()
         try:
-            (trial,) = run_protocol(config, samplers)
+            (trial,) = run_protocol(config, sampler)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -590,10 +594,10 @@ class TestRunProtocol:
         # full block peaks at about 6.5 MB of lead bytes, codes and bits
         # (cpm at n = 8 has no ambiguous byte, so no tail is hashed)
         config = ProtocolConfig(seed=4, per_group=_BLOCK, groups=2000, trials=1, strategy=Strategy.CPM)
-        samplers = build_samplers(config.params)
+        sampler = law(config.strategy, config.params)
         tracemalloc.start()
         try:
-            (trial,) = run_protocol(config, samplers)
+            (trial,) = run_protocol(config, sampler)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -607,7 +611,7 @@ class TestRunProtocol:
         vote = _Decider._vote
         monkeypatch.setattr(_Decider, "_vote", lambda self, ones: voted.append(ones) or vote(self, ones))
         config = ProtocolConfig(seed=6, per_group=12, groups=20, trials=5)
-        trials = run_protocol(config, build_samplers(config.params))
+        trials = run_protocol(config, law(config.strategy, config.params))
         records = [record for trial in trials for record in trial["per_group"]]
         assert sorted(voted) == sorted({record["ones"] for record in records})
         assert len({id(record) for record in records}) == len(voted) < len(records)
@@ -670,8 +674,8 @@ class TestDiscriminate:
         settings = dict(seed=12, trials=8, per_group=10, groups=4)
         config = ProtocolConfig(**settings)
         report = discriminate(config)
-        samplers = build_samplers(config.params)
-        runs = {s: run_protocol(ProtocolConfig(**settings, strategy=s), samplers) for s in (Strategy.CPM, Strategy.SPM)}
+        runs = {s: run_protocol(ProtocolConfig(**settings, strategy=s), law(s, config.params))
+                for s in (Strategy.CPM, Strategy.SPM)}
         for t, trial in enumerate(report["trials"]):
             coin = CounterStream(config.seed, 1, t).next_int()
             truth = Strategy.SPM if coin < _cut(Fraction(1, 2)) else Strategy.CPM

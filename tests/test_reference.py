@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from ghzdisc import LeafSampler, PlanParams, bob_marginal, build_samplers, cpm_plan, random_plan, spm_plan
+from ghzdisc import LeafSampler, PlanParams, bob_marginal, cpm_plan, law, random_plan, spm_plan
 from ghzdisc.cli import _branch_row, _parity_rows, main
 from ghzdisc.engine import ChainState
 from ghzdisc.plans import CascadeConstants, MeasurementPlan, census, constants
@@ -73,7 +73,7 @@ def test_integer_classes_match_fraction_reference(x_sq, kind_and_n, seed):
 @pytest.mark.parametrize("x_sq", [Fraction(2, 3), Fraction(1, 2), Fraction(9, 10)])
 def test_mixture_table_matches_reference(n, x_sq):
     params = PlanParams(n, x_sq)
-    mixture = build_samplers(params)[Strategy.RANDOM_PER_STATE]
+    mixture = law(Strategy.RANDOM_PER_STATE, params)
     expected = reference.MixtureSampler(
         reference.LeafSampler(spm_plan(params), params), reference.LeafSampler(cpm_plan(params), params)
     )
@@ -127,7 +127,7 @@ def test_spine_and_random_sums_take_no_gcd(monkeypatch):
             sampler = LeafSampler(plan, params)
             assert census(sampler.classes)[2].value() == 1
             assert sampler.table.cuts[-1] == 1 << 256 and sampler.marginal == (Fraction(1, 2), Fraction(1, 2))
-        mixture = build_samplers(params)[Strategy.RANDOM_PER_STATE]
+        mixture = law(Strategy.RANDOM_PER_STATE, params)
         assert mixture.table.cuts[-1] == 1 << 256 and mixture.marginal == (Fraction(1, 2), Fraction(1, 2))
         for plan in (cpm_plan(params), spm_plan(params), random_plan(params, 3)):
             assert bob_marginal(plan, params) == (Fraction(1, 2), Fraction(1, 2))
