@@ -195,9 +195,9 @@ def spm_plan(params: PlanParams) -> MeasurementPlan:
 class OutcomeClass(NamedTuple):
     """The 2^depth leaves below `head` at one `level` (1 + the length of
     the leading run of perp outcomes): each leaf's receiver state has the
-    signed squares a0/den and a1/den, a1 negated for an odd suffix after
-    `head`, and class `leaf_classes[parity]`; den >> depth is the walk's
-    den, its parent's times q.  `probability` and the even `state` are
+    signed squares a0 and a1 over den << depth, a1 negated for an odd suffix
+    after `head`, and class `leaf_classes[parity]`; den is the walk's own den
+    object, its parent's times q.  `probability` and the even `state` are
     built where read; a named tuple is the cheapest record to build."""
 
     head: str
@@ -211,11 +211,12 @@ class OutcomeClass(NamedTuple):
 
     @property
     def probability(self) -> Fraction:
-        return Fraction(abs(self.a0) + abs(self.a1), self.den)
+        return Fraction(abs(self.a0) + abs(self.a1), self.den << self.depth)
 
     @property
     def state(self) -> ChainState:
-        return ChainState(1, Fraction(self.a0, self.den), Fraction(self.a1, self.den))
+        den = self.den << self.depth
+        return ChainState(1, Fraction(self.a0, den), Fraction(self.a1, den))
 
 
 def classify(a0, a1, cascade: CascadeConstants) -> LeafClass:
@@ -269,7 +270,7 @@ def outcome_classes(plan: MeasurementPlan, params: PlanParams) -> list[OutcomeCl
     for head, depth, a0, a1, den, q in _walk_numerators(plan, params):
         level = head.find("0") + 1 or params.m + 1
         leaf_classes = tuple([classify(a0, amp1, cascade) for amp1 in ((a1, -a1) if depth else (a1,))])
-        classes.append(OutcomeClass(head, depth, level, a0, a1, den << depth, q, leaf_classes))
+        classes.append(OutcomeClass(head, depth, level, a0, a1, den, q, leaf_classes))
     return classes
 
 
@@ -278,11 +279,11 @@ def enumerate_branches(plan: MeasurementPlan, params: PlanParams) -> list[Outcom
     of the same rule as a step plan, and the per-leaf oracle for the CLI's table."""
     leaves = []
     for c in outcome_classes(plan, params):
-        q = 2 if c.depth else c.q  # a tail's leaves come of its {|+>, |->} steps
+        q, den = 2 if c.depth else c.q, c.den << c.depth  # a tail's leaves come of its {|+>, |->} steps
         for i in range(2**c.depth):
             parity = i.bit_count() & 1  # bin(2^depth + i) is "0b1" and then the suffix, padded to depth bits
             outcomes, a1 = c.head + bin(i | 1 << c.depth)[3:], -c.a1 if parity else c.a1
-            leaves.append(OutcomeClass(outcomes, 0, c.level, c.a0, a1, c.den, q, (c.leaf_classes[parity],)))
+            leaves.append(OutcomeClass(outcomes, 0, c.level, c.a0, a1, den, q, (c.leaf_classes[parity],)))
     return leaves
 
 
@@ -312,8 +313,8 @@ class CommonSums(Counter):
 
 def census(classes: list[OutcomeClass]) -> tuple[Counter[int], Counter[LeafClass], CommonSums]:
     """Leaves per level, and leaves and total probability per leaf class: a
-    class's states split its leaves and its weight (|a0| + |a1|) / (den >> depth),
-    summed over 2 * (den >> depth) so that the classes' dens nest by their q."""
+    class's states split its leaves and its weight (|a0| + |a1|) / den,
+    summed over 2 * den so that the classes' dens nest by their q."""
     levels: Counter[int] = Counter()
     leaves: Counter[LeafClass] = Counter()
     probability = CommonSums()
@@ -322,5 +323,5 @@ def census(classes: list[OutcomeClass]) -> tuple[Counter[int], Counter[LeafClass
         states = len(c.leaf_classes)
         for leaf_class in c.leaf_classes:
             leaves[leaf_class] += 2**c.depth // states
-            probability.add(leaf_class, (abs(c.a0) + abs(c.a1)) * (2 // states), 2 * (c.den >> c.depth), c.q)
+            probability.add(leaf_class, (abs(c.a0) + abs(c.a1)) * (2 // states), 2 * c.den, c.q)
     return levels, leaves, probability

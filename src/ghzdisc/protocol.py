@@ -124,11 +124,11 @@ class CounterStream:
 
 
 class LeafSampler:
-    """The exact law of one strategy over its plan's outcome classes, built on
-    first use: `rows`, one (num, den, q, eta, bit) per class and bit, num/den =
-    p(class) * p(bit | class) unreduced, q the class's step q; `_sums`, one pass
-    adding each row once by its bit, for `cuts`, each row's cumulative weight as
-    a `_cut`, and `marginal`, the exact p0 and p1; `table`, the cuts' inverse CDF."""
+    """The exact law of one strategy over its plan's outcome classes, built on first
+    use: a row per class and bit, of weight |a_bit| / den = p(class) * p(bit | class);
+    `_sums`, one pass adding each row once by its bit, the class's q as hint, for `cuts`,
+    each row's cumulative weight as a `_cut`, and `marginal`, the exact p0 and p1;
+    `table`, the cuts' inverse CDF, with code 2 * eta + bit per row."""
 
     def __init__(self, plan: MeasurementPlan, params: PlanParams):
         self.classes = outcome_classes(plan, params)
@@ -137,16 +137,12 @@ class LeafSampler:
                 raise PlanError(f"cannot sample class {c.head!r}: it mixes eta and non-eta leaves")
 
     @cached_property
-    def rows(self) -> list[tuple[int, int, int, bool, int]]:
-        return [(abs(amp), c.den >> c.depth, c.q, c.leaf_classes[0] is LeafClass.ETA, bit)
-                for c in self.classes for bit, amp in enumerate((c.a0, c.a1))]
-
-    @cached_property
     def _sums(self) -> tuple[list[int], CommonSums]:
         cuts, sums = [], CommonSums()
-        for num, den, q, _, bit in self.rows:
-            sums.add(bit, num, den, q)
-            cuts.append(_cut(sums.total(), sums.den))
+        for c in self.classes:
+            for bit, amp in enumerate((c.a0, c.a1)):
+                sums.add(bit, abs(amp), c.den, c.q)
+                cuts.append(_cut(sums.total(), sums.den))
         if sums.total() != sums.den:
             raise MeasurementError(f"the rows' weights sum to {fraction_str(sums.value())}, not 1")
         return cuts, sums
@@ -155,7 +151,7 @@ class LeafSampler:
 
     @cached_property
     def table(self) -> JointTable:
-        cuts, codes = self.cuts, [2 * eta + bit for *_, eta, bit in self.rows]
+        cuts, codes = self.cuts, [2 * (c.leaf_classes[0] is LeafClass.ETA) + b for c in self.classes for b in (0, 1)]
         span = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
         ends = [(bisect_right(cuts, b * span), bisect_right(cuts, (b + 1) * span - 1)) for b in range(256)]
         guide = bytes(codes[lo] if lo == hi else AMBIGUOUS for lo, hi in ends)
@@ -173,14 +169,13 @@ class LeafSampler:
 
 
 class MixtureSampler(LeafSampler):
-    """The law drawing each state from one of k `parts` at equal weight: their classes
-    and rows in order, each den times k.  Part i's cut c is ceil((i * 2**RESOLUTION_BITS + c) / k),
+    """The law drawing each state from one of k `parts` at equal weight: their classes in order,
+    each row at 1/k of its part's weight.  Part i's cut c is ceil((i * 2**RESOLUTION_BITS + c) / k),
     as ceil((A + y) / k) = ceil((A + ceil(y)) / k) for integer A; the marginal is the parts' mean."""
 
     def __init__(self, *parts: LeafSampler):
         self.parts = parts
         self.classes = [c for part in parts for c in part.classes]
-        self.rows = [(num, len(parts) * den, *row) for part in parts for num, den, *row in part.rows]
 
     @cached_property
     def cuts(self) -> list[int]:

@@ -1,7 +1,7 @@
 """The class pipeline on reduced `Fraction`s: the oracle for its integer form.
 
-`outcome_classes`, `census`, a sampler's `rows`, `table` and `marginal`,
-and `bob_marginal`, under the package's names, with every value a
+`outcome_classes`, `census`, a sampler's `table` and `marginal` over its
+`rows`, and `bob_marginal`, under the package's names, with every value a
 reduced `Fraction`: each class holds its probability and receiver states
 as `Fraction`s, `classify` compares `Fraction` slopes with those of mu+,
 mu- and the closed-form eta leaf (`constants(params).eta_leaf`), and
@@ -9,7 +9,8 @@ every sum is a sum of `Fraction`s, with a gcd per operation.  The
 walker, `_walk_numerators`, is shared: its own reference is
 `measure_next` (tests/test_plans.py).  `eta_node` is the all-perp node
 multiplied out step by step along the spine, the reference for the
-telescoped `constants(params).eta_node`.
+telescoped `constants(params).eta_node`.  `law_rows` reads the same rows
+off an integer law's classes.
 """
 
 from __future__ import annotations
@@ -153,6 +154,19 @@ class MixtureSampler(LeafSampler):
     @cached_property
     def rows(self) -> list[tuple[Fraction, bool, int]]:
         return [(w / 2, eta, bit) for part in self.parts for w, eta, bit in part.rows]
+
+
+def law_rows(law) -> list[tuple[Fraction, bool, int]]:
+    """An integer law's rows as (share * |a_bit| / den, eta, bit) per class and bit,
+    read off its classes; a mixture's off its parts' classes, at share 1/k each."""
+    parts = getattr(law, "parts", (law,))
+    share = Fraction(1, len(parts))
+    return [
+        (share * Fraction(abs(amp), c.den), c.leaf_classes[0] is LeafClass.ETA, bit)
+        for part in parts
+        for c in part.classes
+        for bit, amp in enumerate((c.a0, c.a1))
+    ]
 
 
 def bob_marginal(plan, params) -> tuple[Fraction, Fraction]:

@@ -30,6 +30,7 @@ from ghzdisc.amplitude import (
     fraction_json,
     fraction_str,
 )
+from ghzdisc.plans import LeafClass, OutcomeClass
 from ghzdisc.protocol import check_seed, w_terms
 
 X = ExactAmplitude(1, Fraction(2, 3))
@@ -293,7 +294,7 @@ def test_signed_squares_match_reference_walk(n):
 
 def _weights_sum_to(total):
     sampler = LeafSampler(spm_plan(PlanParams(4)), PlanParams(4))
-    sampler.rows = [(total.numerator, total.denominator, 1, False, 0)]
+    sampler.classes = [OutcomeClass("", 0, 1, total.numerator, 0, total.denominator, 1, (LeafClass.OTHER,))]
     return sampler.table
 
 

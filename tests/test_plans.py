@@ -28,7 +28,7 @@ from ghzdisc import (
 )
 from ghzdisc.amplitude import ExactAmplitude
 from ghzdisc.cli import _census_lines
-from ghzdisc.plans import CommonSums, MeasurementPlan, census, enumerate_branches, outcome_classes
+from ghzdisc.plans import CommonSums, MeasurementPlan, _walk_numerators, census, enumerate_branches, outcome_classes
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)
@@ -164,6 +164,23 @@ def test_hinted_sum_takes_the_term_den():
     assert sums.den == den << 10
     assert sums.value(0) == Fraction(1, 3**200) + Fraction(1, 2**10 * 3**5)
     assert sums.value(1) == Fraction(1, 3**200 * 5**90) + Fraction(1, den)
+
+
+@pytest.mark.parametrize("plan_for", [cpm_plan, spm_plan, lambda p: random_plan(p, 3)], ids=["cpm", "spm", "random"])
+def test_classes_keep_the_walk_den(monkeypatch, plan_for):
+    # a class holds the very den object its walk yielded, not a shifted copy of it
+    params, yielded = PlanParams(10, Fraction(3, 7)), []
+
+    def recorded(*args):
+        for node in _walk_numerators(*args):
+            yielded.append(node)
+            yield node
+
+    monkeypatch.setattr("ghzdisc.plans._walk_numerators", recorded)
+    classes = outcome_classes(plan_for(params), params)
+    assert len(classes) == len(yielded)
+    for c, (head, depth, *_, den, q) in zip(classes, yielded):
+        assert (c.head, c.depth, c.q) == (head, depth, q) and c.den is den, head
 
 
 class TestCpmPlan:

@@ -27,12 +27,19 @@ from ghzdisc import (
     spm_plan,
     w_statistic,
 )
-from ghzdisc.plans import CommonSums, MeasurementPlan, enumerate_branches, outcome_classes
+from ghzdisc.plans import CommonSums, MeasurementPlan, OutcomeClass, enumerate_branches, outcome_classes
 from ghzdisc.protocol import (
     _BLOCK, AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, w_terms,
 )
+from reference import law_rows
 
 P8 = PlanParams(8)
+
+
+def _classes(*rows):
+    """Hand-made depth-0 classes from (a0, a1, den, q, eta): rows |a0| / den and |a1| / den, hinted by q."""
+    return [OutcomeClass("", 0, 1, a0, a1, den, q, (LeafClass.ETA if eta else LeafClass.OTHER,))
+            for a0, a1, den, q, eta in rows]
 
 
 class TestCounterStream:
@@ -172,8 +179,8 @@ def test_w_statistic_matches_closed_form(n, x_sq):
 class TestLeafSampler:
     def test_cdf_covers_unit_interval(self):
         sampler = LeafSampler(spm_plan(P8), P8)
-        # a sampler build only classifies: the rows and the table wait for first use
-        assert not {"rows", "_sums", "table", "marginal"} & set(vars(sampler))
+        # a sampler build only classifies: the sums and the table wait for first use
+        assert not {"_sums", "table", "marginal"} & set(vars(sampler))
         # two cuts per outcome class, one per bit: 2(m + 1) for a spine plan, not 2^m
         cuts = sampler.table.cuts
         assert len(cuts) == 2 * (P8.m + 1)
@@ -181,13 +188,18 @@ class TestLeafSampler:
         assert all(a <= b for a, b in zip(cuts, cuts[1:]))
 
     def test_marginal_sums_rows_per_bit(self):
-        # every plan's marginal is (1/2, 1/2), so uneven rows stand in to tell the bits apart
+        # every plan's marginal is (1/2, 1/2), so uneven classes stand in to tell the bits apart;
+        # the second den is the first's times its q, a true hint: one Horner step
         sampler = LeafSampler(spm_plan(P8), P8)
-        sampler.rows = [(1, 8, 1, False, 0), (1, 4, 1, False, 1), (1, 2, 1, True, 0), (1, 8, 1, True, 1)]
+        sampler.classes = _classes((1, 2, 8, 1, False), (8, 2, 16, 2, True))
         assert sampler.marginal == (Fraction(5, 8), Fraction(3, 8))
-        # a q that does not nest its row's den is a wrong hint: the sum widens to the lcm instead
+        # a q that does not nest its class's den is a wrong hint: the sum widens to the lcm instead
         sampler = LeafSampler(spm_plan(P8), P8)
-        sampler.rows = [(1, 2, 5, True, 0), (1, 8, 2, False, 0), (1, 4, 2, False, 1), (1, 8, 2, True, 1)]
+        sampler.classes = _classes((4, 1, 8, 5, True), (2, 4, 16, 5, False))
+        assert sampler.marginal == (Fraction(5, 8), Fraction(3, 8))
+        # a den that divides the common one, as 8 after 16, is taken to the common den
+        sampler = LeafSampler(spm_plan(P8), P8)
+        sampler.classes = _classes((2, 4, 16, 1, False), (4, 1, 8, 1, True))
         assert sampler.marginal == (Fraction(5, 8), Fraction(3, 8))
 
     def test_outcome_distribution_smoke(self):
@@ -244,11 +256,6 @@ def _bisect_exact(cum, k):
     return lo
 
 
-def _weights(rows):
-    """A sampler's (num, den, q, eta, bit) rows as (Fraction weight, eta, bit)."""
-    return [(Fraction(num, den), eta, bit) for num, den, _, eta, bit in rows]
-
-
 def _scaled_cumulative(rows):
     """Scaled (numerator, denominator) thresholds of the rows' cumulative weight."""
     cumulative, cum = Fraction(0), []
@@ -293,7 +300,7 @@ def test_sampler_matches_reference_at_every_cut(n, x_sq, plan_for):
         for bit in (0, 1):
             weight = sum(r.probability * bob_distribution(r.state)[bit] for r in leaves)
             reference.append((weight, eta, bit))
-    assert _weights(sampler.rows) == reference
+    assert law_rows(sampler) == reference
     cum = _scaled_cumulative(reference)
     for k in _cut_draws(cum):
         row = _bisect_exact(cum, k)
@@ -339,7 +346,7 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
     # the table reads a sampler's classes, whatever plan built them
     sampler = law(strategy, params) if plan_for is None else LeafSampler(plan_for(params), params)
     reference = _reference_rows(sampler)
-    assert _weights(sampler.rows) == reference
+    assert law_rows(sampler) == reference
     table = sampler.table
     if plan_for is None:
         assert len(table.cuts) == (4 if strategy is Strategy.RANDOM_PER_STATE else 2) * (params.m + 1)
@@ -364,6 +371,27 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
         assert sampler.marginal == tuple((a + b) / 2 for a, b in zip(cpm.marginal, spm.marginal))
 
 
+def _retained(strategy, params):
+    """Bytes a law still holds, by tracemalloc, once its table and marginal are read."""
+    tracemalloc.start()
+    try:
+        sampler = law(strategy, params)
+        sampler.table, sampler.marginal
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained
+
+
+def test_mixture_retains_about_its_parts():
+    # `random`'s law shares its parts' classes and copies no number: beyond spm's
+    # law (0.34 MB here) it holds cpm's few shallow classes and its own cuts
+    params = PlanParams(18, Fraction(3, 7))
+    constants(params).slopes  # the plans' constants are cached once per params, outside either law
+    spm, mixture = (_retained(strategy, params) for strategy in (Strategy.SPM, Strategy.RANDOM_PER_STATE))
+    assert mixture - spm <= 64 << 10, (spm, mixture)
+
+
 # an `if`, not an `assert`, so that `python -O` keeps the check; the marginal
 # reads the same pass, so it is no sum of rows that are not a law either
 @pytest.mark.parametrize(
@@ -374,7 +402,7 @@ def test_joint_table_matches_reference_at_every_cut(n, x_sq, strategy, plan_for)
 def test_table_rejects_rows_not_summing_to_one(total, read):
     den = 3 * total.denominator
     sampler = LeafSampler(spm_plan(P8), P8)
-    sampler.rows = [(total.numerator, den, 1, False, 0), (2 * total.numerator, den, 1, True, 1)]
+    sampler.classes = _classes((total.numerator, 0, den, 1, False), (0, 2 * total.numerator, den, 1, True))
     with pytest.raises(MeasurementError, match=f"^the rows' weights sum to {total}, not 1$"):
         getattr(sampler, read)
 
@@ -393,7 +421,7 @@ def test_table_and_marginal_add_each_row_once(monkeypatch, plan, x_sq, n):
     monkeypatch.setattr(CommonSums, "add", counted)
     sampler = LeafSampler(plan(params), params)
     assert sampler.table.cuts[-1] == 1 << RESOLUTION_BITS and sampler.marginal == (Fraction(1, 2), Fraction(1, 2))
-    assert len(adds) == len(sampler.rows)
+    assert len(adds) == 2 * len(sampler.classes)
 
 
 _BYTE_RANGE = 1 << (RESOLUTION_BITS - 8)  # the draws that share a leading byte
@@ -536,7 +564,7 @@ def test_joint_table_level_and_bit_frequencies(strategy):
         for bit in (0, 1)
     ]
     exact = Counter()
-    for cell, (weight, _, _) in zip(cells, _weights(sampler.rows)):
+    for cell, (weight, _, _) in zip(cells, law_rows(sampler)):
         exact[cell] += weight
     table = sampler.table
     samples = 10**5
