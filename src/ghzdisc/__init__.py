@@ -1,14 +1,6 @@
 """Exact-arithmetic simulator for adaptive measurement cascades on GHZ chains."""
 
-from .engine import (
-    PLUS_MINUS,
-    Basis,
-    ChainState,
-    MeasurementError,
-    bob_distribution,
-    ghz_state,
-    measure_next,
-)
+from .engine import Basis, ChainState, MeasurementError, bob_distribution, measure_next
 from .plans import (
     LeafClass,
     PlanError,

@@ -14,7 +14,7 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, repeat
 from typing import Iterator
 
@@ -22,7 +22,7 @@ from .amplitude import amplitude_json, decimal_str, fraction_json, fraction_str
 from .oracle import bob_marginal, checkpoint_report, no_signaling_suite
 from .plans import PlanParams, census, outcome_classes
 from .protocol import (
-    PLANS, ProtocolConfig, Strategy, discriminate, law, run_protocol, w_terms,
+    PLANS, ProtocolConfig, Strategy, discriminate, group_vote, law, majority, run_protocol, w_terms,
 )
 
 OUT_DIR_ENV = "GHZDISC_OUT_DIR"
@@ -237,25 +237,32 @@ _TRIAL_JSON = (
 )
 
 
-def _simulate_json(payload: dict) -> str:
-    """`json.dumps(payload, indent=2)` for a `simulate` payload: the
-    config and summary by json.dumps, and `per_trial` spliced in from
-    templates.  Each distinct group record is rendered once; a run's
-    groups of equal count share one record."""
-    texts: dict[tuple, str] = {}  # a record's values -> its text
-    trials = []
-    for trial in payload["per_trial"]:
-        groups = []
-        for record in trial["per_group"]:
-            key = tuple(record.values())
-            text = texts.get(key)
-            if text is None:
-                ratio = "null" if record["ratio"] is None else repr(record["ratio"])
-                text = texts[key] = _GROUP_JSON.format_map({**record, "ratio": ratio})
-            groups.append(text)
-        trials.append(_TRIAL_JSON.format_map({**trial, "groups": ",\n".join(groups)}))
-    head, _, tail = json.dumps({**payload, "per_trial": None}, indent=2).partition('"per_trial": null')
-    return head + '"per_trial": [\n' + ",\n".join(trials) + "\n  ]" + tail
+def _groups(config: ProtocolConfig):
+    """A `simulate` group record per count of ones, built once per distinct count:
+    its vote, its `_GROUP_JSON` text, and its CSV cells zeros,ones,ratio,decision.
+    The ratio is ones / zeros, None (JSON null, an empty cell) when zeros == 0."""
+
+    @cache
+    def group(ones: int) -> tuple[bool, str, str]:
+        zeros, vote = config.per_group - ones, group_vote(config, ones)
+        ratio, decision = repr(ones / zeros) if zeros else "", (Strategy.SPM if vote else Strategy.CPM).value
+        text = _GROUP_JSON.format(zeros=zeros, ones=ones, ratio=ratio or "null", decision=decision)
+        return vote, text, f"{zeros},{ones},{ratio},{decision}"
+
+    return group
+
+
+def _simulate_json(payload: dict, trials, group) -> str:
+    """`json.dumps(payload, indent=2)` of a `simulate` payload whose `per_trial` is None:
+    the config and summary by json.dumps, and `per_trial` spliced in from templates,
+    from each trial's (ones per group, eta hits) and each count's `group` record."""
+    texts = []
+    for ones_per_group, eta_hits in trials:
+        votes, groups, _ = zip(*map(group, ones_per_group))
+        decision = majority(votes).value
+        texts.append(_TRIAL_JSON.format(groups=",\n".join(groups), eta_hits=eta_hits, overall_decision=decision))
+    head, _, tail = json.dumps(payload, indent=2).partition('"per_trial": null')
+    return head + '"per_trial": [\n' + ",\n".join(texts) + "\n  ]" + tail
 
 
 def cmd_simulate(args, params: PlanParams) -> int:
@@ -265,8 +272,8 @@ def cmd_simulate(args, params: PlanParams) -> int:
         raise ValueError(f"--out and --csv name the same file: {target!r}")
     with _output(args.out) as handle, (_output(args.csv) if args.csv else nullcontext()) as csv_handle:
         sampler = law(config.strategy, params)
-        trials = run_protocol(config, sampler)
-        ones = sum(g["ones"] for t in trials for g in t["per_group"])
+        trials, group = run_protocol(config, sampler), _groups(config)
+        ones = sum(sum(ones_per_group) for ones_per_group, _ in trials)
         total = config.trials * config.groups * config.per_group
         oracle_p1 = sampler.marginal[1]
         w_values = {}
@@ -276,20 +283,19 @@ def cmd_simulate(args, params: PlanParams) -> int:
                 w_values[str(l)] = num / den
         payload = {
             "config": _config_json(config),
-            "per_trial": trials,
+            "per_trial": None,
             "summary": {
                 "empirical_p1": ones / total,
                 "oracle_p1": fraction_json(oracle_p1),
                 "w_values": w_values,
             },
         }
-        handle.write(_simulate_json(payload) + "\n")
+        handle.write(_simulate_json(payload, trials, group) + "\n")
         if csv_handle is not None:
             csv_handle.write("trial,group,zeros,ones,ratio,decision\n")
-            for t, trial in enumerate(trials):
-                for g, c in enumerate(trial["per_group"]):
-                    ratio = "" if c["ratio"] is None else repr(c["ratio"])
-                    csv_handle.write(f"{t},{g},{c['zeros']},{c['ones']},{ratio},{c['decision']}\n")
+            for t, (ones_per_group, _) in enumerate(trials):
+                for g, count in enumerate(ones_per_group):
+                    csv_handle.write(f"{t},{g},{group(count)[2]}\n")
     return 0
 
 

@@ -80,9 +80,6 @@ class Basis(Record):
             raise MeasurementError(f"basis is not normalized: c0^2 + c1^2 = {_text(norm)}")
 
 
-PLUS_MINUS = Basis(Fraction(1, 2), Fraction(1, 2))
-
-
 class ChainState(Record):
     """Unnormalized amp0|0...0> + amp1|1...1> over `remaining` qubits."""
 
@@ -99,13 +96,6 @@ class ChainState(Record):
 
     def norm_sq(self) -> Fraction:
         return abs(self.amp0) + abs(self.amp1)
-
-
-def ghz_state(n: int) -> ChainState:
-    """(|0...0> + |1...1>)/sqrt(2) over n qubits."""
-    if n < 2:
-        raise MeasurementError(f"a shared chain needs at least 2 qubits, got {_text(n)}")
-    return ChainState(n, Fraction(1, 2), Fraction(1, 2))
 
 
 def measure_next(state: ChainState, basis: Basis) -> tuple[ChainState, ChainState]:

@@ -133,6 +133,8 @@ def checkpoint_report(params: PlanParams) -> list[dict]:
         if c.level <= m and any(leaf_class in mu for leaf_class in c.leaf_classes)
     )
     checks.append(_exact("mu_leaf_prefactors", prefactors_ok, True))
+    # the closed-form eta node, den included, against the spine walk's last class at every x^2
+    checks.append(_exact("eta_node_matches_walk", classes[-1][3:6] == cascade.eta_node, True))
 
     if params == _REFERENCE:
         checks.append(_approx("mu_probability", probability.value(*mu), "0.75", "1e-37"))

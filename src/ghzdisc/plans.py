@@ -235,8 +235,8 @@ def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tupl
     `depth` stages.  A step (n0, n1, q), with q not necessarily reduced,
     is four integer products; both children get den * q, and that q.
     Each step checks that both children keep a nonzero norm and that
-    their norms sum to the parent's: the children's weights sum to
-    (|a0| + |a1|)(|n0| + |n1|), so this also forces |n0| + |n1| = q."""
+    |n0| + |n1| = q: the children's weights sum to (|a0| + |a1|)(|n0| + |n1|)
+    over den * q, so their norms then sum to the parent's."""
     if plan.stages != params.m:
         raise PlanError(f"plan covers {plan.stages} stages but params have m={params.m}")
     spine = plan.spine is not None
@@ -251,7 +251,7 @@ def _walk_numerators(plan: MeasurementPlan, params: PlanParams) -> Iterator[tupl
             continue
         n0, n1, q = step(history)
         f0, f1, g0, g1 = a0 * n0, a1 * n1, a0 * n1, -a1 * n0
-        if not (f0 or f1) or not (g0 or g1) or abs(f0) + abs(f1) + abs(g0) + abs(g1) != (abs(a0) + abs(a1)) * q:
+        if not (f0 or f1) or not (g0 or g1) or abs(n0) + abs(n1) != q:
             raise MeasurementError(
                 f"basis ({n0}/{q}, {n1}/{q}) at history {history!r} does not split the branch's weight"
             )

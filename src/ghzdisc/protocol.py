@@ -24,11 +24,13 @@ translates them through the table's guide, to each draw's code, and its
 bit guide, to the receiver's bit: one bounded `bytes.count` per group
 counts its ones, and two the pass's eta hits.  That decides each draw
 whose leading byte's range holds no cut; only the rest hash their tail
-message and are bisected over all 256 bits.  A group's vote and
-record depend only on its count of ones, so each distinct count is
-decided once per run.  `discriminate`'s truth coin for trial t is the
-lead byte of value 0 of the stream at (seed, truth domain, t): that
-value is below 2**255 exactly when its lead byte is below 128.
+message and are bisected over all 256 bits.  `run_protocol` returns
+each trial's counts.  A group's vote is a function of its count of ones
+(`group_vote`), decided once per distinct count in a run, and a trial's
+decision is the `majority` of its groups' votes.  `discriminate`'s truth
+coin for trial t is the lead byte of value 0 of the stream at (seed,
+truth domain, t): that value is below 2**255 exactly when its lead byte
+is below 128.
 `CounterStream` and `LeafSampler.sample` read the same values one draw
 at a time; they are the reference for the loop and are on no command's
 path.
@@ -41,7 +43,7 @@ from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .amplitude import fraction_str
 from .engine import MeasurementError, Record, _text, check_fractions
@@ -256,49 +258,17 @@ class JointTable(NamedTuple):
     bits: bytes
 
 
-class _Decider:
-    """The decision rule of one run.  A group's vote and record depend
-    only on its count of ones, so `vote` and `record` are cached per
-    decider: each is built once per distinct count seen, and the groups
-    of equal count share one record dict."""
+def group_vote(config: ProtocolConfig, ones: int) -> bool:
+    """Whether a group of `ones` ones votes spm: ones / zeros reaches
+    the threshold, or zeros == 0."""
+    zeros, threshold = config.per_group - ones, config.threshold
+    # ones / zeros >= threshold, in integers: zeros > 0 here
+    return zeros == 0 or ones * threshold.denominator >= threshold.numerator * zeros
 
-    def __init__(self, config: ProtocolConfig):
-        self.config = config
-        self.vote = cache(self._vote)
-        self.record = cache(self._record)
 
-    def _vote(self, ones: int) -> bool:
-        """Whether a group of `ones` ones votes spm: ones / zeros reaches
-        the threshold, or zeros == 0."""
-        zeros = self.config.per_group - ones
-        # ones / zeros >= threshold, in integers: zeros > 0 here
-        threshold = self.config.threshold
-        return zeros == 0 or ones * threshold.denominator >= threshold.numerator * zeros
-
-    def _record(self, ones: int) -> dict:
-        zeros = self.config.per_group - ones
-        return {
-            "zeros": zeros,
-            "ones": ones,
-            "ratio": ones / zeros if zeros else None,
-            "decision": (Strategy.SPM if self.vote(ones) else Strategy.CPM).value,
-        }
-
-    def overall(self, ones_per_group: list[int]) -> str:
-        """The majority vote: spm needs more than half the groups."""
-        spm_votes = sum(map(self.vote, ones_per_group))
-        return (Strategy.SPM if 2 * spm_votes > self.config.groups else Strategy.CPM).value
-
-    def trial(self, ones_per_group: list[int], eta_hits: int) -> dict:
-        """One trial as a `simulate` per-trial record: per group the
-        receiver's zeros and ones, their ratio (None when zeros == 0) and
-        its vote; the eta hits; and the majority vote.  Votes are
-        `Strategy` values."""
-        return {
-            "per_group": list(map(self.record, ones_per_group)),
-            "eta_hits": eta_hits,
-            "overall_decision": self.overall(ones_per_group),
-        }
+def majority(votes: Sequence[bool]) -> Strategy:
+    """A trial's decision from its groups' votes: spm needs more than half of them."""
+    return Strategy.SPM if 2 * sum(votes) > len(votes) else Strategy.CPM
 
 
 def _run_trial(
@@ -332,12 +302,11 @@ def _run_trial(
     return ones_per_group, eta_hits
 
 
-def run_protocol(config: ProtocolConfig, sampler: LeafSampler) -> list[dict]:
-    """The `simulate` per-trial records, deterministic given the config
-    (seed included); `sampler` is `law(config.strategy, config.params)`."""
-    table = sampler.table
-    decider, group_paths = _Decider(config), [_pack(g) for g in range(config.groups)]
-    return [decider.trial(*_run_trial(config, table, t, group_paths)) for t in range(config.trials)]
+def run_protocol(config: ProtocolConfig, sampler: LeafSampler) -> list[tuple[list[int], int]]:
+    """Each trial's ones per group and eta hits, deterministic given the
+    config (seed included); `sampler` is `law(config.strategy, config.params)`."""
+    table, group_paths = sampler.table, [_pack(g) for g in range(config.groups)]
+    return [_run_trial(config, table, t, group_paths) for t in range(config.trials)]
 
 
 def discriminate(config: ProtocolConfig) -> dict:
@@ -345,7 +314,7 @@ def discriminate(config: ProtocolConfig) -> dict:
     receiver's decision rule is scored against it.  The report is the
     `discriminate` payload without its config."""
     laws = {strategy: law(strategy, config.params) for strategy in (Strategy.CPM, Strategy.SPM)}
-    decider, group_paths = _Decider(config), [_pack(g) for g in range(config.groups)]
+    vote, group_paths = cache(lambda ones: group_vote(config, ones)), [_pack(g) for g in range(config.groups)]
     trials: list[dict] = []
     confusion = {
         truth.value: {guess.value: 0 for guess in (Strategy.CPM, Strategy.SPM)}
@@ -355,7 +324,7 @@ def discriminate(config: ProtocolConfig) -> dict:
         coin = hashlib.shake_256(_pack(config.seed, _DOMAIN_TRUTH, t)).digest(1)[0]
         truth = Strategy.SPM if coin < 128 else Strategy.CPM
         ones_per_group, eta_hits = _run_trial(config, laws[truth].table, t, group_paths)
-        decision = decider.overall(ones_per_group)
+        decision = majority(list(map(vote, ones_per_group))).value
         confusion[truth.value][decision] += 1
         trials.append({"truth": truth.value, "decision": decision, "eta_hits": eta_hits})
     correct = sum(1 for tr in trials if tr["decision"] == tr["truth"])

@@ -10,7 +10,8 @@ walker, `_walk_numerators`, is shared: its own reference is
 `measure_next` (tests/test_plans.py).  `eta_node` is the all-perp node
 multiplied out step by step along the spine, the reference for the
 telescoped `constants(params).eta_node`.  `law_rows` reads the same rows
-off an integer law's classes.
+off an integer law's classes.  `ghz_state` and `PLUS_MINUS` are the root
+state and the {|+>, |->} basis of the `measure_next` walks.
 """
 
 from __future__ import annotations
@@ -21,9 +22,18 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from ghzdisc.engine import ChainState, MeasurementError
+from ghzdisc.engine import Basis, ChainState, MeasurementError, _text
 from ghzdisc.plans import LeafClass, _walk_numerators, constants
 from ghzdisc.protocol import AMBIGUOUS, RESOLUTION_BITS, JointTable
+
+PLUS_MINUS = Basis(Fraction(1, 2), Fraction(1, 2))
+
+
+def ghz_state(n: int) -> ChainState:
+    """(|0...0> + |1...1>)/sqrt(2) over n qubits."""
+    if n < 2:
+        raise MeasurementError(f"a shared chain needs at least 2 qubits, got {_text(n)}")
+    return ChainState(n, Fraction(1, 2), Fraction(1, 2))
 
 
 class OutcomeClass(NamedTuple):

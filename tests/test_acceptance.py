@@ -20,7 +20,6 @@ from ghzdisc import (
     constants,
     cpm_plan,
     discriminate,
-    ghz_state,
     law,
     measure_next,
     random_plan,
@@ -30,6 +29,7 @@ from ghzdisc import (
 )
 from ghzdisc.cli import main
 from ghzdisc.plans import enumerate_branches
+from reference import ghz_state
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)
@@ -188,8 +188,8 @@ def test_criterion_8_claimed_skew_not_reproduced(capsys):
     # performs at chance.
     start = time.perf_counter()
     sim = ProtocolConfig(seed=20260824, per_group=50000, groups=20, strategy=Strategy.SPM)
-    (trial,) = run_protocol(sim, law(sim.strategy, sim.params))
-    ones = sum(g["ones"] for g in trial["per_group"])
+    ((ones_per_group, _),) = run_protocol(sim, law(sim.strategy, sim.params))
+    ones = sum(ones_per_group)
     p1 = ones / 10**6
     disc = ProtocolConfig(seed=31337, trials=200, per_group=30, groups=20)
     accuracy = discriminate(disc)["accuracy"]

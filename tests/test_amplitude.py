@@ -16,7 +16,6 @@ from ghzdisc import (
     ProtocolConfig,
     bob_distribution,
     cpm_plan,
-    ghz_state,
     measure_next,
     no_signaling_suite,
     random_plan,
@@ -32,6 +31,7 @@ from ghzdisc.amplitude import (
 )
 from ghzdisc.plans import LeafClass, OutcomeClass
 from ghzdisc.protocol import check_seed, w_terms
+from reference import ghz_state
 
 X = ExactAmplitude(1, Fraction(2, 3))
 Y = ExactAmplitude(1, Fraction(1, 3))

@@ -20,7 +20,26 @@ from ghzdisc.amplitude import fraction_json
 from ghzdisc.cli import _CSV_HEADER, _branch_row, _csv_row, main
 from ghzdisc.plans import PlanParams, enumerate_branches, outcome_classes
 from ghzdisc.oracle import checkpoint_report, no_signaling_suite
-from ghzdisc.protocol import PLANS, ProtocolConfig, Strategy, discriminate, law, run_protocol
+from ghzdisc.protocol import PLANS, ProtocolConfig, Strategy, discriminate, group_vote, law, run_protocol
+
+
+def simulate_records(config, trials):
+    """The `simulate` per-trial records of each trial's (ones per group, eta
+    hits): per group its zeros, ones, ratio ones / zeros (None when zeros is
+    0) and vote; the eta hits; and the majority: spm needs more than half
+    the groups' votes.  Votes are `Strategy` values."""
+    records = []
+    for ones_per_group, eta_hits in trials:
+        votes = [group_vote(config, ones) for ones in ones_per_group]
+        per_group = [
+            {"zeros": config.per_group - ones, "ones": ones,
+             "ratio": ones / (config.per_group - ones) if ones < config.per_group else None,
+             "decision": "spm" if vote else "cpm"}
+            for ones, vote in zip(ones_per_group, votes)
+        ]
+        overall = "spm" if 2 * sum(votes) > len(votes) else "cpm"
+        records.append({"per_group": per_group, "eta_hits": eta_hits, "overall_decision": overall})
+    return records
 
 
 def run(argv, capsys):
@@ -222,27 +241,54 @@ class TestSimulate:
     data=st.data(),
 )
 def test_simulate_json_is_json_dumps(per_group, groups, trials, threshold, strategy, data):
-    # the spliced per-trial text equals json.dumps of the same payload, whose
-    # groups share one record per count as a run's do; a count of per_group
-    # ones has zeros = 0 and a null ratio
+    # the per-trial text spliced from drawn counts equals json.dumps of the
+    # payload holding their records; a count of per_group ones has zeros = 0
+    # and a null ratio
     config = ProtocolConfig(seed=1, per_group=per_group, groups=groups, trials=trials,
                             threshold=threshold, strategy=strategy)
-    decider = protocol._Decider(config)
     counts = st.lists(st.integers(min_value=0, max_value=per_group), min_size=groups, max_size=groups)
-    per_trial = [
-        decider.trial(data.draw(counts), data.draw(st.integers(0, groups * per_group)))
-        for _ in range(trials)
-    ]
+    drawn = [(data.draw(counts), data.draw(st.integers(0, groups * per_group))) for _ in range(trials)]
     payload = {
         "config": cli._config_json(config),
-        "per_trial": per_trial,
+        "per_trial": simulate_records(config, drawn),
         "summary": {
             "empirical_p1": data.draw(st.floats(min_value=0, max_value=1)),
             "oracle_p1": fraction_json(Fraction(1, 2)),
             "w_values": {"1": 1.655, "2": 3.43},
         },
     }
-    assert cli._simulate_json(payload) == json.dumps(payload, indent=2)
+    text = cli._simulate_json({**payload, "per_trial": None}, drawn, cli._groups(config))
+    assert text == json.dumps(payload, indent=2)
+
+
+def test_simulate_group_record_fields():
+    # a group's zeros, ones, ratio ones / zeros (null when zeros is 0) and vote,
+    # and the trial's majority, where a tie goes to cpm
+    config = ProtocolConfig(seed=1, per_group=7, groups=4, threshold=Fraction(4, 3))
+    text = cli._simulate_json({"per_trial": None}, [([4, 7, 3, 0], 5)], cli._groups(config))
+    assert json.loads(text)["per_trial"] == [{
+        "per_group": [
+            {"zeros": 3, "ones": 4, "ratio": 4 / 3, "decision": "spm"},
+            {"zeros": 0, "ones": 7, "ratio": None, "decision": "spm"},
+            {"zeros": 4, "ones": 3, "ratio": 3 / 4, "decision": "cpm"},
+            {"zeros": 7, "ones": 0, "ratio": 0.0, "decision": "cpm"},
+        ],
+        "eta_hits": 5,
+        "overall_decision": "cpm",
+    }]
+
+
+@pytest.mark.parametrize("with_csv", [False, True])
+def test_simulate_votes_each_count_once(with_csv, tmp_path, monkeypatch):
+    # a group's vote and record depend only on its count of ones: the JSON,
+    # the CSV and the majority read one record per distinct count of the run
+    voted = []
+    monkeypatch.setattr(cli, "group_vote", lambda config, ones: voted.append(ones) or group_vote(config, ones))
+    out, csv_out = tmp_path / "run.json", tmp_path / "groups.csv"
+    assert main(["simulate", "--seed", "6", "--per-group", "12", "--groups", "20", "--trials", "5",
+                 "--out", str(out), *(["--csv", str(csv_out)] if with_csv else [])]) == 0
+    counts = [g["ones"] for trial in json.loads(out.read_text())["per_trial"] for g in trial["per_group"]]
+    assert sorted(voted) == sorted(set(counts)) and len(voted) < len(counts)
 
 
 @pytest.mark.parametrize("strategy", ["cpm", "spm", "random"])
@@ -470,7 +516,8 @@ class TestDeterminism:
 
 
 class TestPayloadIsLibraryRecord:
-    """Each command writes the library's own records, with no renaming."""
+    """Each command writes the library's own records, with no renaming;
+    `simulate` writes the records of the library's counts."""
 
     def test_simulate_per_trial(self, tmp_path, capsys):
         out = tmp_path / "run.json"
@@ -478,7 +525,7 @@ class TestPayloadIsLibraryRecord:
                      "--seed", "7", "--groups", "3", "--per-group", "10", "--out", str(out)]) == 0
         config = ProtocolConfig(seed=7, params=PlanParams(6), per_group=10, groups=3,
                                 strategy=Strategy.RANDOM_PER_STATE, trials=2)
-        expected = run_protocol(config, law(config.strategy, config.params))
+        expected = simulate_records(config, run_protocol(config, law(config.strategy, config.params)))
         assert json.loads(out.read_text())["per_trial"] == expected
 
     def test_discriminate_report(self, tmp_path, capsys):

@@ -5,18 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ghzdisc import (
-    PLUS_MINUS,
     Basis,
     ChainState,
     MeasurementError,
     PlanParams,
     bob_distribution,
     cpm_plan,
-    ghz_state,
     measure_next,
     random_plan,
     spm_plan,
 )
+from reference import PLUS_MINUS, ghz_state
 
 X_SQ = Fraction(2, 3)
 Y_SQ = Fraction(1, 3)

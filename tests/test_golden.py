@@ -108,8 +108,8 @@ GOLDEN = {
     "verify": (
         ["verify", "--random-plans", "2", "--json", "@verify.json"],
         {
-            "stdout": "369203fac60667f635938b6e27dd0b499a1d2937d913572ae9a93b6f7ad75c21",
-            "@verify.json": "4a00b5450a679acb935e59e0518ce10210a3cc926366e47dcc95b0b70e855254",
+            "stdout": "39e16c3122ceb020479d56e7a75bfc583165dc3ed6ed75f21d09182c32fbfce2",
+            "@verify.json": "da2b5a6719234dcefa814dc3b18fa27a75f31f6db9fa78f4171903322eae8a92",
         },
     ),
 }

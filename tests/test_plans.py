@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzdisc import (
-    PLUS_MINUS,
     Basis,
     ChainState,
     LeafClass,
@@ -21,7 +20,6 @@ from ghzdisc import (
     classify,
     constants,
     cpm_plan,
-    ghz_state,
     measure_next,
     random_plan,
     spm_plan,
@@ -29,6 +27,7 @@ from ghzdisc import (
 from ghzdisc.amplitude import ExactAmplitude
 from ghzdisc.cli import _census_lines
 from ghzdisc.plans import CommonSums, MeasurementPlan, _walk_numerators, census, enumerate_branches, outcome_classes
+from reference import PLUS_MINUS, ghz_state
 
 P8 = PlanParams(8)
 X_SQ = Fraction(2, 3)
@@ -486,9 +485,10 @@ def test_integer_walk_matches_measure_next(x_sq, n, kind, seed):
     [
         ((3, 3, 4), ("01",)),
         ((1, -1, 4), ("01",)),
+        ((1, 1, -2), ("01",)),  # |n0| + |n1| = |q|, but not q
         ((0, 1, 1), ("", "0")),  # a valid step twice: the second child at "0" has zero norm
     ],
-    ids=["weight-over-one", "weight-under-one", "vanishing-branch"],
+    ids=["weight-over-one", "weight-under-one", "negative-q", "vanishing-branch"],
 )
 def test_walk_checks_every_step(bad_step, where):
     # an invalid step at the histories `where`: the walk's local check stops at the last of them

@@ -27,9 +27,10 @@ from ghzdisc import (
     spm_plan,
     w_statistic,
 )
+from ghzdisc import protocol
 from ghzdisc.plans import CommonSums, MeasurementPlan, OutcomeClass, enumerate_branches, outcome_classes
 from ghzdisc.protocol import (
-    _BLOCK, AMBIGUOUS, RESOLUTION_BITS, _cut, _Decider, _pack, w_terms,
+    _BLOCK, AMBIGUOUS, RESOLUTION_BITS, _cut, _pack, group_vote, majority, w_terms,
 )
 from reference import law_rows
 
@@ -486,7 +487,7 @@ def _reference_codes(n, strategy, trial, group):
 
 def _check_loop_against_reference(config):
     """`run_protocol` at `config` (seed `_SEED`, at most `_STATES` states per
-    group) gives the records of the reference draws; returns how many of
+    group) gives the counts of the reference draws; returns how many of
     the groups' draws fall in a byte whose range holds a cut."""
     ambiguous, expected = 0, []
     for t in range(config.trials):
@@ -497,7 +498,7 @@ def _check_loop_against_reference(config):
             eta_hits += sum(code >> 1 for code in codes)
             ones.append(sum(code & 1 for code in codes))
             ambiguous += sum(cut)
-        expected.append(_Decider(config).trial(ones, eta_hits))
+        expected.append((ones, eta_hits))
     assert run_protocol(config, _law(config.params.n, config.strategy)) == expected
     return ambiguous
 
@@ -584,17 +585,16 @@ class TestRunProtocol:
 
     def test_counts_complete(self):
         config = ProtocolConfig(seed=5, trials=1, per_group=30, groups=20, strategy=Strategy.CPM)
-        (trial,) = run_protocol(config, law(config.strategy, config.params))
-        assert len(trial["per_group"]) == 20
-        for group in trial["per_group"]:
-            assert group["zeros"] + group["ones"] == 30
-        assert trial["eta_hits"] == 0  # uniform plan never reaches the exceptional leaf
+        ((ones_per_group, eta_hits),) = run_protocol(config, law(config.strategy, config.params))
+        assert len(ones_per_group) == 20
+        assert all(0 <= ones <= 30 for ones in ones_per_group)
+        assert eta_hits == 0  # uniform plan never reaches the exceptional leaf
 
     def test_cascade_hits_exceptional_leaf(self):
         config = ProtocolConfig(seed=5, trials=1, per_group=100, groups=4, strategy=Strategy.SPM)
-        (trial,) = run_protocol(config, law(config.strategy, config.params))
+        ((_, eta_hits),) = run_protocol(config, law(config.strategy, config.params))
         # 400 states at ~1/4 each; grossly improbable to miss entirely
-        assert trial["eta_hits"] > 50
+        assert eta_hits > 50
 
     def test_random_per_state_runs(self):
         config = ProtocolConfig(
@@ -609,11 +609,11 @@ class TestRunProtocol:
         sampler = law(config.strategy, config.params)
         tracemalloc.start()
         try:
-            (trial,) = run_protocol(config, sampler)
+            ((ones_per_group, _),) = run_protocol(config, sampler)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert trial["per_group"][0]["zeros"] + trial["per_group"][0]["ones"] == 10**5
+        assert len(ones_per_group) == 1 and 0 < ones_per_group[0] < 10**5
         assert peak < 2**20, peak
 
     def test_memory_bounded_in_groups(self):
@@ -625,24 +625,12 @@ class TestRunProtocol:
         sampler = law(config.strategy, config.params)
         tracemalloc.start()
         try:
-            (trial,) = run_protocol(config, sampler)
+            ((ones_per_group, _),) = run_protocol(config, sampler)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(group["zeros"] + group["ones"] for group in trial["per_group"]) == 2000 * _BLOCK
+        assert len(ones_per_group) == 2000 and 0 < sum(ones_per_group) < 2000 * _BLOCK
         assert peak < 16 * 64 * _BLOCK, peak
-
-    def test_each_count_decided_once(self, monkeypatch):
-        # a group's vote and record depend only on its count of ones: each
-        # distinct count is decided once per run, and equal counts share a record
-        voted = []
-        vote = _Decider._vote
-        monkeypatch.setattr(_Decider, "_vote", lambda self, ones: voted.append(ones) or vote(self, ones))
-        config = ProtocolConfig(seed=6, per_group=12, groups=20, trials=5)
-        trials = run_protocol(config, law(config.strategy, config.params))
-        records = [record for trial in trials for record in trial["per_group"]]
-        assert sorted(voted) == sorted({record["ones"] for record in records})
-        assert len({id(record) for record in records}) == len(voted) < len(records)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -674,27 +662,24 @@ class TestRunProtocol:
         # the majority needs more than half the groups, so a tie goes to cpm
         config = ProtocolConfig(seed=1, per_group=7, groups=4, threshold=Fraction(4, 3),
                                 strategy=Strategy.SPM)
-        assert _Decider(config).trial([4, 7, 3, 0], 0) == {
-            "per_group": [
-                {"zeros": 3, "ones": 4, "ratio": 4 / 3, "decision": "spm"},
-                {"zeros": 0, "ones": 7, "ratio": None, "decision": "spm"},
-                {"zeros": 4, "ones": 3, "ratio": 3 / 4, "decision": "cpm"},
-                {"zeros": 7, "ones": 0, "ratio": 0.0, "decision": "cpm"},
-            ],
-            "eta_hits": 0,
-            "overall_decision": "cpm",
-        }
+        votes = [group_vote(config, ones) for ones in (4, 7, 3, 0)]
+        assert votes == [True, True, False, False]
+        assert majority(votes) is Strategy.CPM
+        assert majority([True, True, True, False]) is Strategy.SPM
 
 
 class TestDiscriminate:
     def test_votes_from_counts(self, monkeypatch):
-        # a trial's decision needs only its groups' votes: no group record is built
-        def no_record(self, ones):
-            raise AssertionError(f"built a group record for count {ones}")
-
-        monkeypatch.setattr(_Decider, "_record", no_record)
-        config = ProtocolConfig(seed=12, trials=4, per_group=10, groups=4)
-        assert len(discriminate(config)["trials"]) == 4
+        # a group's vote depends only on its count of ones: each distinct count
+        # drawn in a run is voted once, however many groups and trials share it
+        voted, drawn = [], []
+        vote, run_trial = protocol.group_vote, protocol._run_trial
+        monkeypatch.setattr(protocol, "group_vote", lambda config, ones: voted.append(ones) or vote(config, ones))
+        monkeypatch.setattr(protocol, "_run_trial", lambda *args: drawn.append(run_trial(*args)) or drawn[-1])
+        config = ProtocolConfig(seed=12, trials=6, per_group=10, groups=8)
+        assert len(discriminate(config)["trials"]) == 6
+        counts = [ones for ones_per_group, _ in drawn for ones in ones_per_group]
+        assert sorted(voted) == sorted(set(counts)) and len(voted) < len(counts)
 
     def test_truth_coin_and_trials(self):
         # each trial's truth is the fair coin of its own truth stream, and its
@@ -708,8 +693,9 @@ class TestDiscriminate:
             coin = CounterStream(config.seed, 1, t).next_int()
             truth = Strategy.SPM if coin < _cut(Fraction(1, 2)) else Strategy.CPM
             assert trial["truth"] == truth.value
-            run = runs[truth][t]
-            assert (trial["decision"], trial["eta_hits"]) == (run["overall_decision"], run["eta_hits"])
+            ones_per_group, eta_hits = runs[truth][t]
+            decision = majority([group_vote(config, ones) for ones in ones_per_group])
+            assert (trial["decision"], trial["eta_hits"]) == (decision.value, eta_hits)
 
     def test_truth_coin_hashes_no_tail(self, monkeypatch):
         # value 0 of the truth stream is below 2^255 exactly when its lead

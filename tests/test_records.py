@@ -11,9 +11,10 @@ import pytest
 
 import ghzdisc
 from ghzdisc.amplitude import ExactAmplitude
-from ghzdisc.engine import PLUS_MINUS, Basis, ChainState, Record
+from ghzdisc.engine import Basis, ChainState, Record
 from ghzdisc.plans import CascadeConstants, PlanParams, constants
 from ghzdisc.protocol import ProtocolConfig, Strategy
+from reference import PLUS_MINUS
 
 # one record of each class, its fields, and its repr as a frozen dataclass wrote it
 RECORDS = {
