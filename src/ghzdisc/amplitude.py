@@ -5,8 +5,8 @@ multiplies and negates amplitudes and sums their squares, so it holds
 each one as the signed rational sigma = sign * q: sigma1 * sigma2 is the
 product, -sigma the negation and |sigma| the Born weight.
 `ExactAmplitude` is the sign/magnitude form, the tests' reference.
-A rational's float is `float(q)`, correctly rounded at every exponent;
-`amplitude_json` renders sign * sqrt(|sigma|) by its own rule.
+Both renderers take a rational as num, den in lowest terms: its float is num / den,
+correctly rounded at every exponent; `amplitude_json` renders sign * sqrt(|sigma|) by its own rule.
 """
 
 from __future__ import annotations
@@ -77,12 +77,13 @@ def fraction_str(value: Fraction | tuple[Fraction, ...]) -> str:
     return decimal_str(value.numerator) + ("" if value.denominator == 1 else "/" + decimal_str(value.denominator))
 
 
-def fraction_json(value: Fraction) -> dict:
-    return {"num": decimal_str(value.numerator), "den": decimal_str(value.denominator), "float": float(value)}
+def fraction_json(num: int, den: int, text=decimal_str) -> dict:
+    return {"num": text(num), "den": text(den), "float": num / den}
 
 
-def amplitude_json(sigma: Fraction) -> dict:
-    """The amplitude sign(sigma) * sqrt(|sigma|); the float is a convenience.
+def amplitude_json(num: int, den: int, text=decimal_str) -> dict:
+    """The amplitude sign(sigma) * sqrt(|sigma|), sigma = num/den in lowest terms with den > 0
+    (the root's scale reads their bit lengths); `text` prints each int; the float is a convenience.
 
     |sigma| is scaled by 2**-e, e even, into [1/4, 2) before the root, so
     the root of a magnitude below the double range (2**-2100, say) is
@@ -90,7 +91,6 @@ def amplitude_json(sigma: Fraction) -> dict:
     one unit in the last place of the nearest double, but not always the
     nearest (sigma = 1/15 gives 0.2581988897471611, the nearest double
     being 0.25819888974716115).  The pinned tables hold such floats."""
-    num, den = sigma.numerator, sigma.denominator
     sign, n = (num > 0) - (num < 0), abs(num)
     e = n.bit_length() - den.bit_length()
     e -= e % 2
@@ -98,7 +98,7 @@ def amplitude_json(sigma: Fraction) -> dict:
     scaled = n / (den << e) if e >= 0 else (n << -e) / den
     return {
         "sign": sign,
-        "num": decimal_str(n),
-        "den": decimal_str(den),
+        "num": text(n),
+        "den": text(den),
         "float": sign * math.ldexp(math.sqrt(scaled), e // 2),
     }

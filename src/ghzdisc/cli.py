@@ -16,6 +16,7 @@ from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, repeat
+from math import gcd
 from typing import Iterator
 
 from .amplitude import amplitude_json, decimal_str, fraction_json, fraction_str
@@ -81,17 +82,17 @@ def _output(path: str | None):
             os.remove(tmp)
 
 
-def _branch_row(outcomes, probability, bob_state, leaf_class, level) -> dict:
-    """The table row of one leaf: its outcome bits, exact probability,
-    class and level, and the receiver's two exact amplitudes."""
-    return {
-        "outcomes": outcomes,
-        "probability": fraction_json(probability),
-        "class": leaf_class.value,
-        "level": level,
-        "bob_amp0": amplitude_json(bob_state.amp0),
-        "bob_amp1": amplitude_json(bob_state.amp1),
-    }
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den, den > 0, in lowest terms, as `Fraction(num, den)` holds it: the
+    common power of two removed by shifts, then a division by the gcd of the
+    odd parts only where it is not 1 (Stein's binary-gcd step)."""
+    if not num:
+        return 0, 1
+    num_zeros, den_zeros = (num & -num).bit_length() - 1, (den & -den).bit_length() - 1
+    g = gcd(num >> num_zeros, den >> den_zeros)
+    shift = min(num_zeros, den_zeros)
+    num, den = num >> shift, den >> shift
+    return (num, den) if g == 1 else (num // g, den // g)
 
 
 _CSV_HEADER = [
@@ -101,7 +102,7 @@ _CSV_HEADER = [
 
 
 def _csv_row(row: dict) -> list:
-    """Flat form of a `_branch_row`, without the amplitude floats."""
+    """Flat form of a `_parity_rows` row, without the amplitude floats."""
     p, a0, a1 = row["probability"], row["bob_amp0"], row["bob_amp1"]
     return [
         row["outcomes"], p["num"], p["den"], repr(p["float"]), row["class"], row["level"],
@@ -134,10 +135,21 @@ def _low_suffixes(k: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
 
 
 def _parity_rows(c) -> list[dict]:
-    """The `_branch_row` of each state of class `c`, rendered once: the odd
-    state differs only in amp1's sign, so its row flips amp1's sign and
-    float (sign * root, as `amplitude_json` forms it) and takes its class."""
-    row = _branch_row(c.head, c.probability, c.state, c.leaf_classes[0], c.level)
+    """The table row of each state of class `c`: its outcome bits, exact
+    probability, class and level, and the receiver's two exact amplitudes,
+    rendered once from the class's integers over den << depth, each value
+    in lowest terms and each distinct integer printed once.  The odd state
+    differs only in amp1's sign, so its row flips amp1's sign and float
+    (sign * root, as `amplitude_json` forms it) and takes its class."""
+    den, text = c.den << c.depth, cache(decimal_str)  # digits per distinct int, for this class alone
+    row = {
+        "outcomes": c.head,
+        "probability": fraction_json(*_lowest(abs(c.a0) + abs(c.a1), den), text),
+        "class": c.leaf_classes[0].value,
+        "level": c.level,
+        "bob_amp0": amplitude_json(*_lowest(c.a0, den), text),
+        "bob_amp1": amplitude_json(*_lowest(c.a1, den), text),
+    }
     if not c.depth:
         return [row]
     amp1 = row["bob_amp1"]
@@ -180,7 +192,7 @@ def cmd_enumerate(args, params: PlanParams) -> int:
     """The census lines on stdout, then the table: one write per run of
     at most 2^_RUN_BITS rows, each class's fields rendered once."""
     # outcomes are bit strings, so neither format quotes or escapes them; the JSON
-    # bytes equal json.dumps of the `_branch_row`s of `enumerate_branches`, indent=2, + "\n"
+    # bytes equal json.dumps of the rows of `enumerate_branches`, indent=2, + "\n"
     with _output(args.out) as handle:
         classes = outcome_classes(PLANS[Strategy(args.strategy)](params), params)
         sys.stdout.write(_census_lines(classes))
@@ -286,7 +298,7 @@ def cmd_simulate(args, params: PlanParams) -> int:
             "per_trial": None,
             "summary": {
                 "empirical_p1": ones / total,
-                "oracle_p1": fraction_json(oracle_p1),
+                "oracle_p1": fraction_json(oracle_p1.numerator, oracle_p1.denominator),
                 "w_values": w_values,
             },
         }

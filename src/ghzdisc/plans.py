@@ -197,8 +197,8 @@ class OutcomeClass(NamedTuple):
     the leading run of perp outcomes): each leaf's receiver state has the
     signed squares a0 and a1 over den << depth, a1 negated for an odd suffix
     after `head`, and class `leaf_classes[parity]`; den is the walk's own den
-    object, its parent's times q.  `probability` and the even `state` are
-    built where read; a named tuple is the cheapest record to build."""
+    object, its parent's times q.  `probability` and the even `state` are built where
+    read, by `verify` and the tests (`enumerate` renders the ints); a named tuple is the cheapest record."""
 
     head: str
     depth: int

@@ -10,8 +10,11 @@ walker, `_walk_numerators`, is shared: its own reference is
 `measure_next` (tests/test_plans.py).  `eta_node` is the all-perp node
 multiplied out step by step along the spine, the reference for the
 telescoped `constants(params).eta_node`.  `law_rows` reads the same rows
-off an integer law's classes.  `ghz_state` and `PLUS_MINUS` are the root
-state and the {|+>, |->} basis of the `measure_next` walks.
+off an integer law's classes.  `_branch_row` renders a table row from
+`Fraction`s, each reduced by its own gcd: the oracle for the rows that
+`cli._parity_rows` renders from a class's integers.  `ghz_state` and
+`PLUS_MINUS` are the root state and the {|+>, |->} basis of the
+`measure_next` walks.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
+from ghzdisc.amplitude import amplitude_json, fraction_json
 from ghzdisc.engine import Basis, ChainState, MeasurementError, _text
 from ghzdisc.plans import LeafClass, _walk_numerators, constants
 from ghzdisc.protocol import AMBIGUOUS, RESOLUTION_BITS, JointTable
@@ -94,6 +98,19 @@ def outcome_classes(plan, params) -> list[OutcomeClass]:
         leaf_classes = tuple(classify(leaf, params) for leaf in states)
         classes.append(OutcomeClass(head, depth, level, Fraction(abs(a0) + abs(a1), den), states, leaf_classes))
     return classes
+
+
+def _branch_row(outcomes, probability: Fraction, bob_state: ChainState, leaf_class, level) -> dict:
+    """The table row of one leaf: its outcome bits, exact probability,
+    class and level, and the receiver's two exact amplitudes."""
+    return {
+        "outcomes": outcomes,
+        "probability": fraction_json(probability.numerator, probability.denominator),
+        "class": leaf_class.value,
+        "level": level,
+        "bob_amp0": amplitude_json(bob_state.amp0.numerator, bob_state.amp0.denominator),
+        "bob_amp1": amplitude_json(bob_state.amp1.numerator, bob_state.amp1.denominator),
+    }
 
 
 def census(classes) -> tuple[Counter, Counter, Counter]:

@@ -11,13 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghzdisc
+import reference
 from ghzdisc import cli, protocol
 from ghzdisc.amplitude import fraction_json
-from ghzdisc.cli import _CSV_HEADER, _branch_row, _csv_row, main
+from ghzdisc.cli import _CSV_HEADER, _csv_row, main
 from ghzdisc.plans import PlanParams, enumerate_branches, outcome_classes
 from ghzdisc.oracle import checkpoint_report, no_signaling_suite
 from ghzdisc.protocol import PLANS, ProtocolConfig, Strategy, discriminate, group_vote, law, run_protocol
@@ -145,10 +146,10 @@ class TestEnumerate:
 
 def _assert_rows_rendered(strategy, n, x_sq, tmp_path):
     """Both formats of `enumerate` equal the rows of `enumerate_branches`,
-    each rendered on its own by `_branch_row` and `_csv_row`."""
+    each rendered on its own from `Fraction`s by `reference._branch_row`, and by `_csv_row`."""
     params = PlanParams(n, Fraction(x_sq))
     rows = [
-        _branch_row(r.head, r.probability, r.state, r.leaf_classes[0], r.level)
+        reference._branch_row(r.head, r.probability, r.state, r.leaf_classes[0], r.level)
         for r in enumerate_branches(PLANS[Strategy(strategy)](params), params)
     ]
     argv = ["enumerate", "--strategy", strategy, "--qubits", str(n), "--x-sq", x_sq]
@@ -163,7 +164,7 @@ def _assert_rows_rendered(strategy, n, x_sq, tmp_path):
 
 
 # rows are rendered once per outcome class and written in runs; every row
-# must still equal its own rendering from `_branch_row` and `_csv_row`
+# must still equal its own `Fraction` rendering from `reference._branch_row` and `_csv_row`
 @pytest.mark.parametrize("n", range(3, 11))
 def test_rows_rendered_per_class(n, tmp_path):
     for x_sq in ("2/3", "1/2", "3/7", "9/10"):
@@ -181,6 +182,27 @@ def test_runs_split_deep_classes(run_bits, tmp_path, monkeypatch):
         classes = outcome_classes(PLANS[Strategy(strategy)](params), params)
         assert max(c.depth for c in classes) > run_bits
         _assert_rows_rendered(strategy, params.n, "3/7", tmp_path)
+
+
+# a num and a den that share a power of two and an odd factor, each up to
+# about 2400 bits: a zero or negative num, and powers of two on either side
+_POWER_OF_TWO = st.integers(0, 2400).map(lambda k: 1 << k)
+_ODD = st.integers(0, 2**2400).map(lambda n: 2 * n + 1)
+_SHARED = st.one_of(st.just(1), _ODD, st.integers(0, 40).map(lambda k: 3**k * 5))
+
+
+@settings(max_examples=300, deadline=None)
+@example(0, 1, 1)
+@example(0, 3**1300, 1 << 2100)
+@example(-(1 << 2100), 1 << 2200, 1)
+@example(1 << 3000, 3 << 10, 1)
+@example(-(3**1300), 3**1300 << 5, 7)
+@given(st.integers(-(2**2400), 2**2400) | _POWER_OF_TWO | _POWER_OF_TWO.map(lambda n: -n),
+       st.integers(1, 2**2400) | _POWER_OF_TWO | _ODD, _SHARED)
+def test_lowest_terms_match_fraction(num, den, shared):
+    num, den = num * shared, den * shared
+    q = Fraction(num, den)
+    assert cli._lowest(num, den) == (q.numerator, q.denominator)
 
 
 class TestSimulate:
@@ -253,7 +275,7 @@ def test_simulate_json_is_json_dumps(per_group, groups, trials, threshold, strat
         "per_trial": simulate_records(config, drawn),
         "summary": {
             "empirical_p1": data.draw(st.floats(min_value=0, max_value=1)),
-            "oracle_p1": fraction_json(Fraction(1, 2)),
+            "oracle_p1": fraction_json(1, 2),
             "w_values": {"1": 1.655, "2": 3.43},
         },
     }
@@ -624,16 +646,16 @@ class TestOutputErrors:
     def test_failed_write_keeps_previous_file(self, fmt, tmp_path, capsys, monkeypatch):
         out = tmp_path / "table.out"
         out.write_text("previous\n")
-        real_row = cli._branch_row
-        rows = []
+        real_rows = cli._parity_rows
+        classes = []
 
-        def failing_row(*fields):
-            rows.append(fields)
-            if len(rows) == 3:
+        def failing_rows(c):
+            classes.append(c)
+            if len(classes) == 3:
                 raise RuntimeError("row failed")
-            return real_row(*fields)
+            return real_rows(c)
 
-        monkeypatch.setattr(cli, "_branch_row", failing_row)
+        monkeypatch.setattr(cli, "_parity_rows", failing_rows)
         with pytest.raises(RuntimeError):
             main(["enumerate", "--strategy", "spm", "--qubits", "5", "--format", fmt, "--out", str(out)])
         assert out.read_bytes() == b"previous\n"

@@ -14,8 +14,9 @@ import hashlib
 
 import pytest
 
-from ghzdisc import protocol
+from ghzdisc import plans, protocol
 from ghzdisc.cli import main
+from ghzdisc.engine import ChainState
 from ghzdisc.protocol import Strategy
 
 GOLDEN = {
@@ -57,6 +58,17 @@ GOLDEN = {
     "enumerate-spm-16-json": (
         ["enumerate", "--strategy", "spm", "--qubits", "16", "--out", "@spm16.json"],
         {"@spm16.json": "697d7d58d9bee4115adeb01379e05113572cf2feac02a67cdbad7851859d9367"},
+    ),
+    # at x^2 = 3/7, 46 of the 48 nums have an odd part other than 1 (16 of 48 at
+    # 2/3), so their lowest terms take a gcd of two big odd ints; the integers
+    # are past `decimal_str`'s 2000-bit split
+    "enumerate-spm-16-x-sq-3-7-csv": (
+        ["enumerate", "--strategy", "spm", "--qubits", "16", "--x-sq", "3/7", "--format", "csv",
+         "--out", "@spm16-3-7.csv"],
+        {
+            "stdout": "1e0ec4c353fa02cb6f74e4bcf00ec4f12ca5570c110c07bc8aabf82e2d45fed4",
+            "@spm16-3-7.csv": "88c7a8498c6257c7498a4289f917018625be1c6766b40a9c44dde0e899150735",
+        },
     ),
     "simulate-random-json": (
         ["simulate", "--seed", "12", "--groups", "5", "--per-group", "12",
@@ -138,6 +150,19 @@ def _unbuildable(name):
     def fail(*args):
         raise AssertionError(f"{name} was built")
     return fail
+
+
+# `enumerate` renders each class from its integers: it builds no `Fraction`
+# probability or state of a class, and no `ChainState` at all
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_builds_no_class_fraction_or_state(fmt, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GHZDISC_OUT_DIR", raising=False)
+    argv = ["enumerate", "--strategy", "spm", "--qubits", "12", "--format", fmt, "--out", "@spm12"]
+    expected = run_case(argv, tmp_path, capsys)
+    monkeypatch.setattr(plans.OutcomeClass, "probability", property(_unbuildable("a class probability")))
+    monkeypatch.setattr(plans.OutcomeClass, "state", property(_unbuildable("a class state")))
+    monkeypatch.setattr(ChainState, "__init__", _unbuildable("a ChainState"))
+    assert run_case(argv, tmp_path, capsys) == expected
 
 
 def _count_leaf_samplers(monkeypatch) -> list:

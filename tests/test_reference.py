@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from ghzdisc import LeafSampler, PlanParams, bob_marginal, cpm_plan, law, random_plan, spm_plan
-from ghzdisc.cli import _branch_row, _parity_rows, main
+from ghzdisc.cli import _parity_rows, main
 from ghzdisc.engine import ChainState
 from ghzdisc.plans import CascadeConstants, MeasurementPlan, census, constants
 from ghzdisc.protocol import RESOLUTION_BITS, Strategy, _cut
@@ -27,7 +27,9 @@ def _plan(kind, params, seed=0):
 
 def _reference_rows(c):
     """Each state's `_branch_row`, rendered from the `Fraction` class on its own."""
-    return [_branch_row(c.head, c.probability, state, lc, c.level) for state, lc in zip(c.states, c.leaf_classes)]
+    return [
+        reference._branch_row(c.head, c.probability, state, lc, c.level) for state, lc in zip(c.states, c.leaf_classes)
+    ]
 
 
 def assert_matches_reference(kind, params, seed=0):
